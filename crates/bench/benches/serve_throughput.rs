@@ -4,10 +4,12 @@
 //! family) is hammered with BATCH requests by concurrent TCP clients.
 //! The sequential daemon (`--workers 1`) answers every request from a
 //! fresh per-request engine — it re-saturates Σ each time, exactly as
-//! the historical one-actor-per-tenant registry did. The read-parallel
-//! registry (`--workers ≥ 2`) keeps a compiled resident session per
-//! epoch and answers from it, so the per-request saturation cost is
-//! amortised away entirely.
+//! the historical one-actor-per-tenant registry did. At `--workers ≥ 2`
+//! the registry answers from the tenant's resident compiled session,
+//! so the per-request saturation cost is amortised away entirely.
+//! Either way reads run on the connection threads, concurrently;
+//! beyond picking the read path, `workers` only sets how many threads
+//! one BATCH fans its goals across.
 //!
 //! Two sweeps, both over the same request corpus:
 //!
@@ -24,9 +26,9 @@
 //! question the same way.
 //!
 //! On a single-core host the win is architectural (resident-engine
-//! reuse), not thread-level parallelism; extra workers beyond 2 mostly
-//! overlap socket turnaround. The report records host parallelism so
-//! readers can interpret the workers = 2 vs 8 spread.
+//! reuse), not thread-level parallelism; BATCH threads beyond the core
+//! count add nothing. The report records host parallelism so readers
+//! can interpret the workers = 2 vs 8 spread.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};

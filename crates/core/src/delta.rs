@@ -43,10 +43,11 @@
 //!    the fresh build (something stronger now lands first) and an entry
 //!    the old build rejected can now be admitted. Membership itself,
 //!    not only order, depends on the full replay history.
-//! 3. **The `seen` set is history-dependent.** Duplicate suppression
-//!    remembers every `(lhs, rhs)` ever attempted, including attempts
-//!    seeded by `σ`; a maintained engine that kept the old `seen` set
-//!    would silently refuse derivations the fresh build makes.
+//! 3. **Rejections are history-dependent.** `add` refuses a candidate
+//!    because some entry at least as strong is already present, and
+//!    which entries those are depends on everything offered before,
+//!    including what `σ` seeded; a maintained engine cannot tell which
+//!    of its past refusals a fresh build over the new Σ would accept.
 //! 4. **Singleton premises are implicit.** `Prov::Singleton { x }` cites
 //!    no pool indices — its premises are the closure facts `x → x:Aᵢ`,
 //!    replayed on demand — so the provenance DAG *under-counts* support
@@ -87,6 +88,7 @@ use crate::simple;
 use nfd_faults::fail_point;
 use nfd_model::Label;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// What one Σ mutation did to the touched relation's pool — returned by
 /// [`Engine::add_dep`] and [`Engine::remove_dep`] for observability
@@ -187,10 +189,17 @@ impl<'s> Engine<'s> {
                 // flags are untouched, which is exactly what a fresh
                 // build over the shortened Σ records for these pools.
                 for (name, rel) in self.rels.iter_mut() {
-                    if *name == relation {
+                    let renumbered = rel
+                        .deps
+                        .iter()
+                        .any(|d| matches!(d.prov, Prov::Given(k) if k > i));
+                    if *name == relation || !renumbered {
                         continue;
                     }
-                    for d in &mut rel.deps {
+                    // Copy-on-write: a fork may share this pool with the
+                    // engine it was forked from, which must keep its own
+                    // Σ's numbering.
+                    for d in &mut Arc::make_mut(rel).deps {
                         if let Prov::Given(k) = &mut d.prov {
                             if *k > i {
                                 *k -= 1;

@@ -39,7 +39,7 @@ use std::sync::Mutex;
 /// must remain visible to bounded chaining (proof reconstruction bounds
 /// `max` below the index of the entry that subsumed them) and their
 /// subsumption flags are re-checked at use time by the saturation loop.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct DepIndex {
     /// Pool indices bucketed by RHS id, in insertion (= pool) order.
     by_rhs: HashMap<PathId, Vec<usize>>,

@@ -67,6 +67,7 @@ pub mod view;
 pub use delta::DeltaReport;
 pub use dense::DenseClosure;
 pub use emptyset::EmptySetPolicy;
+pub use engine::SchemaRef;
 pub use error::CoreError;
 pub use kernel::{CacheStats, ClosureCache, DEFAULT_CLOSURE_CACHE_CAPACITY};
 pub use nfd::Nfd;

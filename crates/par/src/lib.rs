@@ -115,48 +115,6 @@ where
     out
 }
 
-/// Spawns `threads` identical long-lived scoped workers and blocks until
-/// every one returns — the pool-handle shape for callers that own their
-/// own work queue (e.g. a server's resident read pool draining a shared
-/// channel) rather than an indexed batch. Each worker runs `f(worker)`
-/// once, with `worker` in `0..threads`; `threads == 0` means all
-/// available parallelism, and a single worker still runs on its own
-/// scoped thread (the caller typically blocks in `f` on a channel, so
-/// running inline would deadlock a 1-worker pool against its producer —
-/// unlike [`map_indexed`], whose work is finite and caller-supplied).
-///
-/// Worker panics re-raise on the caller after every worker has stopped,
-/// exactly like [`map_indexed`]; workers share the `par::worker`
-/// failpoint site with the batch pool.
-pub fn scoped_workers<F>(threads: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let threads = if threads == 0 { available() } else { threads }.max(1);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| {
-                scope.spawn(move || {
-                    fail_point!("par::worker");
-                    f(worker);
-                })
-            })
-            .collect();
-        let mut panicked = None;
-        for h in handles {
-            if let Err(payload) = h.join() {
-                // Defer: join every worker before re-raising, or the
-                // scope would re-join (and re-panic) behind our back.
-                panicked = Some(payload);
-            }
-        }
-        if let Some(payload) = panicked {
-            std::panic::resume_unwind(payload);
-        }
-    })
-}
-
 /// Spawns `threads` scoped workers pulling indices `0..n` from a shared
 /// atomic counter. Each worker accumulates into its own local vector
 /// (returned per worker); `step` returns `false` to stop that worker.
@@ -292,51 +250,6 @@ mod tests {
             }
             assert_eq!(out[10], Some(30), "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn scoped_workers_runs_each_worker_once() {
-        use std::sync::Mutex;
-        let seen: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        scoped_workers(4, |w| seen.lock().unwrap().push(w));
-        let mut got = seen.into_inner().unwrap();
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn scoped_workers_share_a_channel_without_deadlock() {
-        use std::sync::{mpsc, Mutex};
-        // One worker draining a pre-filled queue: must not run inline on
-        // the caller before the channel is populated elsewhere — here we
-        // pre-fill, but the worker still runs on its own thread.
-        let (tx, rx) = mpsc::channel();
-        for i in 0..10 {
-            tx.send(i).unwrap();
-        }
-        drop(tx);
-        let rx = Mutex::new(rx);
-        let total = std::sync::atomic::AtomicUsize::new(0);
-        scoped_workers(3, |_| loop {
-            let item = match rx.lock().unwrap().recv() {
-                Ok(i) => i,
-                Err(_) => break,
-            };
-            total.fetch_add(item, Ordering::Relaxed);
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 45);
-    }
-
-    #[test]
-    fn scoped_workers_reraise_panics_after_joining_all() {
-        let caught = std::panic::catch_unwind(|| {
-            scoped_workers(4, |w| {
-                if w == 2 {
-                    panic!("worker 2 down");
-                }
-            })
-        });
-        assert!(caught.is_err());
     }
 
     #[test]

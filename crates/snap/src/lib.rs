@@ -101,6 +101,9 @@ pub enum SnapError {
     /// The snapshot decoded cleanly but does not match the world it is
     /// being thawed into (schema text, Σ, policy, or matrix skew).
     Mismatch(String),
+    /// The path names a device, FIFO, directory or other non-regular
+    /// file, which is never read as a snapshot.
+    NotRegularFile(String),
     /// A `snap::*` failpoint injected this failure (chaos testing only).
     Injected,
 }
@@ -120,6 +123,9 @@ impl fmt::Display for SnapError {
             SnapError::Checksum(what) => write!(f, "snapshot checksum mismatch in {what}"),
             SnapError::Malformed(what) => write!(f, "malformed snapshot: {what}"),
             SnapError::Mismatch(what) => write!(f, "snapshot does not match this session: {what}"),
+            SnapError::NotRegularFile(path) => {
+                write!(f, "snapshot path `{path}` is not a regular file")
+            }
             SnapError::Injected => write!(f, "snapshot fault injected by failpoint"),
         }
     }
@@ -914,21 +920,39 @@ pub fn decode_lenient(bytes: &[u8]) -> Result<Salvaged, SnapError> {
 // ---------------------------------------------------------------------
 
 /// Reads a snapshot file into memory, bounding the read at
-/// [`MAX_SNAPSHOT_BYTES`].
+/// [`MAX_SNAPSHOT_BYTES`]. Only regular files are read: a device or FIFO
+/// reports length 0 and may never end (`/dev/zero`), so it is refused
+/// with [`SnapError::NotRegularFile`] before it is opened. The read
+/// itself is bounded too, since a file can grow after it was measured.
 pub fn read_file(path: &std::path::Path) -> Result<Vec<u8>, SnapError> {
+    use std::io::Read as _;
     fail_point!(
         "snap::read",
         Err(SnapError::Io("injected read fault".to_string()))
     );
-    let meta =
-        std::fs::metadata(path).map_err(|e| SnapError::Io(format!("{}: {e}", path.display())))?;
-    if meta.len() > MAX_SNAPSHOT_BYTES {
-        return Err(SnapError::Malformed(format!(
-            "snapshot of {} bytes exceeds the {MAX_SNAPSHOT_BYTES}-byte ceiling",
-            meta.len()
-        )));
+    let io = |e: std::io::Error| SnapError::Io(format!("{}: {e}", path.display()));
+    let meta = std::fs::metadata(path).map_err(io)?;
+    if !meta.is_file() {
+        return Err(SnapError::NotRegularFile(path.display().to_string()));
     }
-    std::fs::read(path).map_err(|e| SnapError::Io(format!("{}: {e}", path.display())))
+    let too_big = |len: u64| {
+        SnapError::Malformed(format!(
+            "snapshot of {len} bytes exceeds the {MAX_SNAPSHOT_BYTES}-byte ceiling"
+        ))
+    };
+    if meta.len() > MAX_SNAPSHOT_BYTES {
+        return Err(too_big(meta.len()));
+    }
+    let mut bytes = Vec::with_capacity(meta.len() as usize);
+    std::fs::File::open(path)
+        .map_err(io)?
+        .take(MAX_SNAPSHOT_BYTES + 1)
+        .read_to_end(&mut bytes)
+        .map_err(io)?;
+    if bytes.len() as u64 > MAX_SNAPSHOT_BYTES {
+        return Err(too_big(bytes.len() as u64));
+    }
+    Ok(bytes)
 }
 
 /// Writes snapshot bytes crash-atomically: a sibling temp file is
@@ -1174,9 +1198,29 @@ mod tests {
             (SnapError::Checksum("POOLS".into()), "POOLS"),
             (SnapError::Malformed("y".into()), "malformed"),
             (SnapError::Mismatch("z".into()), "does not match"),
+            (
+                SnapError::NotRegularFile("/dev/zero".into()),
+                "not a regular file",
+            ),
             (SnapError::Injected, "injected"),
         ] {
             assert!(err.to_string().contains(needle), "{err}");
         }
+    }
+
+    /// A device reports length 0 and never ends; reading it must fail
+    /// typed and at once, not run until allocation fails.
+    #[cfg(unix)]
+    #[test]
+    fn read_file_rejects_dev_zero() {
+        let err = read_file(std::path::Path::new("/dev/zero")).unwrap_err();
+        assert_eq!(err, SnapError::NotRegularFile("/dev/zero".to_string()));
+    }
+
+    #[test]
+    fn read_file_rejects_a_directory() {
+        let dir = std::env::temp_dir();
+        let err = read_file(&dir).unwrap_err();
+        assert!(matches!(err, SnapError::NotRegularFile(_)), "{err:?}");
     }
 }

@@ -181,11 +181,13 @@ const USAGE: &str = "usage:
   8); --max-inflight and --queue bound admission (overflow answers BUSY);
   --quota meters each tenant's work units (EXHAUSTED when drained);
   --budget caps per-query counters and --timeout-ms (default 30000) is
-  the per-request deadline. --workers N runs N concurrent read workers
-  per resident tenant (IMPLIES/BATCH/CLOSURE/KEYS execute in parallel
-  against the compiled session; ADDDEP/DROPDEP build the next epoch
-  aside and atomically swap it in, never blocking readers); 1 forces
-  the sequential reference mode, 0 or omitted uses all available
+  the per-request deadline. Reads (IMPLIES/BATCH/CLOSURE/KEYS) run in
+  parallel on the connection threads, as many as --max-inflight admits;
+  ADDDEP/DROPDEP fork the tenant's compiled session, change the fork
+  and swap it in, never blocking readers. --workers 1 forces the
+  sequential reference mode (every query re-saturates under its own
+  budget); any other N answers from the resident compiled session and
+  runs each BATCH on N threads, 0 or omitted using all available
   cores. Exits 0 on a clean SHUTDOWN drain.
 
   exit codes: 0 holds/implied · 1 fails/not implied · 2 usage or input
@@ -223,7 +225,8 @@ struct Opts {
     /// `--thaw-min-bytes N`: image-size floor below which `--snapshot`
     /// compiles fresh instead of thawing (`0` disables the gate).
     thaw_min_bytes: Option<String>,
-    /// `--workers N`: per-tenant concurrent read workers in `serve`.
+    /// `--workers N`: `serve`'s read path (1 = per-query rebuild) and
+    /// `BATCH` thread count.
     workers: Option<String>,
     /// `--out FILE`: where the `snapshot` subcommand writes its image.
     out: Option<String>,

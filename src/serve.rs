@@ -6,34 +6,32 @@
 //! boundaries and drain protocol all live in the `nfd-serve` crate;
 //! what lives here is the NFD side:
 //!
-//! * **Read-parallel epochs without `'static` gymnastics.**
-//!   `Session<'s>` borrows its `Schema`, which is exactly right for one
-//!   CLI invocation and exactly wrong for a daemon. Rather than leak or
-//!   unsafely self-reference, each tenant gets an *epoch thread* that
-//!   owns `(Schema, Σ, Session)` on its stack and serves work over an
-//!   `mpsc` channel — but unlike the one-actor model this replaced, the
-//!   epoch runs a pool of [`RegistryConfig::workers`] readers
-//!   (`nfd_par::scoped_workers`) draining the channel concurrently: the
-//!   session read path is `&self`, so IMPLIES/BATCH/CLOSURE/KEYS on one
-//!   hot tenant execute in parallel. At `workers == 1` the epoch serves
-//!   sequentially with a per-query engine rebuild — bit-identical to
-//!   the historical daemon, and the differential reference for the
-//!   parallel mode. At `workers >= 2` reads are served from the
-//!   *resident* compiled engine ([`Session::implies_with_resident`]),
-//!   amortizing the per-request saturation rebuild away; builds are
-//!   deterministic and query-time chaining consumes no budget counters,
-//!   so verdicts match the sequential mode (see DESIGN.md
-//!   §"Read-parallel registry" for the argument and the metered-tenant
-//!   caveat).
-//! * **Epoch-swap mutation.** Write verbs (ADDDEP/DROPDEP) never touch
-//!   the serving session: under a per-tenant write gate, the registry
-//!   freezes the current epoch (an in-memory snapshot over the channel
-//!   it already serves), builds the *next* epoch off to the side —
-//!   thaw, apply the delta, ready-handshake — and atomically swaps the
-//!   tenant's handle. Readers in flight finish on the old epoch, which
-//!   drains on channel hangup; no reader ever observes a half-applied
-//!   Σ, and a failure (or injected panic) anywhere before the swap
-//!   leaves the old epoch serving untouched.
+//! * **Tenants are shared sessions, not threads.** A tenant's current
+//!   epoch is an `Arc<Session<'static>>` over a schema the session owns
+//!   ([`Session::owned`]). A read clones that `Arc` under the registry
+//!   lock and is answered on the connection thread that received it, so
+//!   reads on one hot tenant run in parallel, as many at once as the
+//!   server's admission gate admits. `LOAD` and `RESTORE` compile or
+//!   thaw on the connection thread too: no thread is spawned per tenant
+//!   or per write.
+//! * **Two read paths, chosen by [`RegistryConfig::workers`].** At
+//!   `workers == 1` every query re-saturates a fresh engine under its
+//!   own budget — the historical daemon, kept as the differential
+//!   reference. Otherwise reads are served from the *resident* compiled
+//!   engine ([`Session::implies_with_resident`]) and `BATCH` fans out to
+//!   `workers` threads; builds are deterministic and query-time chaining
+//!   consumes no budget counters, so verdicts match the reference (see
+//!   DESIGN.md §"Read-parallel registry" for the argument and the
+//!   metered-tenant caveat).
+//! * **Fork-and-swap mutation.** Write verbs (ADDDEP/DROPDEP) never
+//!   touch the serving session: under a per-tenant write gate, the
+//!   registry forks the current epoch ([`Session::fork`]: the same
+//!   saturated pools, shared; a private closure cache), applies the
+//!   delta to the fork, and swaps the tenant's pointer. Readers in
+//!   flight finish on the epoch they already hold, and whoever drops the
+//!   last `Arc` frees it; no reader ever observes a half-applied Σ, and
+//!   a failure (or injected panic) before the swap leaves the old epoch
+//!   serving untouched.
 //! * **A shared cross-tenant closure cache.** Tenants loaded from
 //!   identical `(schema source, Σ source, policy)` under the daemon's
 //!   single build budget compile bit-identical engines, so they share
@@ -43,10 +41,8 @@
 //!   shared pool would poison the tenants still serving the original.
 //! * **Crash containment in depth.** Every query is answered inside
 //!   `catch_unwind` (on top of the server's per-request boundary), so a
-//!   poisoned query answers `ERR` and the *epoch survives* — the next
-//!   query on the same tenant is served from the same warm caches.
-//!   Should an epoch die anyway, the failed channel send is detected,
-//!   the tenant is evicted, and the client gets `ERR`, never a hang.
+//!   poisoned query answers `ERR` and the tenant keeps serving from the
+//!   same warm caches.
 //! * **Per-tenant quotas.** A tenant's remaining work units (set at
 //!   `LOAD` from [`RegistryConfig::default_quota`], adjusted by
 //!   `QUOTA`) cap the [`Budget`] of every query; a drained quota
@@ -54,9 +50,9 @@
 //!   actual decider cost (max attempt counter, min 1), so expensive
 //!   tenants drain faster.
 //! * **LRU residency.** At most [`RegistryConfig::max_resident`]
-//!   sessions stay warm; loading past the cap retires the
-//!   least-recently-used tenant (its epoch exits, freeing the compiled
-//!   tables).
+//!   sessions stay warm; loading past the cap drops the
+//!   least-recently-used tenant, whose compiled tables are freed once
+//!   the last read still holding them finishes.
 //!
 //! Per-request deadlines ([`RegistryConfig::request_timeout_ms`]) apply
 //! to the *query* budgets only. The resident engine is compiled under a
@@ -67,12 +63,11 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use nfd_core::{
-    ClosureCache, CoreError, EmptySetPolicy, Nfd, TierPreference, DEFAULT_CLOSURE_CACHE_CAPACITY,
+    ClosureCache, CoreError, DeltaReport, EmptySetPolicy, Nfd, TierPreference,
+    DEFAULT_CLOSURE_CACHE_CAPACITY,
 };
 use nfd_faults::fail_point;
 use nfd_govern::{Budget, Verdict};
@@ -100,11 +95,13 @@ pub struct RegistryConfig {
     pub query_budget: Option<u64>,
     /// Wall-clock deadline per `IMPLIES`/`BATCH` query (ms; 0 = none).
     pub request_timeout_ms: u64,
-    /// Concurrent read workers per resident tenant. `1` is the
-    /// sequential reference mode (per-query engine rebuild, exactly the
-    /// historical daemon); `>= 2` serves reads concurrently from the
-    /// resident compiled engine and runs `BATCH` goals at this thread
-    /// count; `0` means all available parallelism.
+    /// Which read path serves queries. `1` is the sequential reference
+    /// mode: every query re-saturates a fresh engine under its own
+    /// budget, exactly the historical daemon. Any other value serves
+    /// reads from the resident compiled engine and runs `BATCH` goals
+    /// at this thread count; `0` means all available parallelism.
+    /// Reads run on the connection threads either way, as many at once
+    /// as the server's admission gate admits.
     pub workers: usize,
 }
 
@@ -120,8 +117,8 @@ impl Default for RegistryConfig {
     }
 }
 
-/// A read-only query shipped to a tenant's epoch pool. Mutations do not
-/// appear here: they build the next epoch instead (see
+/// A read-only query against a tenant's current epoch. Mutations do not
+/// appear here: they fork the next epoch instead (see
 /// [`Registry::run_write`]).
 enum Query {
     Implies { goal: String },
@@ -131,76 +128,24 @@ enum Query {
     Snapshot { path: String },
 }
 
-struct Request {
-    query: Query,
-    budget: Budget,
-    reply: mpsc::Sender<Reply>,
-}
-
 struct Reply {
     response: Response,
     /// Work units to charge against the tenant quota.
     cost: u64,
 }
 
-/// Work an epoch's reader pool drains: queries, plus the freeze request
-/// the write path uses to fork the next epoch off the current one.
-enum Work {
-    Query(Request),
-    Freeze(mpsc::Sender<Box<nfd_snap::Snapshot>>),
-}
-
-/// The registry's handle on one live epoch: the work channel, the
-/// queue-depth gauge, and the closure cache the epoch serves from (held
-/// here so STATS can read it without a channel round trip).
-struct EpochHandle {
-    tx: mpsc::Sender<Work>,
-    depth: Arc<AtomicU64>,
-    cache: Arc<ClosureCache>,
-}
-
-/// One resident tenant: its current epoch, quota state, the write gate
-/// serializing its mutations, and the epoch threads still draining.
-/// The `Vec<Tenant>` in [`Registry`] is kept in most-recently-used
-/// order, front first — that ordering *is* the LRU policy.
+/// One resident tenant: its current epoch, quota state, and the write
+/// gate serializing its mutations. The `Vec<Tenant>` in [`Registry`] is
+/// kept in most-recently-used order, front first — that ordering *is*
+/// the LRU policy.
 struct Tenant {
     name: String,
-    epoch: Option<EpochHandle>,
+    /// The current epoch. Replaced by a write, never changed in place,
+    /// so a reader holding a clone sees one Σ from start to finish.
+    session: Arc<Session<'static>>,
     quota: Option<u64>,
     /// Serializes ADDDEP/DROPDEP on this tenant; readers never take it.
     write_gate: Arc<Mutex<()>>,
-    /// The current epoch's thread plus superseded epochs still draining
-    /// in-flight readers. Reaped opportunistically, joined on retire.
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl Tenant {
-    /// Drops finished epoch threads (already drained; join is a no-op
-    /// we skip by detaching). Called under the registry lock — cheap.
-    fn reap(&mut self) {
-        self.threads.retain(|t| !t.is_finished());
-    }
-
-    /// Hangs up the current epoch's channel and joins every epoch
-    /// thread. Joining may wait for an in-flight query on another
-    /// connection to finish — that is the drain guarantee, not a bug.
-    fn retire(mut self) {
-        self.epoch.take();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for Tenant {
-    fn drop(&mut self) {
-        // `retire` already took both; this path covers tenants dropped
-        // without an explicit retire (e.g. an unwinding test).
-        self.epoch.take();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
 }
 
 #[derive(Debug, Default)]
@@ -211,7 +156,6 @@ struct RegistryCounters {
     evicted_lru: AtomicU64,
     queries: AtomicU64,
     quota_denials: AtomicU64,
-    worker_failures: AtomicU64,
     /// `SNAPSHOT` verbs that wrote an image to disk.
     snapshots_written: AtomicU64,
     /// `RESTORE` verbs answered from a bit-identical thaw.
@@ -221,8 +165,10 @@ struct RegistryCounters {
     /// `RESTORE` verbs that degraded to a fresh compile (corrupt or
     /// stale compiled sections with salvageable sources).
     thaw_fallbacks: AtomicU64,
-    /// Mutations that built and atomically installed a next epoch.
+    /// Mutations that forked and atomically installed a next epoch.
     epoch_swaps: AtomicU64,
+    /// Reads being answered right now (STATS `worker_queue_depth`).
+    reads_in_flight: AtomicU64,
 }
 
 /// The key under which tenants may share one closure cache: the literal
@@ -238,6 +184,10 @@ type CacheKey = (String, String, String);
 /// to [`nfd_serve::Server::bind`].
 pub struct Registry {
     cfg: RegistryConfig,
+    /// [`RegistryConfig::workers`] resolved once (`0` = all available
+    /// parallelism, which costs a cgroup lookup to learn): `1` selects
+    /// the per-query-rebuild path, anything more the resident engine.
+    workers: usize,
     tenants: Mutex<Vec<Tenant>>,
     shared_caches: Mutex<HashMap<CacheKey, Arc<ClosureCache>>>,
     counters: RegistryCounters,
@@ -247,6 +197,10 @@ impl Registry {
     /// An empty registry.
     pub fn new(cfg: RegistryConfig) -> Registry {
         Registry {
+            workers: match cfg.workers {
+                0 => nfd_par::available(),
+                n => n,
+            },
             cfg,
             tenants: Mutex::new(Vec::new()),
             shared_caches: Mutex::new(HashMap::new()),
@@ -254,12 +208,8 @@ impl Registry {
         }
     }
 
-    /// The resolved per-epoch reader count (`0` = all available).
-    fn read_workers(&self) -> usize {
-        match self.cfg.workers {
-            0 => nfd_par::available(),
-            n => n,
-        }
+    fn lock_tenants(&self) -> MutexGuard<'_, Vec<Tenant>> {
+        self.tenants.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The budget sessions are *compiled* under and the resident engine
@@ -290,7 +240,7 @@ impl Registry {
 
     /// The shared closure cache for `key`, created on first use. The
     /// pool is bounded: past [`SHARED_CACHE_POOL_CAP`], entries no
-    /// resident epoch holds (sole `Arc` here) are dropped first.
+    /// resident tenant holds (sole `Arc` here) are dropped first.
     fn shared_cache_for(&self, key: CacheKey) -> Arc<ClosureCache> {
         fail_point!("serve::shared_cache");
         let mut pool = self
@@ -305,20 +255,19 @@ impl Registry {
         }))
     }
 
-    /// Registers a freshly handshaken tenant: MRU-front insert, reload
+    /// Registers a freshly compiled tenant: MRU-front insert, reload
     /// bookkeeping, and LRU eviction past the residency cap.
-    fn adopt(&self, name: String, epoch: EpochHandle, thread: JoinHandle<()>) {
+    fn adopt(&self, name: String, session: Session<'static>) {
         let tenant = Tenant {
-            name: name.clone(),
-            epoch: Some(epoch),
+            name,
+            session: Arc::new(session),
             quota: self.cfg.default_quota,
             write_gate: Arc::new(Mutex::new(())),
-            threads: vec![thread],
         };
         let mut retired: Vec<Tenant> = Vec::new();
         {
-            let mut tenants = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(pos) = tenants.iter().position(|t| t.name == name) {
+            let mut tenants = self.lock_tenants();
+            if let Some(pos) = tenants.iter().position(|t| t.name == tenant.name) {
                 retired.push(tenants.remove(pos));
                 self.counters.reloads.fetch_add(1, Ordering::Relaxed);
             } else {
@@ -332,11 +281,8 @@ impl Registry {
                 }
             }
         }
-        // Join retired epochs outside the lock: an in-flight query on a
-        // replaced tenant may still need to finish.
-        for tenant in retired {
-            tenant.retire();
-        }
+        // Dropping a compiled session takes time; do it unlocked.
+        drop(retired);
     }
 
     fn load(&self, name: String, schema: String, deps: String) -> Response {
@@ -346,39 +292,28 @@ impl Registry {
             format!("{:?}", EmptySetPolicy::Forbidden),
         );
         let cache = self.shared_cache_for(key);
-        let (ready_tx, ready_rx) = mpsc::channel();
-        let (tx, rx) = mpsc::channel();
-        let budget = self.build_budget();
-        let depth = Arc::new(AtomicU64::new(0));
-        let epoch = EpochHandle {
-            tx,
-            depth: Arc::clone(&depth),
-            cache: Arc::clone(&cache),
+        let schema = match Schema::parse(&schema) {
+            Ok(schema) => Arc::new(schema),
+            Err(e) => return Response::Err(format!("schema: {e}")),
         };
-        let workers = self.read_workers();
-        let thread = std::thread::spawn(move || {
-            load_epoch(schema, deps, budget, cache, workers, depth, rx, ready_tx)
-        });
-        match ready_rx.recv() {
-            Ok(Ok(dep_count)) => {
-                self.adopt(name, epoch, thread);
-                Response::Ok(format!("loaded deps={dep_count}"))
+        let sigma = match nfd_core::nfd::parse_set(&schema, &deps) {
+            Ok(sigma) => sigma,
+            Err(e) => return Response::Err(format!("deps: {e}")),
+        };
+        match Session::owned(
+            schema,
+            &sigma,
+            EmptySetPolicy::Forbidden,
+            self.build_budget(),
+            TierPreference::Auto,
+            cache,
+            None,
+        ) {
+            Ok((session, _)) => {
+                self.adopt(name, session);
+                Response::Ok(format!("loaded deps={}", sigma.len()))
             }
-            Ok(Err(resp)) => {
-                drop(epoch);
-                let _ = thread.join();
-                resp
-            }
-            Err(_) => {
-                // The epoch died before the handshake — nothing was
-                // registered, so nothing to evict.
-                drop(epoch);
-                let _ = thread.join();
-                self.counters
-                    .worker_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                Response::Err("session worker died during load".to_string())
-            }
+            Err(e) => core_error_response(e),
         }
     }
 
@@ -387,84 +322,90 @@ impl Registry {
     /// with corrupt compiled sections but salvageable sources (or one
     /// whose thaw is rejected by replay validation) degrades to a fresh
     /// compile of those sources — a logged fallback, not a failure. Only
-    /// an image too damaged to recover the sources answers `ERR`.
+    /// an image too damaged to recover the sources answers `ERR`, and a
+    /// rejection never registers anything.
     fn restore(&self, name: String, path: String) -> Response {
-        // Decode on the connection thread so the shared-cache key (the
-        // snapshot's canonical source texts) is known before any epoch
-        // spawns; a typed rejection never registers anything.
+        let reject = |message: String| {
+            self.counters
+                .restores_rejected
+                .fetch_add(1, Ordering::Relaxed);
+            Response::Err(message)
+        };
         let salvaged = match nfd_snap::read_file(std::path::Path::new(&path))
             .and_then(|bytes| nfd_snap::decode_lenient(&bytes))
         {
             Ok(salvaged) => salvaged,
+            Err(e) => return reject(format!("restore: {e}")),
+        };
+        let snap = &salvaged.snapshot;
+        let policy = match crate::snapshot::policy_from_snap(&snap.policy) {
+            Ok(policy) => policy,
+            Err(e) => return reject(format!("restore: policy: {e}")),
+        };
+        let key: CacheKey = (
+            snap.schema_text.clone(),
+            snap.sigma_text.clone(),
+            format!("{policy:?}"),
+        );
+        let cache = self.shared_cache_for(key);
+        let schema = match Schema::parse(&snap.schema_text) {
+            Ok(schema) => Arc::new(schema),
+            Err(e) => return reject(format!("restore: schema: {e}")),
+        };
+        let sigma = match nfd_core::nfd::parse_set(&schema, &snap.sigma_text) {
+            Ok(sigma) => sigma,
+            Err(e) => return reject(format!("restore: deps: {e}")),
+        };
+        let image = (!salvaged.degraded).then_some(snap);
+        match Session::owned(
+            schema,
+            &sigma,
+            policy,
+            self.build_budget(),
+            TierPreference::Auto,
+            cache,
+            image,
+        ) {
+            Ok((session, thawed)) => {
+                self.adopt(name, session);
+                if thawed {
+                    self.counters.restores_ok.fetch_add(1, Ordering::Relaxed);
+                    Response::Ok(format!("restored deps={} (thawed)", sigma.len()))
+                } else {
+                    self.counters.thaw_fallbacks.fetch_add(1, Ordering::Relaxed);
+                    Response::Ok(format!(
+                        "restored deps={} (thaw rejected; compiled fresh)",
+                        sigma.len()
+                    ))
+                }
+            }
             Err(e) => {
                 self.counters
                     .restores_rejected
                     .fetch_add(1, Ordering::Relaxed);
-                return Response::Err(format!("restore: {e}"));
-            }
-        };
-        let key: CacheKey = (
-            salvaged.snapshot.schema_text.clone(),
-            salvaged.snapshot.sigma_text.clone(),
-            match crate::snapshot::policy_from_snap(&salvaged.snapshot.policy) {
-                Ok(policy) => format!("{policy:?}"),
-                Err(e) => {
-                    self.counters
-                        .restores_rejected
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Response::Err(format!("restore: policy: {e}"));
-                }
-            },
-        );
-        let cache = self.shared_cache_for(key);
-        let (ready_tx, ready_rx) = mpsc::channel();
-        let (tx, rx) = mpsc::channel();
-        let budget = self.build_budget();
-        let depth = Arc::new(AtomicU64::new(0));
-        let epoch = EpochHandle {
-            tx,
-            depth: Arc::clone(&depth),
-            cache: Arc::clone(&cache),
-        };
-        let workers = self.read_workers();
-        let degraded = salvaged.degraded;
-        let snap = Box::new(salvaged.snapshot);
-        let thread = std::thread::spawn(move || {
-            restore_epoch(snap, degraded, budget, cache, workers, depth, rx, ready_tx)
-        });
-        match ready_rx.recv() {
-            Ok(Ok((dep_count, fallback))) => {
-                self.adopt(name, epoch, thread);
-                if fallback {
-                    self.counters.thaw_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    Response::Ok(format!(
-                        "restored deps={dep_count} (thaw rejected; compiled fresh)"
-                    ))
-                } else {
-                    self.counters.restores_ok.fetch_add(1, Ordering::Relaxed);
-                    Response::Ok(format!("restored deps={dep_count} (thawed)"))
-                }
-            }
-            Ok(Err(resp)) => {
-                self.counters
-                    .restores_rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                drop(epoch);
-                let _ = thread.join();
-                resp
-            }
-            Err(_) => {
-                drop(epoch);
-                let _ = thread.join();
-                self.counters
-                    .restores_rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .worker_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                Response::Err("session worker died during restore".to_string())
+                core_error_response(e)
             }
         }
+    }
+
+    /// Admits a workload verb on `name`: refuses a drained quota before
+    /// any work, touches the tenant for LRU, and hands out its current
+    /// epoch, remaining quota and write gate.
+    fn checkout(&self, name: &str) -> Result<CheckedOut, Response> {
+        let mut tenants = self.lock_tenants();
+        let Some(pos) = tenants.iter().position(|t| t.name == name) else {
+            return Err(unknown_tenant(name));
+        };
+        if tenants[pos].quota == Some(0) {
+            self.counters.quota_denials.fetch_add(1, Ordering::Relaxed);
+            return Err(Response::Exhausted(format!(
+                "tenant `{name}` quota exhausted"
+            )));
+        }
+        // Most-recently-used lives at the front.
+        tenants[..=pos].rotate_right(1);
+        let t = &tenants[0];
+        Ok((Arc::clone(&t.session), t.quota, Arc::clone(&t.write_gate)))
     }
 
     fn run_query(&self, name: &str, query: Query) -> Response {
@@ -472,216 +413,118 @@ impl Registry {
             "serve::tenant_query",
             Response::Exhausted("injected fault (failpoint)".to_string())
         );
-        let (tx, depth, remaining) = {
-            let mut tenants = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
-            let Some(pos) = tenants.iter().position(|t| t.name == name) else {
-                return Response::Err(format!("unknown tenant `{name}` (LOAD it first)"));
-            };
-            if tenants[pos].quota == Some(0) {
-                self.counters.quota_denials.fetch_add(1, Ordering::Relaxed);
-                return Response::Exhausted(format!("tenant `{name}` quota exhausted"));
-            }
-            // Touch for LRU: most-recently-used lives at the front.
-            let mut tenant = tenants.remove(pos);
-            tenant.reap();
-            let handle = (
-                tenant.epoch.as_ref().map(|e| e.tx.clone()),
-                tenant.epoch.as_ref().map(|e| Arc::clone(&e.depth)),
-                tenant.quota,
-            );
-            tenants.insert(0, tenant);
-            handle
+        let (session, quota, _) = match self.checkout(name) {
+            Ok(checked_out) => checked_out,
+            Err(response) => return response,
         };
-        let Some(tx) = tx else {
-            return self.worker_failed(name);
-        };
-        let budget = self.query_budget(remaining);
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let request = Request {
-            query,
-            budget,
-            reply: reply_tx,
-        };
-        if let Some(depth) = &depth {
-            depth.fetch_add(1, Ordering::Relaxed);
-        }
-        if tx.send(Work::Query(request)).is_err() {
-            if let Some(depth) = &depth {
-                depth.fetch_sub(1, Ordering::Relaxed);
-            }
-            return self.worker_failed(name);
-        }
-        match reply_rx.recv() {
-            Ok(reply) => {
-                self.counters.queries.fetch_add(1, Ordering::Relaxed);
-                self.charge(name, reply.cost);
-                reply.response
-            }
-            Err(_) => self.worker_failed(name),
-        }
+        let budget = self.query_budget(quota);
+        self.counters
+            .reads_in_flight
+            .fetch_add(1, Ordering::Relaxed);
+        // The inner unwind boundary: a poisoned query answers ERR and
+        // the tenant keeps serving, without the server counting a panic.
+        let reply = catch_unwind(AssertUnwindSafe(|| {
+            answer(&session, query, &budget, self.workers)
+        }))
+        .unwrap_or_else(|payload| Reply {
+            response: contained_panic(payload.as_ref()),
+            cost: 1,
+        });
+        self.counters
+            .reads_in_flight
+            .fetch_sub(1, Ordering::Relaxed);
+        self.counters.queries.fetch_add(1, Ordering::Relaxed);
+        self.charge(name, reply.cost);
+        reply.response
     }
 
-    /// ADDDEP/DROPDEP: freeze the current epoch, build the next one off
-    /// to the side (thaw + delta, under a private closure cache), and
-    /// atomically swap it in. Readers in flight finish on the old
-    /// epoch; any failure — or the armed `serve::epoch_swap` failpoint
-    /// — before the swap leaves the old epoch serving untouched.
+    /// ADDDEP/DROPDEP: fork the current epoch, apply the delta to the
+    /// fork (its own cache, so the shared pool is never written with the
+    /// new Σ), and swap the tenant's pointer. Readers in flight finish on
+    /// the old epoch; any failure — or the armed `serve::epoch_swap`
+    /// failpoint — before the swap leaves the old epoch serving untouched.
     fn run_write(&self, name: &str, verb: &'static str, dep: String) -> Response {
         fail_point!(
             "serve::tenant_query",
             Response::Exhausted("injected fault (failpoint)".to_string())
         );
-        // Quota gate + LRU touch, as for reads; then take the tenant's
-        // write gate so concurrent mutations serialize per tenant.
-        let gate = {
-            let mut tenants = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
-            let Some(pos) = tenants.iter().position(|t| t.name == name) else {
-                return Response::Err(format!("unknown tenant `{name}` (LOAD it first)"));
-            };
-            if tenants[pos].quota == Some(0) {
-                self.counters.quota_denials.fetch_add(1, Ordering::Relaxed);
-                return Response::Exhausted(format!("tenant `{name}` quota exhausted"));
-            }
-            let mut tenant = tenants.remove(pos);
-            tenant.reap();
-            let gate = Arc::clone(&tenant.write_gate);
-            tenants.insert(0, tenant);
-            gate
+        let gate = match self.checkout(name) {
+            Ok((_, _, gate)) => gate,
+            Err(response) => return response,
         };
         let _write = gate.lock().unwrap_or_else(PoisonError::into_inner);
-        // Re-read the *current* epoch under the gate: a racing writer
-        // may have swapped since the lookup above.
-        let tx = {
-            let tenants = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
+        // Re-read the current epoch under the gate: a racing writer may
+        // have swapped since the lookup above.
+        let changed = || {
+            Response::Err(format!(
+                "tenant `{name}` changed during mutation; not applied"
+            ))
+        };
+        let current = {
+            let tenants = self.lock_tenants();
             match tenants
                 .iter()
                 .find(|t| t.name == name && Arc::ptr_eq(&t.write_gate, &gate))
             {
-                Some(t) => match &t.epoch {
-                    Some(e) => e.tx.clone(),
-                    None => return self.worker_failed(name),
-                },
-                None => {
-                    return Response::Err(format!(
-                        "tenant `{name}` changed during mutation; not applied"
-                    ))
-                }
+                Some(t) => Arc::clone(&t.session),
+                None => return changed(),
             }
         };
-        let (snap_tx, snap_rx) = mpsc::channel();
-        if tx.send(Work::Freeze(snap_tx)).is_err() {
-            return self.worker_failed(name);
-        }
-        let snapshot = match snap_rx.recv() {
-            Ok(snap) => snap,
-            Err(_) => return self.worker_failed(name),
-        };
-        let budget = self.build_budget();
-        let workers = self.read_workers();
-        let depth = Arc::new(AtomicU64::new(0));
-        // The next epoch's Σ diverges from whatever this tenant shared
-        // before, so it gets a *private* cache — writing its closures
-        // into the shared pool would poison same-key tenants.
-        let cache = Arc::new(ClosureCache::with_capacity(DEFAULT_CLOSURE_CACHE_CAPACITY));
-        let (ready_tx, ready_rx) = mpsc::channel();
-        let (next_tx, next_rx) = mpsc::channel();
-        let op_depth = Arc::clone(&depth);
-        let op_cache = Arc::clone(&cache);
-        let thread = std::thread::spawn(move || {
-            mutate_epoch(
-                snapshot, verb, dep, budget, op_cache, workers, op_depth, next_rx, ready_tx,
-            )
-        });
-        match ready_rx.recv() {
-            Ok(Ok(reports)) => {
-                // The armed mid-swap failpoint: the next epoch is built
-                // and ready, the old one still installed. A panic here
-                // unwinds past `next_tx` and `thread`, hanging up the
-                // next epoch — which exits before serving anything —
-                // while the old epoch keeps serving (proved by
-                // tests/serve_chaos.rs).
-                fail_point!(
-                    "serve::epoch_swap",
-                    Response::Exhausted("injected fault (failpoint)".to_string())
-                );
-                let epoch = EpochHandle {
-                    tx: next_tx,
-                    depth,
-                    cache,
-                };
-                let swapped = {
-                    let mut tenants = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
-                    match tenants
-                        .iter_mut()
-                        .find(|t| t.name == name && Arc::ptr_eq(&t.write_gate, &gate))
-                    {
-                        Some(t) => {
-                            let old = t.epoch.replace(epoch);
-                            t.threads.push(thread);
-                            // Hang up the superseded epoch inside the
-                            // lock (cheap — just a sender drop); it
-                            // drains its in-flight queue in background.
-                            drop(old);
-                            true
-                        }
-                        None => false,
-                    }
-                };
-                if !swapped {
-                    return Response::Err(format!(
-                        "tenant `{name}` changed during mutation; not applied"
-                    ));
+        let built = catch_unwind(AssertUnwindSafe(
+            || -> Result<(Session<'static>, Vec<DeltaReport>), Response> {
+                let nfd = Nfd::parse(current.schema(), &dep).map_err(core_error_response)?;
+                let mut next = current.fork();
+                let reports = match verb {
+                    "added" => next.add_deps(std::slice::from_ref(&nfd)),
+                    _ => next.remove_deps(std::slice::from_ref(&nfd)),
                 }
-                self.counters.epoch_swaps.fetch_add(1, Ordering::Relaxed);
-                let reply = mutation_reply(verb, &reports);
-                self.counters.queries.fetch_add(1, Ordering::Relaxed);
-                self.charge(name, reply.cost);
-                reply.response
-            }
-            Ok(Err(resp)) => {
-                // Typed input failure (bad dep, not in Σ, exhausted):
-                // the next epoch never started; the old one serves on.
-                drop(next_tx);
-                let _ = thread.join();
+                .map_err(core_error_response)?;
+                Ok((next, reports))
+            },
+        ))
+        .unwrap_or_else(|payload| Err(contained_panic(payload.as_ref())));
+        let (next, reports) = match built {
+            Ok(built) => built,
+            Err(response) => {
+                // Typed input failure (bad dep, not in Σ, exhausted) or a
+                // contained panic: the fork is dropped, the old epoch
+                // serves on.
                 self.counters.queries.fetch_add(1, Ordering::Relaxed);
                 self.charge(name, 1);
-                resp
+                return response;
             }
-            Err(_) => {
-                drop(next_tx);
-                let _ = thread.join();
-                self.counters
-                    .worker_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                Response::Err(format!(
-                    "tenant `{name}` mutation worker died; previous epoch keeps serving"
-                ))
-            }
-        }
-    }
-
-    /// A tenant's epoch hung up mid-request: evict it so the registry
-    /// converges back to a healthy state, and say so honestly.
-    fn worker_failed(&self, name: &str) -> Response {
-        self.counters
-            .worker_failures
-            .fetch_add(1, Ordering::Relaxed);
-        let dead = {
-            let mut tenants = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
-            tenants
-                .iter()
-                .position(|t| t.name == name)
-                .map(|pos| tenants.remove(pos))
         };
-        if let Some(tenant) = dead {
-            self.counters.evicted.fetch_add(1, Ordering::Relaxed);
-            tenant.retire();
-        }
-        Response::Err(format!("tenant `{name}` worker failed; session evicted"))
+        // The armed mid-swap failpoint: the next epoch is built, the old
+        // one still installed. A panic here unwinds past `next`, which
+        // is dropped unseen (proved by tests/serve_chaos.rs).
+        fail_point!(
+            "serve::epoch_swap",
+            Response::Exhausted("injected fault (failpoint)".to_string())
+        );
+        // The swap is the one atomicity point: every lookup before it
+        // gets the old epoch, every lookup after it the new one.
+        let superseded = {
+            let mut tenants = self.lock_tenants();
+            match tenants
+                .iter_mut()
+                .find(|t| t.name == name && Arc::ptr_eq(&t.write_gate, &gate))
+            {
+                Some(t) => std::mem::replace(&mut t.session, Arc::new(next)),
+                None => return changed(),
+            }
+        };
+        // Whoever drops an epoch's last `Arc` frees it: this writer,
+        // unless a read still holds the old epoch.
+        drop((superseded, current));
+        self.counters.epoch_swaps.fetch_add(1, Ordering::Relaxed);
+        let reply = mutation_reply(verb, &reports);
+        self.counters.queries.fetch_add(1, Ordering::Relaxed);
+        self.charge(name, reply.cost);
+        reply.response
     }
 
     fn charge(&self, name: &str, cost: u64) {
-        let mut tenants = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut tenants = self.lock_tenants();
         if let Some(tenant) = tenants.iter_mut().find(|t| t.name == name) {
             if let Some(quota) = tenant.quota.as_mut() {
                 *quota = quota.saturating_sub(cost.max(1));
@@ -690,34 +533,37 @@ impl Registry {
     }
 
     fn set_quota(&self, name: &str, units: u64) -> Response {
-        let mut tenants = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut tenants = self.lock_tenants();
         match tenants.iter_mut().find(|t| t.name == name) {
             Some(tenant) => {
                 tenant.quota = Some(units);
                 Response::Ok(format!("quota={units}"))
             }
-            None => Response::Err(format!("unknown tenant `{name}` (LOAD it first)")),
+            None => unknown_tenant(name),
         }
     }
 
     fn evict(&self, name: &str) -> Response {
         let gone = {
-            let mut tenants = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut tenants = self.lock_tenants();
             tenants
                 .iter()
                 .position(|t| t.name == name)
                 .map(|pos| tenants.remove(pos))
         };
         match gone {
-            Some(tenant) => {
+            Some(_) => {
                 self.counters.evicted.fetch_add(1, Ordering::Relaxed);
-                tenant.retire();
                 Response::Ok("evicted".to_string())
             }
             None => Response::Err(format!("unknown tenant `{name}`")),
         }
     }
 }
+
+/// What [`Registry::checkout`] hands a workload verb: the tenant's
+/// current epoch, its remaining quota and its write gate.
+type CheckedOut = (Arc<Session<'static>>, Option<u64>, Arc<Mutex<()>>);
 
 impl Handler for Registry {
     fn handle(&self, cmd: Command) -> Response {
@@ -752,30 +598,26 @@ impl Handler for Registry {
     }
 
     fn stats_line(&self) -> String {
-        let (resident, tenant_cache, queue_depth, closure) = {
-            let tenants = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
+        let (resident, tenant_cache, closure) = {
+            let tenants = self.lock_tenants();
             let resident: Vec<String> = tenants.iter().map(|t| t.name.clone()).collect();
             let mut per_tenant: Vec<String> = Vec::new();
-            let mut depth = 0u64;
             // Sum hit/miss over *distinct* caches: tenants sharing one
             // pool entry must not double-count it.
             let mut seen: Vec<*const ClosureCache> = Vec::new();
             let mut hits = 0u64;
             let mut misses = 0u64;
             for t in tenants.iter() {
-                if let Some(e) = &t.epoch {
-                    let stats = e.cache.stats();
-                    per_tenant.push(format!("{}:{}/{}", t.name, stats.hits, stats.misses));
-                    depth += e.depth.load(Ordering::Relaxed);
-                    let ptr = Arc::as_ptr(&e.cache);
-                    if !seen.contains(&ptr) {
-                        seen.push(ptr);
-                        hits += stats.hits;
-                        misses += stats.misses;
-                    }
+                let stats = t.session.cache_stats();
+                per_tenant.push(format!("{}:{}/{}", t.name, stats.hits, stats.misses));
+                let ptr = Arc::as_ptr(t.session.closure_cache());
+                if !seen.contains(&ptr) {
+                    seen.push(ptr);
+                    hits += stats.hits;
+                    misses += stats.misses;
                 }
             }
-            (resident, per_tenant, depth, (hits, misses))
+            (resident, per_tenant, (hits, misses))
         };
         let (pool_len, shared_hits, shared_misses) = {
             let pool = self
@@ -792,8 +634,11 @@ impl Handler for Registry {
             (pool.len(), hits, misses)
         };
         let c = &self.counters;
+        // `worker_failures` stays for existing readers of this line
+        // (nfdbench requires it); tenants have no threads that could
+        // die, so it is always 0.
         format!(
-            "sessions={} resident=[{}] loads={} reloads={} evicted={} evicted_lru={} queries={} quota_denials={} worker_failures={} snapshots_written={} restores_ok={} restores_rejected={} thaw_fallbacks={} workers={} epoch_swaps={} worker_queue_depth={} closure_hits={} closure_misses={} shared_caches={} shared_cache_hits={} shared_cache_misses={} tenant_cache=[{}]",
+            "sessions={} resident=[{}] loads={} reloads={} evicted={} evicted_lru={} queries={} quota_denials={} worker_failures=0 snapshots_written={} restores_ok={} restores_rejected={} thaw_fallbacks={} workers={} epoch_swaps={} worker_queue_depth={} closure_hits={} closure_misses={} shared_caches={} shared_cache_hits={} shared_cache_misses={} tenant_cache=[{}]",
             resident.len(),
             resident.join(","),
             c.loads.load(Ordering::Relaxed),
@@ -802,14 +647,13 @@ impl Handler for Registry {
             c.evicted_lru.load(Ordering::Relaxed),
             c.queries.load(Ordering::Relaxed),
             c.quota_denials.load(Ordering::Relaxed),
-            c.worker_failures.load(Ordering::Relaxed),
             c.snapshots_written.load(Ordering::Relaxed),
             c.restores_ok.load(Ordering::Relaxed),
             c.restores_rejected.load(Ordering::Relaxed),
             c.thaw_fallbacks.load(Ordering::Relaxed),
-            self.read_workers(),
+            self.workers,
             c.epoch_swaps.load(Ordering::Relaxed),
-            queue_depth,
+            c.reads_in_flight.load(Ordering::Relaxed),
             closure.0,
             closure.1,
             pool_len,
@@ -820,342 +664,17 @@ impl Handler for Registry {
     }
 
     fn on_shutdown(&self) {
-        let tenants =
-            std::mem::take(&mut *self.tenants.lock().unwrap_or_else(PoisonError::into_inner));
-        for tenant in tenants {
-            tenant.retire();
-        }
+        let tenants = std::mem::take(&mut *self.lock_tenants());
+        drop(tenants);
     }
 }
 
-/// The epoch thread behind `LOAD`: owns the compiled `(Schema, Σ,
-/// Session)` on its stack and runs the reader pool until every channel
-/// sender is dropped (eviction, reload, swap, or shutdown). This is
-/// what makes borrowed `Session<'s>` residency safe: the borrow lives
-/// inside one thread's stack frame.
-#[allow(clippy::too_many_arguments)]
-fn load_epoch(
-    schema_src: String,
-    deps_src: String,
-    budget: Budget,
-    cache: Arc<ClosureCache>,
-    workers: usize,
-    depth: Arc<AtomicU64>,
-    rx: mpsc::Receiver<Work>,
-    ready: mpsc::Sender<Result<usize, Response>>,
-) {
-    let schema = match Schema::parse(&schema_src) {
-        Ok(schema) => schema,
-        Err(e) => {
-            let _ = ready.send(Err(Response::Err(format!("schema: {e}"))));
-            return;
-        }
-    };
-    let sigma = match nfd_core::nfd::parse_set(&schema, &deps_src) {
-        Ok(sigma) => sigma,
-        Err(e) => {
-            let _ = ready.send(Err(Response::Err(format!("deps: {e}"))));
-            return;
-        }
-    };
-    let session = match Session::with_tiers_cached(
-        &schema,
-        &sigma,
-        EmptySetPolicy::Forbidden,
-        budget,
-        TierPreference::Auto,
-        cache,
-    ) {
-        Ok(session) => session,
-        Err(e) => {
-            let _ = ready.send(Err(core_error_response(e)));
-            return;
-        }
-    };
-    if ready.send(Ok(sigma.len())).is_err() {
-        return;
-    }
-    epoch_loop(&session, &schema, workers, &depth, rx);
-}
-
-/// The epoch thread behind `RESTORE`: thaws the (pre-decoded) snapshot
-/// when its compiled sections are intact, and degrades to a fresh
-/// compile of the salvaged sources otherwise. The ready handshake
-/// reports `(dep_count, fell_back_to_fresh_compile)` so the registry
-/// keeps honest counters.
-#[allow(clippy::too_many_arguments)]
-fn restore_epoch(
-    snap: Box<nfd_snap::Snapshot>,
-    degraded: bool,
-    budget: Budget,
-    cache: Arc<ClosureCache>,
-    workers: usize,
-    depth: Arc<AtomicU64>,
-    rx: mpsc::Receiver<Work>,
-    ready: mpsc::Sender<Result<(usize, bool), Response>>,
-) {
-    let schema = match Schema::parse(&snap.schema_text) {
-        Ok(schema) => schema,
-        Err(e) => {
-            let _ = ready.send(Err(Response::Err(format!("restore: schema: {e}"))));
-            return;
-        }
-    };
-    let sigma = match nfd_core::nfd::parse_set(&schema, &snap.sigma_text) {
-        Ok(sigma) => sigma,
-        Err(e) => {
-            let _ = ready.send(Err(Response::Err(format!("restore: deps: {e}"))));
-            return;
-        }
-    };
-    let policy = match crate::snapshot::policy_from_snap(&snap.policy) {
-        Ok(policy) => policy,
-        Err(e) => {
-            let _ = ready.send(Err(Response::Err(format!("restore: policy: {e}"))));
-            return;
-        }
-    };
-    // Warm path first: a clean image replays without re-running
-    // saturation. Any thaw rejection — truncated compiled sections in a
-    // lenient salvage, or replay validation refusing the pools — falls
-    // back to compiling the salvaged sources fresh.
-    let mut fallback = degraded;
-    let thawed = if fallback {
-        None
-    } else {
-        match Session::thaw_cached(
-            &schema,
-            &sigma,
-            policy.clone(),
-            budget.clone(),
-            TierPreference::Auto,
-            &snap,
-            Arc::clone(&cache),
-        ) {
-            Ok(session) => Some(session),
-            Err(_) => {
-                fallback = true;
-                None
-            }
-        }
-    };
-    let session = match thawed {
-        Some(session) => session,
-        None => match Session::with_tiers_cached(
-            &schema,
-            &sigma,
-            policy,
-            budget,
-            TierPreference::Auto,
-            cache,
-        ) {
-            Ok(session) => session,
-            Err(e) => {
-                let _ = ready.send(Err(core_error_response(e)));
-                return;
-            }
-        },
-    };
-    if ready.send(Ok((sigma.len(), fallback))).is_err() {
-        return;
-    }
-    epoch_loop(&session, &schema, workers, &depth, rx);
-}
-
-/// The next-epoch thread behind ADDDEP/DROPDEP: rebuild the tenant from
-/// the current epoch's freeze (thaw; fresh compile as a fallback),
-/// apply the delta, and — only if the delta succeeded — handshake ready
-/// and start serving. The closure cache is deliberately *private*: the
-/// mutated Σ has diverged from whatever shared pool entry the previous
-/// epoch used, and `Session::thaw` already imports the frozen entries
-/// before `add_deps`/`remove_deps` invalidate the touched relation.
-#[allow(clippy::too_many_arguments)]
-fn mutate_epoch(
-    snap: Box<nfd_snap::Snapshot>,
-    verb: &'static str,
-    dep: String,
-    budget: Budget,
-    cache: Arc<ClosureCache>,
-    workers: usize,
-    depth: Arc<AtomicU64>,
-    rx: mpsc::Receiver<Work>,
-    ready: mpsc::Sender<Result<Vec<nfd_core::DeltaReport>, Response>>,
-) {
-    let schema = match Schema::parse(&snap.schema_text) {
-        Ok(schema) => schema,
-        Err(e) => {
-            let _ = ready.send(Err(Response::Err(format!("mutate: schema: {e}"))));
-            return;
-        }
-    };
-    let sigma = match nfd_core::nfd::parse_set(&schema, &snap.sigma_text) {
-        Ok(sigma) => sigma,
-        Err(e) => {
-            let _ = ready.send(Err(Response::Err(format!("mutate: deps: {e}"))));
-            return;
-        }
-    };
-    let policy = match crate::snapshot::policy_from_snap(&snap.policy) {
-        Ok(policy) => policy,
-        Err(e) => {
-            let _ = ready.send(Err(Response::Err(format!("mutate: policy: {e}"))));
-            return;
-        }
-    };
-    let nfd = match Nfd::parse(&schema, &dep) {
-        Ok(nfd) => nfd,
-        Err(e) => {
-            let _ = ready.send(Err(core_error_response(e)));
-            return;
-        }
-    };
-    // Build + mutate under an unwind boundary: a panic while applying
-    // the delta (e.g. an armed `delta::retract` fault) answers a typed
-    // `contained panic` ERR — exactly as the in-place actor did — and
-    // the old epoch keeps serving untouched.
-    let built = catch_unwind(AssertUnwindSafe(
-        || -> Result<(Session<'_>, Vec<nfd_core::DeltaReport>), Response> {
-            // The freeze came from a live session moments ago, so the
-            // thaw is expected to succeed; the fresh-compile fallback
-            // keeps a mutation from failing on a replay technicality.
-            let mut session = match Session::thaw_cached(
-                &schema,
-                &sigma,
-                policy.clone(),
-                budget.clone(),
-                TierPreference::Auto,
-                &snap,
-                Arc::clone(&cache),
-            ) {
-                Ok(session) => session,
-                Err(_) => Session::with_tiers_cached(
-                    &schema,
-                    &sigma,
-                    policy.clone(),
-                    budget.clone(),
-                    TierPreference::Auto,
-                    Arc::clone(&cache),
-                )
-                .map_err(core_error_response)?,
-            };
-            let reports = match verb {
-                "added" => session.add_deps(std::slice::from_ref(&nfd)),
-                _ => session.remove_deps(std::slice::from_ref(&nfd)),
-            }
-            .map_err(core_error_response)?;
-            Ok((session, reports))
-        },
-    ));
-    match built {
-        Ok(Ok((session, reports))) => {
-            if ready.send(Ok(reports)).is_err() {
-                return;
-            }
-            epoch_loop(&session, &schema, workers, &depth, rx);
-        }
-        Ok(Err(resp)) => {
-            let _ = ready.send(Err(resp));
-        }
-        Err(payload) => {
-            let _ = ready.send(Err(Response::Err(format!(
-                "contained panic: {}",
-                panic_text(payload.as_ref())
-            ))));
-        }
-    }
-}
-
-/// The reader pool every epoch runs: `workers` threads drain one shared
-/// channel until every sender is dropped. With one worker the loop runs
-/// inline on the epoch thread — exactly the historical sequential
-/// actor. Per-query panics are contained so the warm session survives a
-/// poisoned request; queries answer from the *resident* engine when the
-/// pool is parallel (`workers >= 2`) and via the historical per-query
-/// rebuild when sequential, keeping the 1-worker daemon bit-identical
-/// to its predecessor.
-fn epoch_loop(
-    session: &Session<'_>,
-    schema: &Schema,
-    workers: usize,
-    depth: &AtomicU64,
-    rx: mpsc::Receiver<Work>,
-) {
+/// Answers one read on `session`: from the resident engine when
+/// `workers >= 2` (with `BATCH` fanned out that wide), via the per-query
+/// rebuild reference path when `workers == 1`.
+fn answer(session: &Session<'_>, query: Query, budget: &Budget, workers: usize) -> Reply {
     let resident = workers >= 2;
-    if !resident {
-        while let Ok(work) = rx.recv() {
-            serve_one(session, schema, work, depth, false, 1);
-        }
-        return;
-    }
-    let shared_rx = Mutex::new(rx);
-    nfd_par::scoped_workers(workers, |_| loop {
-        // Hold the receiver lock only to take one work item; processing
-        // happens unlocked, so workers genuinely serve concurrently.
-        let work = match shared_rx
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .recv()
-        {
-            Ok(work) => work,
-            Err(_) => break,
-        };
-        serve_one(session, schema, work, depth, true, workers);
-    });
-}
-
-/// One unit of epoch work, with the inner unwind boundary: a poisoned
-/// query answers ERR and the warm session keeps serving (the server's
-/// per-request boundary would otherwise only save the connection, not
-/// the tenant).
-fn serve_one(
-    session: &Session<'_>,
-    schema: &Schema,
-    work: Work,
-    depth: &AtomicU64,
-    resident: bool,
-    batch_threads: usize,
-) {
-    match work {
-        Work::Freeze(reply) => {
-            let snap = catch_unwind(AssertUnwindSafe(|| Box::new(session.freeze())));
-            if let Ok(snap) = snap {
-                let _ = reply.send(snap);
-            }
-            // A panicked freeze drops `reply`; the write path sees the
-            // hangup and reports the worker failure.
-        }
-        Work::Query(request) => {
-            depth.fetch_sub(1, Ordering::Relaxed);
-            let reply = catch_unwind(AssertUnwindSafe(|| {
-                answer(
-                    session,
-                    schema,
-                    request.query,
-                    &request.budget,
-                    resident,
-                    batch_threads,
-                )
-            }))
-            .unwrap_or_else(|payload| Reply {
-                response: Response::Err(format!(
-                    "contained panic: {}",
-                    panic_text(payload.as_ref())
-                )),
-                cost: 1,
-            });
-            let _ = request.reply.send(reply);
-        }
-    }
-}
-
-fn answer(
-    session: &Session<'_>,
-    schema: &Schema,
-    query: Query,
-    budget: &Budget,
-    resident: bool,
-    batch_threads: usize,
-) -> Reply {
+    let schema = session.schema();
     match query {
         Query::Implies { goal } => {
             let goal = match Nfd::parse(schema, &goal) {
@@ -1190,7 +709,7 @@ fn answer(
                 };
             }
             let batch = if resident {
-                session.implies_batch_resident(&goals, budget, batch_threads)
+                session.implies_batch_resident(&goals, budget, workers)
             } else {
                 session.implies_batch(&goals, budget, 1)
             };
@@ -1359,15 +878,22 @@ fn core_error_response(e: CoreError) -> Response {
     }
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = payload.downcast_ref::<&str>() {
+fn unknown_tenant(name: &str) -> Response {
+    Response::Err(format!("unknown tenant `{name}` (LOAD it first)"))
+}
+
+/// The `ERR` a panic caught inside the registry answers.
+fn contained_panic(payload: &(dyn std::any::Any + Send)) -> Response {
+    let text = if let Some(s) = payload.downcast_ref::<&str>() {
         s
     } else if let Some(s) = payload.downcast_ref::<String>() {
-        s
+        s.as_str()
     } else {
         "unknown panic payload"
-    }
+    };
+    Response::Err(format!("contained panic: {text}"))
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1817,14 +1343,12 @@ mod tests {
             let tenants = reg.tenants.lock().unwrap();
             let find = |name: &str| {
                 Arc::clone(
-                    &tenants
+                    tenants
                         .iter()
                         .find(|t| t.name == name)
                         .unwrap()
-                        .epoch
-                        .as_ref()
-                        .unwrap()
-                        .cache,
+                        .session
+                        .closure_cache(),
                 )
             };
             (find("a"), find("b"))
@@ -1837,14 +1361,12 @@ mod tests {
         let cache_b2 = {
             let tenants = reg.tenants.lock().unwrap();
             Arc::clone(
-                &tenants
+                tenants
                     .iter()
                     .find(|t| t.name == "b")
                     .unwrap()
-                    .epoch
-                    .as_ref()
-                    .unwrap()
-                    .cache,
+                    .session
+                    .closure_cache(),
             )
         };
         assert!(

@@ -27,7 +27,7 @@ use nfd_core::engine::Engine;
 use nfd_core::proof::{self, Proof};
 use nfd_core::{
     analysis, construct, satisfy, CacheStats, ClosureCache, CoreError, DeltaReport, EmptySetPolicy,
-    Nfd, QueryTrace, SatisfyReport, SelectState, Tier, TierPreference,
+    Nfd, QueryTrace, SatisfyReport, SchemaRef, SelectState, Tier, TierPreference,
     DEFAULT_CLOSURE_CACHE_CAPACITY,
 };
 use nfd_faults::fail_point;
@@ -467,7 +467,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// assert!(!session.implies_text("R:[C -> A]").unwrap());
 /// ```
 pub struct Session<'s> {
-    schema: &'s Schema,
+    /// The resident engine, which also holds the schema (borrowed for
+    /// `'s`, or shared-owned by a [`Session::owned`] session).
     engine: Engine<'s>,
     /// Shared closure cache, consulted by the session engine and every
     /// query engine rebuilt over the cached tables. Scoped to one
@@ -500,6 +501,51 @@ type KeysMemoEntry = ((Label, usize), Vec<Vec<Path>>);
 /// Bound on the candidate-keys memo (entries; each holds one relation's
 /// full key list for one size cap, so a handful suffices).
 const KEYS_MEMO_CAPACITY: usize = 16;
+
+impl Session<'static> {
+    /// A session that owns its schema through an `Arc`, so it is
+    /// `'static` and can be kept behind an `Arc` and read from any
+    /// thread — the form `nfdtool serve` keeps resident — with no leaked
+    /// schema and no self-reference.
+    ///
+    /// With `snapshot` it thaws under exactly the validation of
+    /// [`Session::thaw_cached`], compiling `sigma` fresh if the thaw is
+    /// rejected; without one it compiles as [`Session::with_tiers_cached`]
+    /// does. The flag is true when the session came from the snapshot.
+    pub fn owned(
+        schema: Arc<Schema>,
+        sigma: &[Nfd],
+        policy: EmptySetPolicy,
+        budget: Budget,
+        preference: TierPreference,
+        cache: Arc<ClosureCache>,
+        snapshot: Option<&nfd_snap::Snapshot>,
+    ) -> Result<(Session<'static>, bool), CoreError> {
+        if let Some(image) = snapshot {
+            let thawed = Session::thawed(
+                SchemaRef::Shared(Arc::clone(&schema)),
+                sigma,
+                policy.clone(),
+                budget.clone(),
+                preference,
+                image,
+                Arc::clone(&cache),
+            );
+            if let Ok(session) = thawed {
+                return Ok((session, true));
+            }
+        }
+        let session = Session::compiled(
+            SchemaRef::Shared(schema),
+            sigma,
+            policy,
+            budget,
+            preference,
+            cache,
+        )?;
+        Ok((session, false))
+    }
+}
 
 impl<'s> Session<'s> {
     /// Compiles a session under [`EmptySetPolicy::Forbidden`] (the
@@ -567,22 +613,64 @@ impl<'s> Session<'s> {
         preference: TierPreference,
         cache: Arc<ClosureCache>,
     ) -> Result<Session<'s>, CoreError> {
-        let select = Arc::new(SelectState::new(preference));
+        Session::compiled(
+            SchemaRef::Borrowed(schema),
+            sigma,
+            policy,
+            budget,
+            preference,
+            cache,
+        )
+    }
+
+    fn compiled(
+        schema: SchemaRef<'s>,
+        sigma: &[Nfd],
+        policy: EmptySetPolicy,
+        budget: Budget,
+        preference: TierPreference,
+        cache: Arc<ClosureCache>,
+    ) -> Result<Session<'s>, CoreError> {
         let engine = catch_unwind(AssertUnwindSafe(|| {
-            Engine::with_budget(schema, sigma, policy, budget)
+            let tables = SchemaTables::new(&schema).map_err(|e| CoreError::Nav(e.to_string()))?;
+            Engine::compile(schema, tables, sigma, policy, budget)
         }))
-        .map_err(|p| CoreError::Internal(format!("engine build panicked: {}", panic_message(p))))??
-        .with_closure_cache(Arc::clone(&cache))
-        .with_engine_select(Arc::clone(&select));
-        Ok(Session {
-            schema,
-            engine,
+        .map_err(|p| {
+            CoreError::Internal(format!("engine build panicked: {}", panic_message(p)))
+        })??;
+        Ok(Session::around(engine, cache, preference))
+    }
+
+    /// Wraps a freshly built engine: attaches `cache` and fresh
+    /// tier-selection state, with an empty candidate-keys memo.
+    fn around(engine: Engine<'s>, cache: Arc<ClosureCache>, preference: TierPreference) -> Self {
+        let select = Arc::new(SelectState::new(preference));
+        Session {
+            engine: engine
+                .with_closure_cache(Arc::clone(&cache))
+                .with_engine_select(Arc::clone(&select)),
             cache,
             keys_memo: Mutex::new(Vec::new()),
             keys_memo_hits: AtomicU64::new(0),
             select,
             caches_invalidated: AtomicBool::new(false),
-        })
+        }
+    }
+
+    /// A copy of this session for a writer to mutate while readers keep
+    /// using this one — what a [`Session::freeze`] / [`Session::thaw`]
+    /// round trip returns, without replaying anything: the same Σ and
+    /// policy, the very same saturated pools (shared, see
+    /// [`Engine::fork`]), a private closure cache seeded with this one's
+    /// entries, fresh tier-selection state and an empty keys memo.
+    ///
+    /// `add_deps`/`remove_deps` on the fork rebuild the touched relation
+    /// into a new pool and invalidate only the fork's own caches, so
+    /// this session keeps answering from its own Σ, bit for bit.
+    pub fn fork(&self) -> Session<'s> {
+        let cache = Arc::new(ClosureCache::with_capacity(DEFAULT_CLOSURE_CACHE_CAPACITY));
+        cache.import(self.cache.export());
+        Session::around(self.engine.fork(), cache, self.select.preference())
     }
 
     /// Freezes this session's compiled state into a portable
@@ -594,7 +682,7 @@ impl<'s> Session<'s> {
     /// excepted, which depend on query history). Encode with
     /// [`nfd_snap::encode`] and persist with [`nfd_snap::write_atomic`].
     pub fn freeze(&self) -> nfd_snap::Snapshot {
-        crate::snapshot::freeze_parts(self.schema, &self.engine, &self.cache)
+        crate::snapshot::freeze_parts(self.schema(), &self.engine, &self.cache)
     }
 
     /// Rebuilds a session from a [`Session::freeze`] snapshot, skipping
@@ -638,6 +726,26 @@ impl<'s> Session<'s> {
         snapshot: &nfd_snap::Snapshot,
         cache: Arc<ClosureCache>,
     ) -> Result<Session<'s>, nfd_snap::SnapError> {
+        Session::thawed(
+            SchemaRef::Borrowed(schema),
+            sigma,
+            policy,
+            budget,
+            preference,
+            snapshot,
+            cache,
+        )
+    }
+
+    fn thawed(
+        schema: SchemaRef<'s>,
+        sigma: &[Nfd],
+        policy: EmptySetPolicy,
+        budget: Budget,
+        preference: TierPreference,
+        snapshot: &nfd_snap::Snapshot,
+        cache: Arc<ClosureCache>,
+    ) -> Result<Session<'s>, nfd_snap::SnapError> {
         use nfd_snap::SnapError;
         let schema_text = schema.to_string();
         if snapshot.schema_text != schema_text {
@@ -655,31 +763,20 @@ impl<'s> Session<'s> {
                 "empty-set policy differs from the snapshot's".to_string(),
             ));
         }
-        let tables = SchemaTables::new(schema)
+        let tables = SchemaTables::new(&schema)
             .map_err(|e| SnapError::Mismatch(format!("schema does not compile: {e}")))?;
         crate::snapshot::verify_tables(&tables, &snapshot.tables)?;
-        let pools = crate::snapshot::frozen_pools(snapshot, schema)?;
-        let imports = crate::snapshot::cache_entries(snapshot, schema, &tables)?;
-        let select = Arc::new(SelectState::new(preference));
+        let pools = crate::snapshot::frozen_pools(snapshot, &schema)?;
+        let imports = crate::snapshot::cache_entries(snapshot, &schema, &tables)?;
         let engine = catch_unwind(AssertUnwindSafe(|| {
-            Engine::from_frozen(schema, tables, sigma, policy, budget, pools)
+            Engine::replay(schema, tables, sigma, policy, budget, pools)
         }))
         .map_err(|p| {
             SnapError::Mismatch(format!("snapshot replay panicked: {}", panic_message(p)))
         })?
-        .map_err(|e| SnapError::Mismatch(format!("snapshot replay rejected: {e}")))?
-        .with_closure_cache(Arc::clone(&cache))
-        .with_engine_select(Arc::clone(&select));
+        .map_err(|e| SnapError::Mismatch(format!("snapshot replay rejected: {e}")))?;
         cache.import(imports);
-        Ok(Session {
-            schema,
-            engine,
-            cache,
-            keys_memo: Mutex::new(Vec::new()),
-            keys_memo_hits: AtomicU64::new(0),
-            select,
-            caches_invalidated: AtomicBool::new(false),
-        })
+        Ok(Session::around(engine, cache, preference))
     }
 
     /// Re-compiles this session's Σ under a different empty-set policy,
@@ -695,25 +792,16 @@ impl<'s> Session<'s> {
         // decision carries `caches_invalidated` to explain the re-warming
         // cliff.
         let cache = Arc::new(ClosureCache::with_capacity(DEFAULT_CLOSURE_CACHE_CAPACITY));
-        let select = Arc::new(SelectState::new(self.select.preference()));
-        let engine = Engine::with_tables(
-            self.schema,
+        let engine = Engine::compile(
+            self.engine.schema_ref().clone(),
             self.engine.tables().clone(),
             &self.engine.sigma,
             policy,
             self.engine.budget().clone(),
-        )?
-        .with_closure_cache(Arc::clone(&cache))
-        .with_engine_select(Arc::clone(&select));
-        Ok(Session {
-            schema: self.schema,
-            engine,
-            cache,
-            keys_memo: Mutex::new(Vec::new()),
-            keys_memo_hits: AtomicU64::new(0),
-            select,
-            caches_invalidated: AtomicBool::new(true),
-        })
+        )?;
+        let session = Session::around(engine, cache, self.select.preference());
+        session.caches_invalidated.store(true, Ordering::Relaxed);
+        Ok(session)
     }
 
     /// Adds `deps` to the session's Σ in order, maintaining the resident
@@ -789,8 +877,8 @@ impl<'s> Session<'s> {
     }
 
     /// The schema this session reasons over.
-    pub fn schema(&self) -> &'s Schema {
-        self.schema
+    pub fn schema(&self) -> &Schema {
+        self.engine.schema()
     }
 
     /// The dependency set Σ the session was compiled from.
@@ -819,7 +907,7 @@ impl<'s> Session<'s> {
 
     /// Parses `text` as an NFD over the session schema and decides it.
     pub fn implies_text(&self, text: &str) -> Result<bool, CoreError> {
-        let goal = Nfd::parse(self.schema, text)?;
+        let goal = Nfd::parse(self.schema(), text)?;
         self.implies(&goal)
     }
 
@@ -839,7 +927,7 @@ impl<'s> Session<'s> {
     /// the schema) and the can't-happen case where every decider failed
     /// without exhausting.
     pub fn implies_with(&self, goal: &Nfd, budget: &Budget) -> Result<Decision, CoreError> {
-        goal.validate(self.schema)?;
+        goal.validate(self.schema())?;
         let saturation = self.build_query_engine(budget);
         self.cascade(goal, budget, saturation.as_ref())
     }
@@ -865,7 +953,7 @@ impl<'s> Session<'s> {
         goal: &Nfd,
         budget: &Budget,
     ) -> Result<Decision, CoreError> {
-        goal.validate(self.schema)?;
+        goal.validate(self.schema())?;
         let saturation = self.resident_saturation(budget);
         self.cascade(goal, budget, saturation.as_ref().map(|e| *e))
     }
@@ -893,8 +981,8 @@ impl<'s> Session<'s> {
     /// and each goal replicates the same attempt.
     fn build_query_engine(&self, budget: &Budget) -> Result<Engine<'s>, Attempt> {
         match catch_unwind(AssertUnwindSafe(|| {
-            Engine::with_tables(
-                self.schema,
+            Engine::compile(
+                self.engine.schema_ref().clone(),
                 self.engine.tables().clone(),
                 &self.engine.sigma,
                 self.engine.policy().clone(),
@@ -1026,7 +1114,7 @@ impl<'s> Session<'s> {
                         Ok((Verdict::Exhausted(ResourceReport::injected()), None)),
                         budget.cancel_token()
                     );
-                    match nfd_chase::chase_with(self.schema, &self.engine.sigma, goal, budget) {
+                    match nfd_chase::chase_with(self.schema(), &self.engine.sigma, goal, budget) {
                         Ok(run) => Ok((Verdict::from_bool(run.implied), Some(run.steps as u64))),
                         Err(nfd_chase::ChaseError::Exhausted(r))
                         | Err(nfd_chase::ChaseError::Core(CoreError::Exhausted(r))) => {
@@ -1057,7 +1145,7 @@ impl<'s> Session<'s> {
                         Ok((Verdict::Exhausted(ResourceReport::injected()), None)),
                         budget.cancel_token()
                     );
-                    match LogicEval.decide(self.schema, &self.engine.sigma, goal, budget) {
+                    match LogicEval.decide(self.schema(), &self.engine.sigma, goal, budget) {
                         Ok(v) => Ok((v, None)),
                         Err(e) => Err(e.to_string()),
                     }
@@ -1167,7 +1255,7 @@ impl<'s> Session<'s> {
         // Validate everything up front so input errors are deterministic
         // (always the lowest offending index) regardless of scheduling.
         for goal in goals {
-            goal.validate(self.schema)?;
+            goal.validate(self.schema())?;
         }
 
         // Pool-scoped stop signal layered over the caller's token: first
@@ -1455,7 +1543,7 @@ impl<'s> Session<'s> {
             self.engine
                 .sigma
                 .iter()
-                .map(|nfd| satisfy::check(self.schema, instance, nfd))
+                .map(|nfd| satisfy::check(self.schema(), instance, nfd))
                 .collect()
         })
     }

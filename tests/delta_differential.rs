@@ -181,12 +181,24 @@ fn mutation_census_pessimistic() {
 /// must stay bit-identical to a freshly compiled session, the
 /// `caches_invalidated` latch must fire exactly once per mutation, and
 /// warm caches must never leak a stale verdict or closure.
+///
+/// Every step also forks the pre-step session and applies the step's
+/// mutation to the fork first: the fork must match the fresh compile
+/// (pools, verdicts, closures), and the session it was forked from must
+/// keep its pre-step pools, Σ and closures — a pool shared by mistake
+/// would leak the new Σ into the old epoch's readers.
 #[test]
 fn session_mutation_walk_matches_fresh_sessions() {
     for seed in 0..8u64 {
         for policy in [EmptySetPolicy::Forbidden, EmptySetPolicy::pessimistic()] {
             let schema = random_multi_schema(seed, SchemaShape::default(), 2);
             let relations: Vec<Label> = schema.relation_names().collect();
+            let closures = |s: &Session<'_>| -> Vec<Vec<RootedPath>> {
+                relations
+                    .iter()
+                    .map(|&rel| s.closure(&RootedPath::relation_only(rel), &[]).unwrap())
+                    .collect()
+            };
             let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x5e55_10f1) | 1);
             let mut sigma: Vec<Nfd> = Vec::new();
             for &rel in &relations {
@@ -197,16 +209,37 @@ fn session_mutation_walk_matches_fresh_sessions() {
             let budget = Budget::standard();
 
             for step in 0..40usize {
+                let pre_pools = session.engine().pool_dump();
+                let pre_closures = closures(&session);
+                let mut fork = session.fork();
                 let add = sigma.is_empty() || (sigma.len() < SIGMA_CAP && rng.gen_bool(0.55));
                 if add {
                     let rel = relations[rng.gen_range(0..relations.len())];
                     let Some(dep) = random_nfd_in(&mut rng, &schema, rel) else {
                         continue;
                     };
+                    fork.add_deps(std::slice::from_ref(&dep)).unwrap();
+                    assert_forked_from_intact(
+                        &session,
+                        &sigma,
+                        &pre_pools,
+                        &pre_closures,
+                        seed,
+                        step,
+                    );
                     session.add_deps(std::slice::from_ref(&dep)).unwrap();
                     sigma.push(dep);
                 } else {
                     let dep = sigma[rng.gen_range(0..sigma.len())].clone();
+                    fork.remove_deps(std::slice::from_ref(&dep)).unwrap();
+                    assert_forked_from_intact(
+                        &session,
+                        &sigma,
+                        &pre_pools,
+                        &pre_closures,
+                        seed,
+                        step,
+                    );
                     session.remove_deps(std::slice::from_ref(&dep)).unwrap();
                     let pos = sigma.iter().position(|n| n == &dep).unwrap();
                     sigma.remove(pos);
@@ -219,6 +252,21 @@ fn session_mutation_walk_matches_fresh_sessions() {
                     session.engine().pool_dump(),
                     fresh.engine().pool_dump(),
                     "session pool != fresh session (seed {seed} step {step})"
+                );
+                assert_eq!(
+                    fork.engine().pool_dump(),
+                    fresh.engine().pool_dump(),
+                    "mutated fork pool != fresh session (seed {seed} step {step})"
+                );
+                assert_eq!(
+                    fork.sigma(),
+                    fresh.sigma(),
+                    "fork Σ (seed {seed} step {step})"
+                );
+                assert_eq!(
+                    closures(&fork),
+                    closures(&fresh),
+                    "fork closure diverged (seed {seed} step {step})"
                 );
 
                 // Warm caches cannot change answers, and the mutation
@@ -238,6 +286,11 @@ fn session_mutation_walk_matches_fresh_sessions() {
                     verdict_bool(&d.verdict),
                     "session verdict diverged (seed {seed} step {step}) on `{goal}`"
                 );
+                assert_eq!(
+                    verdict_bool(&want.verdict),
+                    verdict_bool(&fork.implies_with(&goal, &budget).unwrap().verdict),
+                    "fork verdict diverged (seed {seed} step {step}) on `{goal}`"
+                );
                 let d2 = session.implies_with(&goal, &budget).unwrap();
                 assert!(
                     !d2.caches_invalidated,
@@ -254,6 +307,38 @@ fn session_mutation_walk_matches_fresh_sessions() {
             }
         }
     }
+}
+
+/// The session a fork was taken from, after the fork was mutated: still
+/// the pre-step pools, Σ and closures.
+fn assert_forked_from_intact(
+    origin: &Session<'_>,
+    sigma: &[Nfd],
+    pools: &nfd::core::naive::PoolDump,
+    closures: &[Vec<RootedPath>],
+    seed: u64,
+    step: usize,
+) {
+    assert_eq!(
+        &origin.engine().pool_dump(),
+        pools,
+        "mutating a fork changed its origin's pools (seed {seed} step {step})"
+    );
+    assert_eq!(origin.sigma(), sigma, "origin Σ (seed {seed} step {step})");
+    let now: Vec<Vec<RootedPath>> = origin
+        .engine()
+        .schema()
+        .relation_names()
+        .map(|rel| {
+            origin
+                .closure(&RootedPath::relation_only(rel), &[])
+                .unwrap()
+        })
+        .collect();
+    assert_eq!(
+        now, closures,
+        "mutating a fork changed its origin's closures (seed {seed} step {step})"
+    );
 }
 
 /// The census through every `--engine` preference: tier routing (naive

@@ -303,8 +303,20 @@ fn concurrent_connections_share_one_tenant() {
     assert_eq!(stats.connections, 9);
 }
 
+/// A process's live thread count, from the `Threads:` line of
+/// `/proc/<pid>/status`.
+fn thread_count(pid: u32) -> usize {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("/proc status");
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("Threads:"))
+        .and_then(|n| n.trim().parse().ok())
+        .expect("status has a Threads: line")
+}
+
 /// The real binary: boot `nfdtool serve`, scrape the resolved port off
-/// stderr, drive a session over TCP, and assert a clean drain (exit 0).
+/// stderr, drive a session over TCP, and assert a clean drain (exit 0)
+/// and a thread count that does not grow with tenants or writes.
 #[test]
 fn spawned_binary_serves_and_drains_cleanly() {
     use std::process::{Command, Stdio};
@@ -332,9 +344,25 @@ fn spawned_binary_serves_and_drains_cleanly() {
     let (schema_src, deps_src) = course_sources();
     let mut c = Client::connect(addr);
     assert_eq!(c.ask("PING"), "OK pong");
-    assert_eq!(
-        c.ask(&format!("LOAD course {schema_src} | {deps_src}")),
-        "OK loaded deps=7"
+    let threads_before = thread_count(child.id());
+    // Tenants and writes must not cost threads: eight resident tenants
+    // and four epoch swaps leave the count where one connection put it.
+    for name in ["course", "t1", "t2", "t3", "t4", "t5", "t6", "t7"] {
+        assert_eq!(
+            c.ask(&format!("LOAD {name} {schema_src} | {deps_src}")),
+            "OK loaded deps=7"
+        );
+    }
+    for _ in 0..4 {
+        let added = c.ask("ADDDEP course Course:[time -> cnum]");
+        assert!(added.starts_with("OK added"), "{added}");
+        let dropped = c.ask("DROPDEP course Course:[time -> cnum]");
+        assert!(dropped.starts_with("OK dropped"), "{dropped}");
+    }
+    let threads_after = thread_count(child.id());
+    assert!(
+        threads_after <= threads_before + 2,
+        "8 tenants and 4 write pairs grew the daemon from {threads_before} to {threads_after} threads"
     );
     assert_eq!(
         c.ask("IMPLIES course Course:[time, students:sid -> books]"),
