@@ -185,9 +185,10 @@ pub(crate) struct RelEngine {
     /// The relation's compiled path table — the id space of the pool.
     pub(crate) table: Arc<PathTable>,
     pub(crate) deps: Vec<CDep>,
-    /// Occurrence indices over `deps`, maintained in lock-step by
-    /// [`RelEngine::add`]: RHS buckets for subsumption, LHS occurrences
-    /// for resolution candidates and the counting chain kernel.
+    /// Indices over `deps`, maintained in lock-step by
+    /// [`RelEngine::add`]: live RHS buckets for subsumption and
+    /// resolution candidates, LHS occurrences for resolution candidates
+    /// and the counting chain kernel.
     pub(crate) index: DepIndex,
     /// Set-of-records paths whose singleton rule has fired.
     pub(crate) singletons_granted: Vec<PathId>,
@@ -201,7 +202,7 @@ pub(crate) struct RelEngine {
 impl RelEngine {
     fn new(relation: Label, table: Arc<PathTable>, policy: &EmptySetPolicy) -> RelEngine {
         let (non_empty, defined) = compile_policy(relation, &table, policy);
-        let index = DepIndex::new(table.len());
+        let index = DepIndex::new(table.len(), table.words());
         RelEngine {
             relation,
             table,
@@ -233,11 +234,20 @@ impl RelEngine {
     /// Adds a dependency unless trivial or subsumed; marks older entries
     /// this one subsumes. Returns whether it was added.
     ///
+    /// Subsumption only relates entries with the same RHS, and only live
+    /// (unsubsumed) entries take part, so both checks read the RHS's live
+    /// bucket alone: the forward check rejects the candidate if some live
+    /// LHS is a subset of it, and the backward pass flags and evicts every
+    /// live entry whose LHS contains it. The first is an existence test
+    /// and the second acts on the whole matching set, so the order of the
+    /// bucket's rows cannot change either outcome — the pool and its
+    /// flags match a full scan in pool order.
+    ///
     /// A candidate offered again needs no duplicate set: its first offer
-    /// was either rejected by, or became, an active entry with the same
-    /// RHS and an LHS inside it, and subsumption only ever retires an
-    /// active entry for a smaller one, so the forward scan rejects the
-    /// repeat too.
+    /// was either rejected by, or became, a live entry with the same RHS
+    /// and an LHS inside it, and subsumption only ever retires a live
+    /// entry for a smaller one, so the forward check rejects the repeat
+    /// too.
     fn add(
         &mut self,
         lhs: PathSet,
@@ -248,21 +258,12 @@ impl RelEngine {
         if lhs.contains(rhs) {
             return Ok(false); // reflexivity instance: never useful in the pool
         }
-        // Subsumption only relates entries with the same RHS, so both the
-        // forward check and the backward marking scan just the RHS bucket
-        // (in pool order — the same entries the naive full scan touched).
-        for &j in self.index.same_rhs(rhs) {
-            let d = &self.deps[j];
-            if !d.subsumed && d.lhs.is_subset(&lhs) {
-                return Ok(false);
-            }
+        if self.index.live_subset_of(rhs, &lhs) {
+            return Ok(false);
         }
-        for &j in self.index.same_rhs(rhs) {
-            let d = &mut self.deps[j];
-            if !d.subsumed && lhs.is_subset(&d.lhs) {
-                d.subsumed = true;
-            }
-        }
+        let deps = &mut self.deps;
+        self.index
+            .evict_live_supersets(rhs, &lhs, |j| deps[j].subsumed = true);
         budget.check_counter(ResourceKind::PoolDeps, self.deps.len() as u64 + 1)?;
         let mut need_x = lhs.clone();
         need_x.difference_with(self.table.followers_of(rhs));
@@ -300,26 +301,34 @@ impl RelEngine {
             }
             self.unary_conclusions(i, budget)?;
             // Resolution frontier: entry `i` is the worklist head and an
-            // earlier entry `j` can interact with it only if `rhs(j) ∈
+            // earlier live entry `j` can interact with it only if `rhs(j) ∈
             // lhs(i)` (j supplies i) or `rhs(i) ∈ lhs(j)` (i supplies j).
-            // The occurrence indices produce exactly those `j`s; replaying
-            // them in ascending order — the order the naive all-pairs scan
-            // considered them — grows the pool through the identical add
-            // sequence, because `resolve_pair` is a no-op on every skipped
-            // pair. LHS/RHS are immutable after `add`, so the candidate
-            // list stays exact while the loop itself appends new entries;
-            // only the `subsumed` flag moves, and it is re-read per pair.
+            // The live buckets and the LHS-occurrence index produce exactly
+            // those `j`s; replaying them in ascending order — the order the
+            // naive all-pairs scan considered them — grows the pool through
+            // the identical add sequence, because `resolve_pair` is a no-op
+            // on every skipped pair and a subsumed `j` is skipped anyway.
+            // LHS/RHS are immutable after `add`, so the candidate list stays
+            // exact while the loop itself appends new entries; only the
+            // `subsumed` flag moves, monotonically, and it is re-read per
+            // pair.
             cands.clear();
             for p in self.deps[i].lhs.iter() {
-                cands.extend(self.index.same_rhs(p).iter().copied().filter(|&j| j < i));
+                cands.extend(
+                    self.index
+                        .live_with_rhs(p)
+                        .iter()
+                        .copied()
+                        .filter(|&j| j < i),
+                );
             }
             let rhs_i = self.deps[i].rhs;
+            let occ = self.index.with_lhs_containing(rhs_i);
             cands.extend(
-                self.index
-                    .with_lhs_containing(rhs_i)
+                occ[..occ.partition_point(|&j| j < i)]
                     .iter()
                     .copied()
-                    .filter(|&j| j < i),
+                    .filter(|&j| !self.deps[j].subsumed),
             );
             cands.sort_unstable();
             cands.dedup();
@@ -1363,7 +1372,10 @@ impl<'s> Engine<'s> {
     ///    the same RHS);
     /// 3. provenance is well-founded: every premise index is smaller than
     ///    the entry's own index;
-    /// 4. every `Given` provenance points into Σ.
+    /// 4. every `Given` provenance points into Σ;
+    /// 5. the live subsumption buckets hold exactly the non-subsumed
+    ///    entries, each once, in the bucket of its own RHS and with its
+    ///    own LHS words — no subsumed entry sits in any bucket.
     pub fn check_invariants(&self) -> Result<(), String> {
         for rel in self.rels.values() {
             for (i, d) in rel.deps.iter().enumerate() {
@@ -1397,6 +1409,31 @@ impl<'s> Engine<'s> {
                         ));
                     }
                 }
+            }
+            if !rel.index.live_rows_aligned() {
+                return Err(format!(
+                    "relation {}: a live bucket's rows and pool indices are out of step",
+                    rel.relation
+                ));
+            }
+            let mut live: Vec<(PathId, usize, &[u64])> = rel.index.live_rows().collect();
+            live.sort_unstable();
+            let mut expected: Vec<(PathId, usize, &[u64])> = rel
+                .deps
+                .iter()
+                .enumerate()
+                .filter(|(_, d)| !d.subsumed)
+                .map(|(j, d)| (d.rhs, j, d.lhs.as_words()))
+                .collect();
+            expected.sort_unstable();
+            if live != expected {
+                return Err(format!(
+                    "relation {}: the live buckets' {} rows are not exactly the {} \
+                     unsubsumed pool entries",
+                    rel.relation,
+                    live.len(),
+                    expected.len()
+                ));
             }
             let active: Vec<&CDep> = rel.deps.iter().filter(|d| !d.subsumed).collect();
             for (i, a) in active.iter().enumerate() {
@@ -1715,6 +1752,34 @@ mod tests {
         assert!(!engine
             .implies(&Nfd::parse(&schema, "R:[A -> D]").unwrap())
             .unwrap());
+    }
+
+    /// The live-bucket census catches an index that drifts from the
+    /// pool's subsumption flags in either direction.
+    #[test]
+    fn check_invariants_catches_live_bucket_drift() {
+        let (schema, sigma) = worked_example();
+        let engine = Engine::new(&schema, &sigma).unwrap();
+        engine.check_invariants().unwrap();
+        let relation = Label::new("R");
+        let j = engine.rels[&relation]
+            .deps
+            .iter()
+            .position(|d| !d.subsumed)
+            .unwrap();
+
+        let mut flagged = engine.fork();
+        let rel = Arc::make_mut(flagged.rels.get_mut(&relation).unwrap());
+        rel.deps[j].subsumed = true;
+        let err = flagged.check_invariants().unwrap_err();
+        assert!(err.contains("live buckets"), "{err}");
+
+        let mut evicted = engine.fork();
+        let rel = Arc::make_mut(evicted.rels.get_mut(&relation).unwrap());
+        let (lhs, rhs) = (rel.deps[j].lhs.clone(), rel.deps[j].rhs);
+        rel.index.evict_live_supersets(rhs, &lhs, |_| {});
+        let err = evicted.check_invariants().unwrap_err();
+        assert!(err.contains("live buckets"), "{err}");
     }
 
     /// Engines built over shared pre-compiled tables answer exactly like

@@ -11,10 +11,11 @@
 //!
 //! Three pieces live here:
 //!
-//! * [`DepIndex`] — per-relation occurrence indices over the pool:
-//!   entries bucketed by RHS (for subsumption), and a `path → deps whose
-//!   LHS contains it` index (for resolution candidates and for the
-//!   counting kernel's decrements).
+//! * [`DepIndex`] — per-relation indices over the pool: one live bucket
+//!   per RHS holding the unsubsumed entries with their LHS words inline
+//!   (for subsumption and supplier-side resolution candidates), and a
+//!   `path → deps whose LHS contains it` index (for target-side
+//!   resolution candidates and for the counting kernel's decrements).
 //! * [`ChainScratch`] + [`chain_counting`] — counting-based forward
 //!   chaining (unit propagation): per-dep unsatisfied-LHS counters seeded
 //!   from the query set, decremented as paths join the closure. The
@@ -31,18 +32,23 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Occurrence indices over a relation's dependency pool.
+/// Indices over a relation's dependency pool.
 ///
 /// Maintained incrementally by `RelEngine::add`: entry `i`'s LHS and RHS
-/// are immutable once pushed (only the `subsumed` flag changes), so the
-/// index never needs invalidation. Subsumed entries stay indexed — they
-/// must remain visible to bounded chaining (proof reconstruction bounds
-/// `max` below the index of the entry that subsumed them) and their
-/// subsumption flags are re-checked at use time by the saturation loop.
-#[derive(Clone, Debug, Default)]
+/// are immutable once pushed (only the `subsumed` flag changes, and only
+/// from `false` to `true`). The LHS-occurrence lists keep every entry —
+/// subsumed ones must remain visible to bounded chaining, because proof
+/// reconstruction bounds `max` below the index of the entry that
+/// subsumed them. The live buckets keep only unsubsumed entries: `add`
+/// evicts a row in the same step that flags its entry subsumed, so
+/// subsumption and resolution never revisit retired entries.
+#[derive(Clone, Debug)]
 pub(crate) struct DepIndex {
-    /// Pool indices bucketed by RHS id, in insertion (= pool) order.
-    by_rhs: HashMap<PathId, Vec<usize>>,
+    /// Words per LHS row — the relation's [`PathSet`] width.
+    stride: usize,
+    /// `live[r]` = the unsubsumed entries whose RHS is path `r`. Dense
+    /// over the relation's path-id space.
+    live: Vec<LiveBucket>,
     /// `lhs_occ[p]` = pool indices of deps whose LHS contains path `p`,
     /// in insertion order. Dense over the relation's path-id space.
     lhs_occ: Vec<Vec<usize>>,
@@ -54,22 +60,42 @@ pub(crate) struct DepIndex {
     empty_lhs: Vec<usize>,
 }
 
+/// The unsubsumed pool entries with one RHS: row `k` is pool entry
+/// `idx[k]`, whose LHS words are `words[k * stride..][..stride]`. Rows
+/// are unordered — eviction swaps the last row into the hole — which
+/// is sound because every reader either tests for existence, acts on
+/// the whole matching set, or sorts what it draws.
+#[derive(Clone, Debug, Default)]
+struct LiveBucket {
+    idx: Vec<usize>,
+    words: Vec<u64>,
+}
+
+/// `a ⊆ b` over raw bitset words of equal width.
+fn words_subset(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x & !y == 0)
+}
+
 impl DepIndex {
-    /// An empty index over a table of `paths` interned paths.
-    pub(crate) fn new(paths: usize) -> DepIndex {
+    /// An empty index over a table of `paths` interned paths whose sets
+    /// are `stride` words wide.
+    pub(crate) fn new(paths: usize, stride: usize) -> DepIndex {
         DepIndex {
-            by_rhs: HashMap::new(),
+            stride,
+            live: vec![LiveBucket::default(); paths],
             lhs_occ: vec![Vec::new(); paths],
             lhs_len: Vec::new(),
             empty_lhs: Vec::new(),
         }
     }
 
-    /// Registers pool entry `lhs_len.len()` (callers push to the pool and
-    /// the index in lock-step).
+    /// Registers pool entry `lhs_len.len()` as live (callers push to the
+    /// pool and the index in lock-step).
     pub(crate) fn push(&mut self, lhs: &PathSet, rhs: PathId) {
         let di = self.lhs_len.len();
-        self.by_rhs.entry(rhs).or_default().push(di);
+        let bucket = &mut self.live[rhs as usize];
+        bucket.idx.push(di);
+        bucket.words.extend_from_slice(lhs.as_words());
         let mut n: u32 = 0;
         for p in lhs.iter() {
             self.lhs_occ[p as usize].push(di);
@@ -81,9 +107,66 @@ impl DepIndex {
         }
     }
 
-    /// Pool indices of entries whose RHS is `rhs`, in pool order.
-    pub(crate) fn same_rhs(&self, rhs: PathId) -> &[usize] {
-        self.by_rhs.get(&rhs).map(Vec::as_slice).unwrap_or(&[])
+    /// Is some live entry with RHS `rhs` an LHS-subset of `lhs` (so it
+    /// subsumes the candidate `lhs → rhs`)?
+    pub(crate) fn live_subset_of(&self, rhs: PathId, lhs: &PathSet) -> bool {
+        let lhs = lhs.as_words();
+        self.live[rhs as usize]
+            .words
+            .chunks_exact(self.stride)
+            .any(|row| words_subset(row, lhs))
+    }
+
+    /// Evicts every live entry with RHS `rhs` whose LHS contains `lhs`,
+    /// calling `evicted` with each one's pool index.
+    pub(crate) fn evict_live_supersets(
+        &mut self,
+        rhs: PathId,
+        lhs: &PathSet,
+        mut evicted: impl FnMut(usize),
+    ) {
+        let (lhs, stride) = (lhs.as_words(), self.stride);
+        let bucket = &mut self.live[rhs as usize];
+        let mut k = 0;
+        while k < bucket.idx.len() {
+            if !words_subset(lhs, &bucket.words[k * stride..(k + 1) * stride]) {
+                k += 1;
+                continue;
+            }
+            evicted(bucket.idx.swap_remove(k));
+            let last = bucket.idx.len();
+            if k != last {
+                bucket
+                    .words
+                    .copy_within(last * stride..(last + 1) * stride, k * stride);
+            }
+            bucket.words.truncate(last * stride);
+        }
+    }
+
+    /// Pool indices of the live entries whose RHS is `rhs`, unordered.
+    pub(crate) fn live_with_rhs(&self, rhs: PathId) -> &[usize] {
+        &self.live[rhs as usize].idx
+    }
+
+    /// Does every live bucket hold exactly `stride` words per pool index?
+    /// If not, [`DepIndex::live_rows`] would silently drop the surplus.
+    pub(crate) fn live_rows_aligned(&self) -> bool {
+        self.live
+            .iter()
+            .all(|bucket| bucket.words.len() == bucket.idx.len() * self.stride)
+    }
+
+    /// Every live row as `(rhs, pool index, LHS words)` — the census
+    /// `Engine::check_invariants` holds against the pool.
+    pub(crate) fn live_rows(&self) -> impl Iterator<Item = (PathId, usize, &[u64])> + '_ {
+        self.live.iter().enumerate().flat_map(move |(rhs, bucket)| {
+            bucket
+                .idx
+                .iter()
+                .zip(bucket.words.chunks_exact(self.stride))
+                .map(move |(&j, row)| (rhs as PathId, j, row))
+        })
     }
 
     /// Pool indices of entries whose LHS contains `p`, in pool order.
@@ -547,6 +630,41 @@ mod tests {
 
     fn set(words: usize, ids: &[PathId]) -> PathSet {
         PathSet::from_ids(words, ids.iter().copied())
+    }
+
+    #[test]
+    fn live_buckets_reject_evict_and_keep_rows_aligned() {
+        // Two-word rows, so eviction has to move whole rows, not words.
+        let mut index = DepIndex::new(128, 2);
+        let rows = [set(2, &[1, 70]), set(2, &[2, 80]), set(2, &[3, 90])];
+        for row in &rows {
+            index.push(row, 0);
+        }
+        index.push(&set(2, &[1]), 5);
+        assert!(index.live_subset_of(0, &set(2, &[1, 5, 70])));
+        assert!(!index.live_subset_of(0, &set(2, &[1, 80])));
+        assert!(!index.live_subset_of(4, &set(2, &[1, 70])));
+
+        let mut evicted = Vec::new();
+        index.evict_live_supersets(0, &set(2, &[70]), |j| evicted.push(j));
+        assert_eq!(evicted, [0]);
+        let live: Vec<(PathId, usize, Vec<u64>)> = index
+            .live_rows()
+            .map(|(rhs, j, row)| (rhs, j, row.to_vec()))
+            .collect();
+        assert_eq!(
+            live,
+            [
+                (0, 2, rows[2].as_words().to_vec()),
+                (0, 1, rows[1].as_words().to_vec()),
+                (5, 3, set(2, &[1]).as_words().to_vec()),
+            ]
+        );
+        assert!(index.live_subset_of(0, &set(2, &[3, 90])));
+        assert!(!index.live_subset_of(0, &set(2, &[1, 70])));
+        // The occurrence lists keep the evicted entry.
+        assert_eq!(index.with_lhs_containing(70), [0]);
+        assert_eq!(index.len(), 4);
     }
 
     #[test]

@@ -444,11 +444,12 @@ fn apply_mutations(session: &mut Session, schema: &Schema, o: &Opts) -> Result<(
 /// with an ordinary [`Session::with_tiers`] compile.
 /// Image-size floor (bytes) below which `--snapshot` compiles fresh by
 /// default. B17 measured the crossover honestly: a 7-NFD Course image
-/// (1.6 KiB) thaws at 0.48× a fresh compile — decode + checksum +
+/// (1.6 KiB) thaws at 0.4–0.5× a fresh compile — decode + checksum +
 /// replay validation costs more than the saturation it skips — while a
-/// wide 64-NFD image (774 KiB) thaws at 7.4×. The gate sits well above
-/// the regressing size and well below the winning one; `--thaw-min-bytes`
-/// moves it (0 disables the gate).
+/// wide 64-NFD image (774 KiB) thaws at 3–4×. Small images up to about
+/// 9.5 KiB can thaw slower than they compile and every one from 13 KiB
+/// up thaws faster, so the gate sits just above the losing sizes;
+/// `--thaw-min-bytes` moves it (0 disables the gate).
 const DEFAULT_THAW_MIN_BYTES: u64 = 16 * 1024;
 
 fn thaw_from_flag<'s>(

@@ -233,3 +233,44 @@ pub fn course_sigma(schema: &Schema) -> Vec<Nfd> {
     )
     .unwrap()
 }
+
+/// A flat multi-relation schema: `relations` relations `R0 … R{r-1}`,
+/// each with `attrs` `int` attributes `r{r}a0 … r{r}a{attrs-1}` (labels
+/// stay globally unique).
+pub fn wide_schema(relations: usize, attrs: usize) -> Schema {
+    let mut text = String::new();
+    for r in 0..relations.max(1) {
+        let fields = (0..attrs)
+            .map(|i| format!("r{r}a{i}: int"))
+            .collect::<Vec<_>>()
+            .join(", ");
+        text.push_str(&format!("R{r} : {{<{fields}>}};"));
+    }
+    Schema::parse(&text).expect("wide schema parses")
+}
+
+/// The wide-Σ hash family over [`wide_schema`]: per relation, `n`
+/// two-LHS dependencies `[a, b -> c]` whose attributes are
+/// splitmix-hashed from the dependency's index. The paths overlap
+/// heavily, so saturation generates far more resolvents than it keeps —
+/// the subsumption-heavy shape. Every relation gets the same pick
+/// sequence, so the relations are isomorphic.
+pub fn wide_sigma(schema: &Schema, relations: usize, attrs: usize, n: usize) -> Vec<Nfd> {
+    let pick = |i: usize, salt: u64| -> usize {
+        let mut z = (i as u64)
+            .wrapping_add(salt)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) as usize % attrs
+    };
+    let mut sigma = Vec::with_capacity(relations * n);
+    for r in 0..relations.max(1) {
+        for i in 0..n {
+            let (a, b, c) = (pick(i, 1), pick(i, 2), pick(i, 3));
+            let text = format!("R{r}:[r{r}a{a}, r{r}a{b} -> r{r}a{c}]");
+            sigma.push(Nfd::parse(schema, &text).expect("wide dependency parses"));
+        }
+    }
+    sigma
+}

@@ -2,13 +2,16 @@
 //!
 //! `nfd::core::naive` preserves the pre-index engine verbatim: full-pool
 //! subsumption scans, all-pairs saturation, pass-structured chaining.
-//! The indexed engine (RHS buckets, LHS-occurrence worklist, counting
-//! chain) is an optimization and must never be a semantic change, so
-//! this suite demands *bit-identical* observables on seeded random
-//! schemas and the paper's own examples:
+//! The indexed engine (live RHS buckets holding only unsubsumed entries,
+//! LHS-occurrence worklist, counting chain) is an optimization and must
+//! never be a semantic change, so this suite demands *bit-identical*
+//! observables on seeded random schemas, the paper's own examples and
+//! the subsumption-heavy wide-Σ family:
 //!
 //! * pool dumps — every entry's LHS/RHS, provenance and subsumption flag
-//!   in pool order (identical pools ⇒ identical proof replays);
+//!   in pool order (identical pools ⇒ identical proof replays; the live
+//!   buckets evict in whatever order they like, so flags matching the
+//!   naive pool-order scan is the property under test);
 //! * chain dumps — verdict, closure and the `fired` provenance map per
 //!   goal (identical maps ⇒ identical reconstructed proofs);
 //! * Appendix-A closures, candidate keys at every thread count, and
@@ -92,6 +95,54 @@ fn random_sweep_matches_naive_oracle() {
                 engine.closure(&base, &[]).unwrap(),
                 "empty-LHS closure diverged at seed {seed} on `{base}`"
             );
+        }
+    }
+}
+
+/// Wide flat Σ (the hash family of B14's `wide_sigma`): almost every
+/// resolvent lands on an RHS that already has a smaller LHS, so the live
+/// buckets evict and reject far more than they admit. Pools must still
+/// match the naive full-pool scans entry by entry, and so must every
+/// single-attribute chain dump.
+#[test]
+fn wide_sigma_matches_naive_oracle() {
+    for (attrs, n) in [
+        (12, 24),
+        (12, 32),
+        (14, 28),
+        (16, 24),
+        (16, 32),
+        (16, 48),
+        (20, 48),
+    ] {
+        let schema = wide_schema(1, attrs);
+        let sigma = wide_sigma(&schema, 1, attrs, n);
+        let (naive, engine) = build_pair(&schema, &sigma, EmptySetPolicy::Forbidden);
+        let dump = engine.pool_dump();
+        assert_eq!(
+            naive.pool_dump(),
+            dump,
+            "wide pool dump diverged at {attrs} attributes × {n} deps"
+        );
+        engine
+            .check_invariants()
+            .unwrap_or_else(|e| panic!("wide({attrs}, {n}): {e}"));
+        // The shape is only a subsumption test if most entries retire.
+        let subsumed = dump[0].1.iter().filter(|e| e.subsumed).count();
+        assert!(
+            2 * subsumed > dump[0].1.len(),
+            "wide({attrs}, {n}): only {subsumed} of {} entries subsumed",
+            dump[0].1.len()
+        );
+        for i in 0..attrs {
+            for j in (0..attrs).filter(|&j| j != i) {
+                let goal = Nfd::parse(&schema, &format!("R0:[r0a{i} -> r0a{j}]")).unwrap();
+                assert_eq!(
+                    naive.chain_dump(&goal).unwrap(),
+                    engine.chain_dump(&goal).unwrap(),
+                    "wide({attrs}, {n}) chain dump diverged on `{goal}`"
+                );
+            }
         }
     }
 }
