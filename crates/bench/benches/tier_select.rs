@@ -1,23 +1,23 @@
-//! Bench `tier_select` (EXPERIMENTS.md §B15): the tiered engine router
-//! against the fixed baselines it arbitrates between.
+//! Bench `tier_select` (EXPERIMENTS.md §B15, §B21): a cached `Session`
+//! against the naive engine, on the query shapes that once motivated the
+//! tier router.
 //!
-//! B14 exposed the motivating asymmetry: the indexed kernel wins big on
-//! wide-Σ builds but loses (≈0.6×) on uncached one-shot flat-chain
-//! queries, the naive scan's best case. The tiered router is the fix,
-//! and this harness measures it on exactly those shapes:
+//! Every session query takes one path: the closure cache, then the
+//! counting kernel. The candidate is therefore a fresh `Session` per
+//! iteration (built outside the timed region, so its cache starts
+//! empty), and the baseline is the naive engine recomputing every chain:
 //!
-//! * `flat_chain_uncached` — the former 0.6× case. One cold all-pairs
-//!   sweep through a bare auto-routed engine (no closure cache), against
-//!   the naive engine. Tier 0's goal-directed pass scan plus mid-sweep
-//!   promotion to the dense matrix must hold this at ≥ 1.0×.
-//! * `flat_chain_sweep_dense` — the B14 cached-sweep shape (repeated
-//!   all-pairs passes) with the candidate forced onto the dense tier,
-//!   against the naive engine recomputing every chain. The dense closure
-//!   matrix answers each goal with a handful of bitset word ops, so this
-//!   is the ≥ 10× acceptance row.
-//! * `ladder_goal_auto` / `wide_sigma_auto` — the remaining B14 query
-//!   families through cold auto-routed sessions, confirming auto never
-//!   gives back what the indexed kernel won.
+//! * `flat_chain_cold` — one all-pairs sweep over a flat chain.
+//! * `flat_chain_sweep` — four all-pairs passes; passes 2–4 hit the
+//!   cache.
+//! * `ladder_goal` — one deep goal asked 32 times.
+//! * `wide_sigma` — 200 all-pairs goals over wide Σ, one pass.
+//!
+//! The `session_sweeps` trailer times a cold sweep (first pass, empty
+//! cache) and a warm sweep (second pass) per shape; run against two
+//! revisions it gives §B21's table. It uses only `Session::new` and
+//! `Session::implies`, so the file builds on revisions that still had
+//! the router too.
 //!
 //! Custom `harness = false` main emitting `BENCH_B15.json` (path
 //! overridable via `BENCH_B15_OUT`) in the shared record schema, for CI
@@ -25,13 +25,11 @@
 
 use nfd::session::Session;
 use nfd_bench::*;
-use nfd_core::engine::Engine;
 use nfd_core::naive::NaiveEngine;
-use nfd_core::{EmptySetPolicy, Nfd, SelectState, Tier, TierPreference};
+use nfd_core::Nfd;
 use nfd_govern::Budget;
 use nfd_model::Schema;
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Best-of-`iters` wall time of `f`, in nanoseconds (minimum, to shed
@@ -59,6 +57,47 @@ fn all_pairs_goals(schema: &Schema, n: usize) -> Vec<Nfd> {
     goals
 }
 
+/// One two-attribute goal per attribute pair `{a_i, a_j}` (`i < j`) of a
+/// flat schema, each with a right-hand side outside its LHS — a distinct
+/// closure per goal, so a cold sweep chains every one.
+fn pair_goals(schema: &Schema, n: usize) -> Vec<Nfd> {
+    let mut goals = Vec::new();
+    for i in 0..n {
+        for j in i + 1..n {
+            let mut k = (j + 1) % n;
+            if k == i {
+                k = (k + 1) % n;
+            }
+            goals.push(Nfd::parse(schema, &format!("R:[a{i}, a{j} -> a{k}]")).unwrap());
+        }
+    }
+    goals
+}
+
+/// Every single-path goal `Course:[x -> y]` over the Course paths.
+fn course_goals(schema: &Schema) -> Vec<Nfd> {
+    let paths = [
+        "cnum",
+        "time",
+        "students",
+        "students:sid",
+        "students:age",
+        "students:grade",
+        "books",
+        "books:isbn",
+        "books:title",
+    ];
+    let mut goals = Vec::new();
+    for x in paths {
+        for y in paths {
+            if x != y {
+                goals.push(Nfd::parse(schema, &format!("Course:[{x} -> {y}]")).unwrap());
+            }
+        }
+    }
+    goals
+}
+
 /// Sweep `goals` `passes` times through a prebuilt naive engine.
 fn naive_sweep_ns(naive: &NaiveEngine<'_>, goals: &[Nfd], passes: usize, iters: usize) -> u128 {
     time_ns(iters, || {
@@ -68,27 +107,26 @@ fn naive_sweep_ns(naive: &NaiveEngine<'_>, goals: &[Nfd], passes: usize, iters: 
     })
 }
 
-/// Sweep `goals` `passes` times through a cold tier-routed engine built
-/// with `pref`: fresh selection state every iteration, so the router's
-/// query counting, promotion and dense build all land inside the timed
-/// region, and no closure cache — like-for-like against the bare naive
-/// engine, exactly how B14 measured the indexed kernel.
-fn cold_engine_sweep_ns(
+/// Implied goals in one pass through the session.
+fn session_pass(session: &Session<'_>, goals: &[Nfd]) -> usize {
+    goals.iter().filter(|g| session.implies(g).unwrap()).count()
+}
+
+/// Sweep `goals` `passes` times through a fresh session per iteration:
+/// the build stays outside the timed region, the cold cache inside.
+fn session_sweep_ns(
     schema: &Schema,
     sigma: &[Nfd],
-    pref: TierPreference,
     goals: &[Nfd],
     passes: usize,
     iters: usize,
 ) -> u128 {
     let mut best = u128::MAX;
     for _ in 0..iters {
-        let engine = Engine::new(schema, sigma)
-            .unwrap()
-            .with_engine_select(Arc::new(SelectState::new(pref)));
+        let session = Session::new(schema, sigma).unwrap();
         let t = Instant::now();
         let implied = (0..passes)
-            .map(|_| goals.iter().filter(|g| engine.implies(g).unwrap()).count())
+            .map(|_| session_pass(&session, goals))
             .sum::<usize>();
         black_box(implied);
         best = best.min(t.elapsed().as_nanos());
@@ -96,12 +134,28 @@ fn cold_engine_sweep_ns(
     best
 }
 
+/// Best-of-`iters` cold (first pass, empty cache) and warm (second pass)
+/// sweep times through a fresh session per iteration.
+fn cold_warm_ns(schema: &Schema, sigma: &[Nfd], goals: &[Nfd], iters: usize) -> (u128, u128) {
+    let (mut cold, mut warm) = (u128::MAX, u128::MAX);
+    for _ in 0..iters {
+        let session = Session::new(schema, sigma).unwrap();
+        let t = Instant::now();
+        black_box(session_pass(&session, goals));
+        cold = cold.min(t.elapsed().as_nanos());
+        let t = Instant::now();
+        black_box(session_pass(&session, goals));
+        warm = warm.min(t.elapsed().as_nanos());
+    }
+    (cold, warm)
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
     let iters = if smoke { 1 } else { 5 };
     let mut rows: Vec<BenchRecord> = Vec::new();
 
-    // The former 0.6× case: one cold, uncached all-pairs sweep.
+    // One cold all-pairs sweep: every LHS chains once, the rest hit.
     let flat_sizes: &[usize] = if smoke { &[8] } else { &[16, 24, 32] };
     for &n in flat_sizes {
         let schema = flat_schema(n);
@@ -110,30 +164,19 @@ fn main() {
         let naive = NaiveEngine::new(&schema, &sigma).unwrap();
         rows.push(BenchRecord {
             bench_id: "B15",
-            workload: "flat_chain_uncached",
+            workload: "flat_chain_cold",
             param: n,
             baseline: "naive",
             baseline_ns: naive_sweep_ns(&naive, &goals, 1, iters),
-            candidate: "auto",
-            candidate_ns: cold_engine_sweep_ns(
-                &schema,
-                &sigma,
-                TierPreference::Auto,
-                &goals,
-                1,
-                iters,
-            ),
+            candidate: "session",
+            candidate_ns: session_sweep_ns(&schema, &sigma, &goals, 1, iters),
         });
     }
 
-    // The B14 cached-sweep shape, candidate forced onto the dense tier:
-    // the matrix is built on the first query and every later goal is a
-    // row union. Per-query fixed costs (goal interning, liveness polls)
-    // are identical on both sides, so the ratio tracks chain length —
-    // the larger sizes are where the dense tier's constant-time query
-    // pulls decisively ahead of the naive pass scan's O(k·n).
-    let dense_sizes: &[usize] = if smoke { &[8] } else { &[16, 24, 32, 48, 64] };
-    for &n in dense_sizes {
+    // Repeated all-pairs passes: the cache answers passes 2–4 outright,
+    // while the naive engine recomputes every chain of every pass.
+    let sweep_sizes: &[usize] = if smoke { &[8] } else { &[16, 24, 32, 48, 64] };
+    for &n in sweep_sizes {
         let schema = flat_schema(n);
         let sigma = flat_chain_sigma(&schema, n);
         let goals = all_pairs_goals(&schema, n);
@@ -141,24 +184,16 @@ fn main() {
         let passes = 4;
         rows.push(BenchRecord {
             bench_id: "B15",
-            workload: "flat_chain_sweep_dense",
+            workload: "flat_chain_sweep",
             param: n,
             baseline: "naive",
             baseline_ns: naive_sweep_ns(&naive, &goals, passes, iters),
-            candidate: "dense",
-            candidate_ns: cold_engine_sweep_ns(
-                &schema,
-                &sigma,
-                TierPreference::Fixed(Tier::Dense),
-                &goals,
-                passes,
-                iters,
-            ),
+            candidate: "session",
+            candidate_ns: session_sweep_ns(&schema, &sigma, &goals, passes, iters),
         });
     }
 
-    // Ladder: one deep goal, repeated — the closure cache and (once
-    // promoted) the dense matrix both amortize it.
+    // Ladder: one deep goal, repeated — one chain, then cache hits.
     let depths: &[usize] = if smoke { &[4] } else { &[6, 8] };
     for &depth in depths {
         let schema = ladder_schema(depth);
@@ -168,23 +203,16 @@ fn main() {
         let passes = 32;
         rows.push(BenchRecord {
             bench_id: "B15",
-            workload: "ladder_goal_auto",
+            workload: "ladder_goal",
             param: depth,
             baseline: "naive",
             baseline_ns: naive_sweep_ns(&naive, &goals, passes, iters),
-            candidate: "auto",
-            candidate_ns: cold_engine_sweep_ns(
-                &schema,
-                &sigma,
-                TierPreference::Auto,
-                &goals,
-                passes,
-                iters,
-            ),
+            candidate: "session",
+            candidate_ns: session_sweep_ns(&schema, &sigma, &goals, passes, iters),
         });
     }
 
-    // Wide Σ: the indexed kernel's home turf — auto must keep the win.
+    // Wide Σ: the saturation-heavy shape.
     const WIDE_ATTRS: usize = 24;
     let wide_sizes: &[usize] = if smoke { &[32] } else { &[64, 128] };
     let wide_iters = if smoke { 1 } else { 2 };
@@ -196,33 +224,55 @@ fn main() {
         let naive = NaiveEngine::new(&schema, &sigma).unwrap();
         rows.push(BenchRecord {
             bench_id: "B15",
-            workload: "wide_sigma_auto",
+            workload: "wide_sigma",
             param: n,
             baseline: "naive",
             baseline_ns: naive_sweep_ns(&naive, &goals, 1, wide_iters),
-            candidate: "auto",
-            candidate_ns: cold_engine_sweep_ns(
-                &schema,
-                &sigma,
-                TierPreference::Auto,
-                &goals,
-                1,
-                wide_iters,
-            ),
+            candidate: "session",
+            candidate_ns: session_sweep_ns(&schema, &sigma, &goals, 1, wide_iters),
         });
     }
 
-    // Course session trailer: the hot-relation batch shape; by the
-    // second sweep auto is on the dense tier.
+    // Cold and warm session sweeps per shape (§B21).
+    let mut shapes: Vec<(String, Schema, Vec<Nfd>, Vec<Nfd>)> = Vec::new();
+    for &n in if smoke { &[8][..] } else { &[16, 32][..] } {
+        let schema = flat_schema(n);
+        let sigma = flat_chain_sigma(&schema, n);
+        let one = all_pairs_goals(&schema, n);
+        let two = pair_goals(&schema, n);
+        shapes.push((
+            format!("flat_chain({n}) 1-attr"),
+            schema.clone(),
+            sigma.clone(),
+            one,
+        ));
+        shapes.push((format!("flat_chain({n}) 2-attr"), schema, sigma, two));
+    }
+    for &n in if smoke { &[32][..] } else { &[64, 128][..] } {
+        let schema = flat_schema(WIDE_ATTRS);
+        let sigma = wide_sigma(&schema, WIDE_ATTRS, n);
+        let goals = all_pairs_goals(&schema, WIDE_ATTRS);
+        shapes.push((
+            format!("wide_sigma({WIDE_ATTRS},{n})"),
+            schema,
+            sigma,
+            goals,
+        ));
+    }
     let (schema, sigma) = course();
-    let session = Session::with_tiers(
-        &schema,
-        &sigma,
-        EmptySetPolicy::Forbidden,
-        Budget::standard(),
-        TierPreference::Auto,
-    )
-    .unwrap();
+    let goals = course_goals(&schema);
+    shapes.push(("course".to_string(), schema, sigma, goals));
+    let sweeps: Vec<(String, usize, u128, u128)> = shapes
+        .iter()
+        .map(|(name, schema, sigma, goals)| {
+            let (cold, warm) = cold_warm_ns(schema, sigma, goals, iters);
+            (name.clone(), goals.len(), cold, warm)
+        })
+        .collect();
+
+    // Course session trailer: batch sweeps through one session.
+    let (schema, sigma) = course();
+    let session = Session::new(&schema, &sigma).unwrap();
     let attrs = ["cnum", "time", "room", "books", "students"];
     let mut goals = Vec::new();
     for a in attrs {
@@ -235,17 +285,16 @@ fn main() {
         }
     }
     let budget = Budget::standard();
-    let sweeps = if smoke { 2 } else { 8 };
+    let course_sweeps = if smoke { 2 } else { 8 };
     let course_ns = time_ns(1, || {
-        for _ in 0..sweeps {
+        for _ in 0..course_sweeps {
             session.implies_batch(&goals, &budget, 1).unwrap();
         }
     });
-    let relation = nfd_model::Label::new("Course");
-    let dense_built = session.select_state().dense_built(relation);
+    let cache = session.cache_stats();
 
     println!(
-        "B15 tier selection — tiered router vs fixed baselines ({} iteration(s), best-of)",
+        "B15 — a cached Session vs the naive engine ({} iteration(s), best-of)",
         iters
     );
     println!(
@@ -265,19 +314,38 @@ fn main() {
         );
     }
     println!(
-        "course session (auto): {} goals x {} sweeps in {} ns; dense tier built: {}",
+        "{:<26} {:>6} {:>14} {:>14}",
+        "session sweep", "goals", "cold ns", "warm ns"
+    );
+    for (name, goals, cold, warm) in &sweeps {
+        println!("{name:<26} {goals:>6} {cold:>14} {warm:>14}");
+    }
+    println!(
+        "course session: {} goals x {} sweeps in {} ns; cache {} hits / {} misses",
         goals.len(),
-        sweeps,
+        course_sweeps,
         course_ns,
-        dense_built
+        cache.hits,
+        cache.misses
     );
 
+    let session_sweeps = format!(
+        "[{}]",
+        sweeps
+            .iter()
+            .map(|(name, goals, cold, warm)| format!(
+                "{{\"shape\": \"{name}\", \"goals\": {goals}, \"cold_ns\": {cold}, \"warm_ns\": {warm}}}"
+            ))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
     let course_session = format!(
-        "{{\"goals\": {}, \"sweeps\": {}, \"total_ns\": {}, \"dense_built\": {}}}",
+        "{{\"goals\": {}, \"sweeps\": {}, \"total_ns\": {}, \"cache_hits\": {}, \"cache_misses\": {}}}",
         goals.len(),
-        sweeps,
+        course_sweeps,
         course_ns,
-        dense_built
+        cache.hits,
+        cache.misses
     );
     BenchReport {
         bench_id: "B15",
@@ -285,7 +353,10 @@ fn main() {
         mode: if smoke { "smoke" } else { "full" },
         iters,
         records: rows,
-        extra: vec![("course_session".to_string(), course_session)],
+        extra: vec![
+            ("session_sweeps".to_string(), session_sweeps),
+            ("course_session".to_string(), course_session),
+        ],
     }
     .write("BENCH_B15_OUT");
 }

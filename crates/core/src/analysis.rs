@@ -167,10 +167,6 @@ pub fn candidate_keys_threaded(
         .element_record()
         .ok_or_else(|| CoreError::Nav(format!("relation `{relation}` has no element record")))?;
     let rel = engine.rel(relation)?;
-    // Tier routing for the sweep: any forced or already-due dense build
-    // happens here, once, so the per-candidate cover test stays
-    // infallible (see `Engine::prepare_analysis`).
-    engine.prepare_analysis(rel)?;
     let table = &rel.table;
     // Candidate components and the coverage universe: top-level
     // attributes (paths of length 1 — the ids with no parent).
@@ -178,6 +174,16 @@ pub fn candidate_keys_threaded(
         .filter(|&id| table.parent(id).is_none())
         .collect();
     let universe = PathSet::from_ids(table.words(), attrs.iter().copied());
+    // A path joins a closure only by being in `X` or as the RHS of a pool
+    // entry, so an attribute no entry derives must sit in every key; a
+    // candidate without all of them cannot cover and needs no closure.
+    // Every subsumed entry leaves a live one with its RHS, so the live
+    // buckets name the derived attributes.
+    let underived: Vec<PathId> = attrs
+        .iter()
+        .copied()
+        .filter(|&a| rel.index.live_with_rhs(a).is_empty())
+        .collect();
 
     // Subset enumeration is exponential; count candidates against the
     // engine's budget (shared across workers) and stop the whole level
@@ -188,7 +194,8 @@ pub fn candidate_keys_threaded(
 
     // One candidate: budget first (every enumerated candidate counts,
     // pruned or not, exactly as in a sequential sweep), then prune
-    // against keys from completed levels, then the closure cover test.
+    // against keys from completed levels and against missing underived
+    // attributes, then the closure cover test.
     // Each worker owns a chain scratch, so the cover test reuses the
     // counting kernel's buffers across every candidate it enumerates.
     let visit_one = |cand: &[PathId],
@@ -210,7 +217,10 @@ pub fn candidate_keys_threaded(
         if known.iter().any(|k| k.iter().all(|p| cand.contains(p))) {
             return Ok(false); // superset of a known key
         }
-        Ok(universe.is_subset(&engine.analysis_chain(rel, cand, scratch)))
+        if !underived.iter().all(|p| cand.contains(p)) {
+            return Ok(false);
+        }
+        Ok(universe.is_subset(&rel.chain_scratch(cand, scratch)))
     };
 
     let mut keys: Vec<Vec<PathId>> = Vec::new();

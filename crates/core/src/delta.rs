@@ -59,12 +59,12 @@
 //! table, the policy, and the Σ entries naming that relation, added in Σ
 //! order — see [`Engine::with_tables`]). A mutation therefore re-runs the
 //! build for **one** relation (`Engine::rebuild_relation`) and leaves
-//! every other relation's pool, closure-cache entries, dense rows and
-//! promotion counters untouched and warm. The one cross-relation effect
-//! of removal is notational: `Prov::Given(k)` cites positions in Σ, so
-//! untouched relations get a pure index relabel (`k > i` becomes
-//! `k - 1`), which changes no pool content and is exactly what the fresh
-//! build over the shortened Σ records.
+//! every other relation's pool and closure-cache entries untouched and
+//! warm. The one cross-relation effect of removal is notational:
+//! `Prov::Given(k)` cites positions in Σ, so untouched relations get a
+//! pure index relabel (`k > i` becomes `k - 1`), which changes no pool
+//! content and is exactly what the fresh build over the shortened Σ
+//! records.
 //!
 //! Insertion is the same story run forward: appending `σ` to Σ seeds the
 //! touched relation's frontier with one new given, and the semi-naive
@@ -78,7 +78,7 @@
 //! in only on success, so a budget exhaustion (or an injected
 //! `delta::insert` / `delta::retract` fault) leaves the engine exactly as
 //! it was — the old Σ, the old pools, the old caches — never a stale
-//! hybrid. Scoped cache/tier invalidation for the touched relation
+//! hybrid. Scoped cache invalidation for the touched relation
 //! happens only on the commit path (see DESIGN.md §12).
 
 use crate::engine::{Engine, Prov};

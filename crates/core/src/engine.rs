@@ -43,12 +43,10 @@
 //! then sound for instances with empty sets (completeness in that regime
 //! is the paper's stated future work).
 
-use crate::dense::DenseClosure;
 use crate::emptyset::EmptySetPolicy;
 use crate::error::CoreError;
 use crate::kernel::{self, ChainScratch, ClosureCache, DepIndex};
 use crate::nfd::Nfd;
-use crate::select::{CostFeatures, QueryTrace, RelSelect, SelectState, Tier, TierPreference};
 use crate::simple;
 use nfd_faults::fail_point;
 use nfd_govern::{Budget, ResourceKind};
@@ -567,38 +565,17 @@ pub struct Engine<'s> {
     /// Optional shared closure cache (attached by sessions); `None` for
     /// stand-alone engines, whose queries always chain directly.
     cache: Option<Arc<ClosureCache>>,
-    /// Optional tier-selection layer (attached by sessions); `None` for
-    /// stand-alone engines, whose queries keep the historical
-    /// cache-then-counting-kernel routing.
-    select: Option<EngineSelect>,
 }
 
-/// The attached tier-selection layer: the session-shared promotion state
-/// plus, per relation, the promotion handle and the static tier-0/1 cost
-/// pick. The pick is computed once at attach time — the pool is immutable
-/// between saturations, and the Σ-mutation path
-/// (`Engine::rebuild_relation`) recomputes the touched relation's entry —
-/// so the [`CostFeatures`] a handle was picked from always describe the
-/// pool it routes for.
-struct EngineSelect {
-    state: Arc<SelectState>,
-    rels: HashMap<Label, (Arc<RelSelect>, Tier)>,
-}
-
-/// The static cost-model features of a saturated relation pool.
-fn rel_features(rel: &RelEngine) -> CostFeatures {
-    let mut active_deps = 0usize;
-    let mut lhs_paths = 0usize;
-    for d in rel.deps.iter().filter(|d| !d.subsumed) {
-        active_deps += 1;
-        lhs_paths += d.lhs.len();
-    }
-    CostFeatures {
-        active_deps,
-        lhs_paths,
-        words: rel.table.words(),
-        table_len: rel.table.len(),
-    }
+/// What one `implies` or `closure` query did. Sessions surface it in
+/// `Decision.cache_hits` and `Decision.tier`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct QueryTrace {
+    /// Whether the query looked a closure up at all (`false` when
+    /// reflexivity decided the goal first).
+    pub chained: bool,
+    /// Whether the closure came from the attached [`ClosureCache`].
+    pub cache_hit: bool,
 }
 
 impl<'s> Engine<'s> {
@@ -697,7 +674,6 @@ impl<'s> Engine<'s> {
             policy,
             budget,
             cache: None,
-            select: None,
         })
     }
 
@@ -852,7 +828,6 @@ impl<'s> Engine<'s> {
             policy,
             budget,
             cache: None,
-            select: None,
         })
     }
 
@@ -863,8 +838,7 @@ impl<'s> Engine<'s> {
     /// (`Engine::rebuild_relation`), and `remove_dep`'s provenance
     /// relabel copies a shared pool before rewriting it — so neither
     /// engine can observe the other's mutations. The fork has no closure
-    /// cache or tier-selection layer attached; attach its own, since both
-    /// are scoped to one Σ.
+    /// cache attached; attach its own, since a cache is scoped to one Σ.
     pub fn fork(&self) -> Engine<'s> {
         Engine {
             schema: self.schema.clone(),
@@ -874,7 +848,6 @@ impl<'s> Engine<'s> {
             policy: self.policy.clone(),
             budget: self.budget.clone(),
             cache: None,
-            select: None,
         }
     }
 
@@ -888,22 +861,6 @@ impl<'s> Engine<'s> {
         self
     }
 
-    /// Attaches a tier-selection layer; subsequent queries route through
-    /// its cost model and promotion state instead of always running the
-    /// counting kernel. Like the closure cache, the state must be scoped
-    /// to this engine's `(Σ, policy)` compilation — engine builds are
-    /// deterministic, so promotion state (including built dense closures)
-    /// carries soundly across a session's rebuilt query engines.
-    pub fn with_engine_select(mut self, state: Arc<SelectState>) -> Engine<'s> {
-        let mut rels = HashMap::new();
-        for (name, rel) in &self.rels {
-            let pick = state.model().pick(&rel_features(rel));
-            rels.insert(*name, (state.rel(*name), pick));
-        }
-        self.select = Some(EngineSelect { state, rels });
-        self
-    }
-
     /// Replays the [`Engine::with_tables`] build sequence for one
     /// relation against the engine's *current* `sigma`, swapping the
     /// fresh pool in only on success — the commit step of
@@ -913,9 +870,9 @@ impl<'s> Engine<'s> {
     /// interleaved with singleton rounds), relation pools never interact,
     /// and builds are deterministic — so the committed pool, subsumption
     /// flags and provenance are bit-identical to a full rebuild's. On
-    /// success the attached closure cache and tier-selection state are
-    /// invalidated for this relation only (every other relation stays
-    /// warm); on error `self` is unchanged.
+    /// success the attached closure cache is invalidated for this
+    /// relation only (every other relation stays warm); on error `self`
+    /// is unchanged.
     pub(crate) fn rebuild_relation(&mut self, relation: Label) -> Result<(), CoreError> {
         let table = Arc::clone(
             self.tables
@@ -940,11 +897,6 @@ impl<'s> Engine<'s> {
         }
         if let Some(cache) = &self.cache {
             cache.invalidate_relation(relation);
-        }
-        if let Some(sel) = &mut self.select {
-            sel.state.invalidate_relation(relation);
-            let pick = sel.state.model().pick(&rel_features(&rel));
-            sel.rels.insert(relation, (sel.state.rel(relation), pick));
         }
         self.rels.insert(relation, Arc::new(rel));
         Ok(())
@@ -1008,22 +960,14 @@ impl<'s> Engine<'s> {
     /// Does Σ logically imply `goal` (over instances consistent with the
     /// engine's empty-set policy)?
     pub fn implies(&self, goal: &Nfd) -> Result<bool, CoreError> {
-        self.implies_traced(goal).map(|(v, _)| v)
+        self.implies_queried(goal).map(|(v, _)| v)
     }
 
-    /// [`Engine::implies`] plus whether the verdict came from the
-    /// attached closure cache — sessions surface the flag in
-    /// `Decision.cache_hits`. The failpoint and liveness poll sit ahead
-    /// of the cache lookup, so injected faults and cancellation behave
-    /// identically whether or not the closure is cached.
-    pub fn implies_traced(&self, goal: &Nfd) -> Result<(bool, bool), CoreError> {
-        self.implies_queried(goal).map(|(v, t)| (v, t.cache_hit))
-    }
-
-    /// [`Engine::implies`] plus the full [`QueryTrace`] — which tier
-    /// served the query (`None` when reflexivity decided it without
-    /// chaining) and whether the closure came from the cache. Sessions
-    /// surface the trace as `Decision.tier`.
+    /// [`Engine::implies`] plus the [`QueryTrace`]: whether a closure was
+    /// looked up (reflexivity decides some goals first) and whether the
+    /// attached cache answered it. The failpoint and liveness poll sit
+    /// ahead of the cache lookup, so injected faults and cancellation
+    /// behave identically whether or not the closure is cached.
     pub fn implies_queried(&self, goal: &Nfd) -> Result<(bool, QueryTrace), CoreError> {
         fail_point!(
             "engine::implies",
@@ -1033,175 +977,39 @@ impl<'s> Engine<'s> {
         self.budget.check_live().map_err(CoreError::Exhausted)?;
         let (relation, lhs, rhs) = self.normalize_goal(goal)?;
         if lhs.contains(&rhs) {
-            // Reflexivity: no chaining ran, so no tier was selected.
-            return Ok((
-                true,
-                QueryTrace {
-                    tier: None,
-                    cache_hit: false,
-                },
-            ));
+            let trace = QueryTrace {
+                chained: false,
+                cache_hit: false,
+            };
+            return Ok((true, trace));
         }
         let rel = self.rel(relation)?;
-        let (c, trace) = self.chained_goal(rel, &lhs, Some(rhs))?;
+        let (c, trace) = self.chained(rel, &lhs);
         Ok((c.contains(rhs), trace))
     }
 
-    /// Routes one closure query through the tier-selection layer. With no
-    /// layer attached this is exactly the historical path
-    /// ([`Engine::chained_indexed`], reported as [`Tier::Indexed`]).
-    ///
-    /// Routing order, mirroring hotness: a promoted (or forced) dense
-    /// closure answers first — its word-union query is hotter than a
-    /// cache probe, and bypassing the cache keeps dense timings
-    /// insensitive to cache pressure. Otherwise the cache is consulted,
-    /// then the cost model's static tier-0/1 pick (or the forced tier)
-    /// chains. `goal` enables tier 0's early exit on uncached implication
-    /// queries; early-exited closures are partial and are never cached.
-    ///
-    /// Every tier computes the same least fixpoint (see
-    /// [`crate::dense`] and [`kernel::chain_scan`] for the arguments), so
-    /// routing can change latency but never a verdict.
-    fn chained_goal(
-        &self,
-        rel: &RelEngine,
-        x_ids: &[PathId],
-        goal: Option<PathId>,
-    ) -> Result<(PathSet, QueryTrace), CoreError> {
-        let handle_pick = self
-            .select
-            .as_ref()
-            .and_then(|sel| sel.rels.get(&rel.relation).map(|hp| (sel, hp)));
-        let Some((sel, (handle, pick))) = handle_pick else {
-            let (c, hit) = self.chained_indexed(rel, x_ids);
-            return Ok((
-                c,
-                QueryTrace {
-                    tier: Some(Tier::Indexed),
-                    cache_hit: hit,
-                },
-            ));
+    /// The closure `C(X)` of `x_ids` — the one query path behind
+    /// `implies` and `closure`: the attached cache when it holds `X`,
+    /// else the counting kernel ([`RelEngine::chain`]), whose result the
+    /// cache then keeps. Sound because `C(X)` is a pure function of the
+    /// saturated pool and `X`, and chaining consumes no budget counters —
+    /// a hit skips work but can never change a verdict or a
+    /// counter-limited outcome.
+    fn chained(&self, rel: &RelEngine, x_ids: &[PathId]) -> (PathSet, QueryTrace) {
+        let trace = |cache_hit| QueryTrace {
+            chained: true,
+            cache_hit,
         };
-        let queries = handle.record_query();
-        let preference = sel.state.preference();
-        let forced_dense = preference == TierPreference::Fixed(Tier::Dense);
-        let auto_promote = preference == TierPreference::Auto
-            && sel.state.model().should_promote(queries)
-            && !handle.dense_failed();
-        if forced_dense || auto_promote {
-            if let Some(d) = self.dense_handle(rel, handle, forced_dense)? {
-                return Ok((
-                    d.closure(x_ids),
-                    QueryTrace {
-                        tier: Some(Tier::Dense),
-                        cache_hit: false,
-                    },
-                ));
-            }
-        }
-        let tier = match preference {
-            TierPreference::Fixed(Tier::Naive) => Tier::Naive,
-            TierPreference::Fixed(Tier::Indexed) => Tier::Indexed,
-            // A failed auto promotion (or a forced-dense build that could
-            // not happen) falls back to the static cost pick.
-            TierPreference::Auto | TierPreference::Fixed(Tier::Dense) => *pick,
-        };
-        if tier != Tier::Naive {
-            let (c, hit) = self.chained_indexed(rel, x_ids);
-            return Ok((
-                c,
-                QueryTrace {
-                    tier: Some(Tier::Indexed),
-                    cache_hit: hit,
-                },
-            ));
-        }
         let Some(cache) = &self.cache else {
-            // No cache: nothing to poison, so the scan may stop at the
-            // goal (the partial closure is dropped after the verdict).
-            let c = kernel::chain_scan(&rel.deps, rel.table.words(), x_ids, goal);
-            return Ok((
-                c,
-                QueryTrace {
-                    tier: Some(Tier::Naive),
-                    cache_hit: false,
-                },
-            ));
+            return (rel.chain(x_ids, None), trace(false));
         };
         let key = PathSet::from_ids(rel.table.words(), x_ids.iter().copied());
         if let Some(hit) = cache.get(rel.relation, &key) {
-            return Ok((
-                hit,
-                QueryTrace {
-                    tier: Some(Tier::Naive),
-                    cache_hit: true,
-                },
-            ));
-        }
-        let c = kernel::chain_scan(&rel.deps, rel.table.words(), x_ids, None);
-        cache.insert(rel.relation, key, c.clone());
-        Ok((
-            c,
-            QueryTrace {
-                tier: Some(Tier::Naive),
-                cache_hit: false,
-            },
-        ))
-    }
-
-    /// The promoted dense closure for `rel`, building (and charging the
-    /// budget for) it on first use. Under `forced` every build error
-    /// propagates — the caller asked for this tier and deserves the
-    /// honest exhaustion report. Under auto promotion a
-    /// [`ResourceKind::DenseCells`] exhaustion instead latches the
-    /// relation as unpromotable and degrades gracefully to the cost pick
-    /// (`Ok(None)`); liveness faults (deadline, cancellation) still
-    /// propagate, since every query path must observe them.
-    fn dense_handle(
-        &self,
-        rel: &RelEngine,
-        handle: &RelSelect,
-        forced: bool,
-    ) -> Result<Option<Arc<DenseClosure>>, CoreError> {
-        if let Some(d) = handle.dense() {
-            return Ok(Some(d));
-        }
-        match DenseClosure::build(&rel.table, &rel.deps, &self.budget) {
-            Ok(d) => {
-                let d = Arc::new(d);
-                handle.set_dense(Arc::clone(&d));
-                Ok(Some(d))
-            }
-            Err(e) => {
-                if !forced {
-                    if let CoreError::Exhausted(report) = &e {
-                        if report.kind == ResourceKind::DenseCells {
-                            handle.mark_dense_failed();
-                            return Ok(None);
-                        }
-                    }
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// The closure of `x_ids` through the cache when one is attached —
-    /// the tier-1 path, and the engine's historical behaviour. Sound
-    /// because `C(X)` is a pure function of the saturated pool and
-    /// `X`, and chaining consumes no budget counters — a hit skips work
-    /// but can never change a verdict or a counter-limited outcome.
-    fn chained_indexed(&self, rel: &RelEngine, x_ids: &[PathId]) -> (PathSet, bool) {
-        let Some(cache) = &self.cache else {
-            return (rel.chain(x_ids, None), false);
-        };
-        let key = PathSet::from_ids(rel.table.words(), x_ids.iter().copied());
-        if let Some(hit) = cache.get(rel.relation, &key) {
-            return (hit, true);
+            return (hit, trace(true));
         }
         let c = rel.chain(x_ids, None);
         cache.insert(rel.relation, key, c.clone());
-        (c, false)
+        (c, trace(false))
     }
 
     /// The closure `(x0, X, Σ)*` of Appendix A: all rooted paths `x0:q`
@@ -1211,8 +1019,8 @@ impl<'s> Engine<'s> {
         self.closure_traced(base, lhs).map(|(c, _)| c)
     }
 
-    /// [`Engine::closure`] plus the [`QueryTrace`] of the chaining run —
-    /// which tier served it and whether the closure came from the cache.
+    /// [`Engine::closure`] plus the [`QueryTrace`] of the lookup — whether
+    /// the closure came from the cache.
     pub fn closure_traced(
         &self,
         base: &RootedPath,
@@ -1244,7 +1052,7 @@ impl<'s> Engine<'s> {
         }
         x_ids.sort_unstable();
         x_ids.dedup();
-        let (mut c, trace) = self.chained_goal(rel, &x_ids, None)?;
+        let (mut c, trace) = self.chained(rel, &x_ids);
         // Only paths strictly below x0 belong to the closure (q ≥ 1
         // labels relative to x0).
         if let Some(id) = prefix_id {
@@ -1260,65 +1068,6 @@ impl<'s> Engine<'s> {
             (a.path.len(), ka).cmp(&(b.path.len(), kb))
         });
         Ok((out, trace))
-    }
-
-    /// Pre-flight for an analysis sweep (candidate keys) over `rel`:
-    /// builds the dense closure up front when the preference forces it
-    /// (propagating build errors honestly) or when auto promotion is
-    /// already due, so the sweep itself can stay infallible. Auto builds
-    /// degrade like any auto promotion: cell exhaustion latches the
-    /// relation and the sweep falls back to the cost pick.
-    pub(crate) fn prepare_analysis(&self, rel: &RelEngine) -> Result<(), CoreError> {
-        let Some(sel) = &self.select else {
-            return Ok(());
-        };
-        let Some((handle, _)) = sel.rels.get(&rel.relation) else {
-            return Ok(());
-        };
-        match sel.state.preference() {
-            TierPreference::Fixed(Tier::Dense) => {
-                self.dense_handle(rel, handle, true)?;
-            }
-            TierPreference::Auto => {
-                let queries = sel.state.queries(rel.relation);
-                if sel.state.model().should_promote(queries) && !handle.dense_failed() {
-                    self.dense_handle(rel, handle, false)?;
-                }
-            }
-            TierPreference::Fixed(_) => {}
-        }
-        Ok(())
-    }
-
-    /// One chaining step of an analysis sweep, routed by tier: a built
-    /// dense closure answers directly, a (forced or picked) tier 0 runs
-    /// the pass scan, and everything else uses the counting kernel with
-    /// the sweep's reusable scratch. Infallible by design — fallible
-    /// setup happens once in [`Engine::prepare_analysis`] — and each call
-    /// counts toward the relation's promotion threshold, so a hot keys
-    /// sweep warms the same state `implies` promotes on.
-    pub(crate) fn analysis_chain(
-        &self,
-        rel: &RelEngine,
-        x: &[PathId],
-        scratch: &mut ChainScratch,
-    ) -> PathSet {
-        if let Some(sel) = &self.select {
-            if let Some((handle, pick)) = sel.rels.get(&rel.relation) {
-                handle.record_query();
-                if let Some(d) = handle.dense() {
-                    return d.closure(x);
-                }
-                let tier = match sel.state.preference() {
-                    TierPreference::Fixed(t) => t,
-                    TierPreference::Auto => *pick,
-                };
-                if tier == Tier::Naive {
-                    return kernel::chain_scan(&rel.deps, rel.table.words(), x, None);
-                }
-            }
-        }
-        rel.chain_scratch(x, scratch)
     }
 
     /// The resource budget the engine was built under; queries made

@@ -355,66 +355,6 @@ pub(crate) fn chain_counting(
     c
 }
 
-/// Tier-0 forward chaining: the retained naive pass scan, run directly
-/// over the indexed engine's (bit-identical) saturated pool.
-///
-/// Unlike [`chain_counting`] this pays zero per-query setup — no counter
-/// seeding through the occurrence index — which makes it the fastest
-/// option for one-shot queries over small flat pools (the 0.6× case of
-/// BENCH_B14). Two deviations from the naive template, both
-/// fixpoint-preserving:
-///
-/// * **Subsumed entries are skipped.** Every subsumed entry `e'` has an
-///   active same-RHS entry `e` with `lhs(e) ⊆ lhs(e')` (subsumption is
-///   transitive along the replacement chain), and `need_x = lhs \
-///   followers(rhs) \ defined` is monotone in the LHS, so `need_x(e) ⊆
-///   need_x(e')`: whenever `e'` could fire, `e` already can. The least
-///   fixpoint is unchanged; only `fired` maps would differ, and this
-///   scan never produces them (provenance always runs the counting
-///   kernel).
-/// * **Optional early exit.** With `stop_at = Some(goal)`, the scan
-///   returns as soon as `goal` joins the closure — sound for implication
-///   queries (`goal ∈ C(X)` is monotone under continued chaining) but
-///   the returned set is *partial*, so callers must never cache it.
-pub(crate) fn chain_scan(
-    deps: &[crate::engine::CDep],
-    words: usize,
-    x: &[PathId],
-    stop_at: Option<PathId>,
-) -> PathSet {
-    let x_set = PathSet::from_ids(words, x.iter().copied());
-    let mut c = x_set.clone();
-    if let Some(goal) = stop_at {
-        if c.contains(goal) {
-            return c;
-        }
-    }
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for d in deps {
-            if d.subsumed {
-                continue;
-            }
-            if c.contains(d.rhs) {
-                continue;
-            }
-            if !d.lhs.is_subset(&c) {
-                continue;
-            }
-            if !d.need_x.is_subset(&x_set) {
-                continue;
-            }
-            c.insert(d.rhs);
-            if stop_at == Some(d.rhs) {
-                return c;
-            }
-            changed = true;
-        }
-    }
-    c
-}
-
 /// Statistics of a [`ClosureCache`] — monotone hit/miss counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {

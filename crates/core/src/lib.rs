@@ -49,7 +49,6 @@ pub mod analysis;
 pub mod closure;
 pub mod construct;
 pub mod delta;
-pub mod dense;
 pub mod emptyset;
 pub mod engine;
 pub mod error;
@@ -65,11 +64,10 @@ pub mod simple;
 pub mod view;
 
 pub use delta::DeltaReport;
-pub use dense::DenseClosure;
 pub use emptyset::EmptySetPolicy;
-pub use engine::SchemaRef;
+pub use engine::{QueryTrace, SchemaRef};
 pub use error::CoreError;
 pub use kernel::{CacheStats, ClosureCache, DEFAULT_CLOSURE_CACHE_CAPACITY};
 pub use nfd::Nfd;
 pub use satisfy::{check, SatisfyReport, Violation};
-pub use select::{CostFeatures, CostModel, QueryTrace, SelectState, Tier, TierPreference};
+pub use select::{Tier, TierPreference};

@@ -94,11 +94,6 @@ pub enum ResourceKind {
     Assignments,
     /// Candidate subsets enumerated by the key search.
     KeyCandidates,
-    /// Dense closure-matrix cells built when a relation is promoted to
-    /// the specialized query tier (`nfd-core`'s Tier 2). Charged at
-    /// promotion time so a tier build can never blow a deadline or
-    /// memory budget unnoticed.
-    DenseCells,
     /// Wall-clock deadline.
     Deadline,
     /// Explicit cancellation via a [`CancelToken`].
@@ -117,7 +112,6 @@ impl ResourceKind {
             ResourceKind::ChaseNulls => "chase nulls",
             ResourceKind::Assignments => "assignment enumerations",
             ResourceKind::KeyCandidates => "key candidates",
-            ResourceKind::DenseCells => "dense closure-matrix cells",
             ResourceKind::Deadline => "wall-clock deadline",
             ResourceKind::Cancelled => "cancellation",
             ResourceKind::Injected => "injected fault",
@@ -189,8 +183,6 @@ pub struct Budget {
     pub max_assignments: u64,
     /// Max candidate subsets enumerated by the key search.
     pub max_key_candidates: u64,
-    /// Max dense closure-matrix cells built per tier promotion.
-    pub max_dense_cells: u64,
     deadline: Option<Instant>,
     /// The duration the deadline was configured from, kept so exhaustion
     /// reports can say *which* timeout tripped ("deadline of 50 ms
@@ -209,7 +201,6 @@ impl Budget {
             max_chase_nulls: u64::MAX,
             max_assignments: u64::MAX,
             max_key_candidates: u64::MAX,
-            max_dense_cells: u64::MAX,
             deadline: None,
             timeout: None,
             cancel: CancelToken::new(),
@@ -236,7 +227,6 @@ impl Budget {
             max_chase_nulls: n,
             max_assignments: n,
             max_key_candidates: n,
-            max_dense_cells: n,
             ..Budget::unlimited()
         }
     }
@@ -308,7 +298,6 @@ impl Budget {
             ResourceKind::ChaseNulls => self.max_chase_nulls,
             ResourceKind::Assignments => self.max_assignments,
             ResourceKind::KeyCandidates => self.max_key_candidates,
-            ResourceKind::DenseCells => self.max_dense_cells,
             ResourceKind::Deadline | ResourceKind::Cancelled | ResourceKind::Injected => u64::MAX,
         }
     }
@@ -344,7 +333,6 @@ impl Budget {
         next.max_chase_nulls = scale(self.max_chase_nulls);
         next.max_assignments = scale(self.max_assignments);
         next.max_key_candidates = scale(self.max_key_candidates);
-        next.max_dense_cells = scale(self.max_dense_cells);
         if let Some(t) = self.timeout {
             let ms = t.as_millis().min(u64::MAX as u128) as u64;
             return next.with_timeout(Duration::from_millis(scale(ms)));

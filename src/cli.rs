@@ -106,15 +106,15 @@ pub fn run(args: &[String], out: &mut String) -> i32 {
 
 const USAGE: &str = "usage:
   nfdtool check    --schema FILE --deps FILE --instance FILE
-  nfdtool implies  --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--retry N [--escalate F]] [--engine E] [--snapshot FILE [--thaw-min-bytes N]] [--add-dep NFD]… [--drop-dep NFD]… NFD
-  nfdtool implies  --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--threads N] [--retry N [--escalate F]] [--engine E] [--snapshot FILE] [--add-dep NFD]… [--drop-dep NFD]… --goals FILE
-  nfdtool prove    --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--engine E] [--snapshot FILE] [--add-dep NFD]… [--drop-dep NFD]… NFD
-  nfdtool closure  --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--engine E] [--snapshot FILE] [--add-dep NFD]… [--drop-dep NFD]… --base PATH [--lhs P1,P2,…]
+  nfdtool implies  --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--retry N [--escalate F]] [--snapshot FILE [--thaw-min-bytes N]] [--add-dep NFD]… [--drop-dep NFD]… NFD
+  nfdtool implies  --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--threads N] [--retry N [--escalate F]] [--snapshot FILE] [--add-dep NFD]… [--drop-dep NFD]… --goals FILE
+  nfdtool prove    --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--snapshot FILE] [--add-dep NFD]… [--drop-dep NFD]… NFD
+  nfdtool closure  --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--snapshot FILE] [--add-dep NFD]… [--drop-dep NFD]… --base PATH [--lhs P1,P2,…]
   nfdtool witness  --schema FILE --deps FILE --base PATH [--lhs P1,P2,…]
-  nfdtool keys     --schema FILE --deps FILE --relation NAME [--budget N] [--timeout-ms T] [--threads N] [--engine E] [--snapshot FILE] [--add-dep NFD]… [--drop-dep NFD]…
+  nfdtool keys     --schema FILE --deps FILE --relation NAME [--budget N] [--timeout-ms T] [--threads N] [--snapshot FILE] [--add-dep NFD]… [--drop-dep NFD]…
   nfdtool analyze  --schema FILE --deps FILE
   nfdtool render   --schema FILE --instance FILE
-  nfdtool snapshot --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--engine E] [--add-dep NFD]… [--drop-dep NFD]… --out FILE
+  nfdtool snapshot --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--add-dep NFD]… [--drop-dep NFD]… --out FILE
   nfdtool serve    --addr HOST:PORT [--max-resident N] [--max-inflight N] [--queue N] [--quota N] [--budget N] [--timeout-ms T] [--workers N]
 
   --goals FILE decides every NFD of the (semicolon-separated) file against
@@ -148,15 +148,6 @@ const USAGE: &str = "usage:
   relation it names — incremental delta maintenance, bit-identical to
   recompiling from the mutated --deps file — so queries after the flags
   see exactly the mutated Σ.
-
-  --engine E picks the closure-query engine tier: `auto` (the default —
-  a cost model routes each query between the naive scan and the indexed
-  kernel, and promotes repeatedly-queried relations to a precomputed
-  dense tier), or a forced `naive`, `indexed` or `dense`. Every tier
-  returns bit-identical verdicts; the flag exists for debugging and
-  differential testing, and giving it makes the tool report which tier
-  served each query. A forced `dense` charges the closure-matrix build
-  to the budget and reports exhaustion honestly instead of falling back.
 
   snapshot compiles the session and writes it — interned path tables,
   the saturated Σ pool with full provenance, the empty-set policy and
@@ -207,7 +198,6 @@ struct Opts {
     threads: Option<String>,
     retry: Option<String>,
     escalate: Option<String>,
-    engine: Option<String>,
     addr: Option<String>,
     max_resident: Option<String>,
     max_inflight: Option<String>,
@@ -248,7 +238,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         threads: None,
         retry: None,
         escalate: None,
-        engine: None,
         addr: None,
         max_resident: None,
         max_inflight: None,
@@ -284,7 +273,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--threads" => o.threads = Some(take(&mut i)?),
             "--retry" => o.retry = Some(take(&mut i)?),
             "--escalate" => o.escalate = Some(take(&mut i)?),
-            "--engine" => o.engine = Some(take(&mut i)?),
             "--addr" => o.addr = Some(take(&mut i)?),
             "--max-resident" => o.max_resident = Some(take(&mut i)?),
             "--max-inflight" => o.max_inflight = Some(take(&mut i)?),
@@ -404,16 +392,6 @@ fn parse_retry(o: &Opts) -> Result<Option<RetryPolicy>, String> {
     Ok(Some(policy))
 }
 
-/// Parses `--engine {auto,naive,indexed,dense}` into a
-/// [`TierPreference`]; `auto` (the default without the flag) routes
-/// through the cost model with dense-tier promotion on hot relations.
-fn parse_engine(o: &Opts) -> Result<TierPreference, String> {
-    match o.engine.as_deref() {
-        None => Ok(TierPreference::Auto),
-        Some(text) => TierPreference::parse(text).map_err(|e| format!("--engine: {e}")),
-    }
-}
-
 /// Applies `--add-dep` / `--drop-dep` mutations to a compiled session:
 /// every `--add-dep` first (in flag order), then every `--drop-dep`.
 /// Each mutation re-saturates only the relation it names (the rest of
@@ -436,12 +414,6 @@ fn apply_mutations(session: &mut Session, schema: &Schema, o: &Opts) -> Result<(
     Ok(())
 }
 
-/// Attempts the `--snapshot FILE` warm start. `None` means "compile
-/// fresh": either the flag was absent, or the image was rejected —
-/// unreadable, corrupt, truncated, version-skewed, or frozen from a
-/// different schema/Σ/policy. Rejection is graceful degradation, not an
-/// error: the typed reason is logged to `out` and the caller proceeds
-/// with an ordinary [`Session::with_tiers`] compile.
 /// Image-size floor (bytes) below which `--snapshot` compiles fresh by
 /// default. B17 measured the crossover honestly: a 7-NFD Course image
 /// (1.6 KiB) thaws at 0.4–0.5× a fresh compile — decode + checksum +
@@ -452,13 +424,18 @@ fn apply_mutations(session: &mut Session, schema: &Schema, o: &Opts) -> Result<(
 /// `--thaw-min-bytes` moves it (0 disables the gate).
 const DEFAULT_THAW_MIN_BYTES: u64 = 16 * 1024;
 
+/// Attempts the `--snapshot FILE` warm start. `None` means "compile
+/// fresh": either the flag was absent, or the image was rejected —
+/// unreadable, corrupt, truncated, version-skewed, or frozen from a
+/// different schema/Σ/policy. Rejection is graceful degradation, not an
+/// error: the typed reason is logged to `out` and the caller proceeds
+/// with an ordinary [`Session::with_budget`] compile.
 fn thaw_from_flag<'s>(
     o: &Opts,
     schema: &'s Schema,
     sigma: &[Nfd],
     policy: &nfd_core::EmptySetPolicy,
     budget: &Budget,
-    preference: TierPreference,
     out: &mut String,
 ) -> Option<Session<'s>> {
     let path = o.snapshot.as_deref()?;
@@ -491,7 +468,7 @@ fn thaw_from_flag<'s>(
             sigma,
             policy.clone(),
             budget.clone(),
-            preference,
+            TierPreference::Auto,
             &snapshot,
         )
         .map(Some)
@@ -555,7 +532,6 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
             let sigma = load_deps(&o, &schema)?;
             let policy = parse_policy(&o)?;
             let mut budget = parse_budget(&o)?;
-            let preference = parse_engine(&o)?;
             let retry = if cmd == "implies" {
                 parse_retry(&o)?
             } else {
@@ -566,18 +542,12 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
             // to even build escalates here, and the queries then run
             // under the budget that let the build finish. A `--snapshot`
             // warm start replaces the compile when the image is accepted.
-            let thawed = thaw_from_flag(&o, &schema, &sigma, &policy, &budget, preference, out);
+            let thawed = thaw_from_flag(&o, &schema, &sigma, &policy, &budget, out);
             let mut build_round: u32 = 0;
             let mut session = match thawed {
                 Some(s) => s,
                 None => loop {
-                    match Session::with_tiers(
-                        &schema,
-                        &sigma,
-                        policy.clone(),
-                        budget.clone(),
-                        preference,
-                    ) {
+                    match Session::with_budget(&schema, &sigma, policy.clone(), budget.clone()) {
                         Ok(s) => break s,
                         Err(CoreError::Exhausted(r))
                             if r.kind != nfd_govern::ResourceKind::Cancelled
@@ -633,23 +603,6 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
                         }
                     }
                 }
-                // Tier report, only when the user opted in with --engine
-                // (existing outputs stay byte-identical without it).
-                if o.engine.is_some() {
-                    let (mut naive, mut indexed, mut dense, mut none) = (0usize, 0, 0, 0);
-                    for d in batch.decisions.iter().filter_map(|d| d.as_ref().ok()) {
-                        match d.tier {
-                            Some(nfd_core::Tier::Naive) => naive += 1,
-                            Some(nfd_core::Tier::Indexed) => indexed += 1,
-                            Some(nfd_core::Tier::Dense) => dense += 1,
-                            None => none += 1,
-                        }
-                    }
-                    let _ = writeln!(
-                        out,
-                        "(engine tiers: naive={naive} indexed={indexed} dense={dense} none={none})"
-                    );
-                }
                 let implied = batch.implied_count();
                 let exhausted = batch.exhausted_count();
                 let failed = batch.failed_count();
@@ -694,13 +647,6 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
                                 if retries == 1 { "y" } else { "ies" }
                             );
                         }
-                        if o.engine.is_some() {
-                            let _ = writeln!(
-                                out,
-                                "(engine tier: {})",
-                                decision.tier.map_or("none", |t| t.name())
-                            );
-                        }
                         Ok(if yes { 0 } else { 1 })
                     }
                     None => {
@@ -720,12 +666,6 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
                             .verify(&pf)
                             .map_err(|e| format!("internal: certificate rejected: {e}"))?;
                         let _ = write!(out, "{pf}");
-                        if o.engine.is_some() {
-                            let _ = writeln!(
-                                out,
-                                "(proof replay always uses the indexed kernel; --engine governs implication queries)"
-                            );
-                        }
                         Ok(0)
                     }
                     None => {
@@ -743,26 +683,16 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
             let lhs = parse_lhs(&o)?;
             let policy = parse_policy(&o)?;
             let budget = parse_budget(&o)?;
-            let preference = parse_engine(&o)?;
-            let mut session =
-                match thaw_from_flag(&o, &schema, &sigma, &policy, &budget, preference, out) {
-                    Some(s) => s,
-                    None => Session::with_tiers(&schema, &sigma, policy, budget, preference)
-                        .map_err(core_fail)?,
-                };
+            let mut session = match thaw_from_flag(&o, &schema, &sigma, &policy, &budget, out) {
+                Some(s) => s,
+                None => Session::with_budget(&schema, &sigma, policy, budget).map_err(core_fail)?,
+            };
             apply_mutations(&mut session, &schema, &o)?;
-            let (cl, trace) = session.closure_traced(&base, &lhs).map_err(core_fail)?;
+            let cl = session.closure(&base, &lhs).map_err(core_fail)?;
             for p in &cl {
                 let _ = writeln!(out, "{p}");
             }
             let _ = writeln!(out, "({} paths)", cl.len());
-            if o.engine.is_some() {
-                let _ = writeln!(
-                    out,
-                    "(engine tier: {})",
-                    trace.tier.map_or("none", |t| t.name())
-                );
-            }
             Ok(0)
         }
         "witness" => {
@@ -805,14 +735,11 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
             let rel_text = o.relation.as_deref().ok_or("--relation is required")?;
             let relation = nfd_model::Label::new(rel_text);
             let budget = parse_budget(&o)?;
-            let preference = parse_engine(&o)?;
             let policy = nfd_core::EmptySetPolicy::Forbidden;
-            let mut session =
-                match thaw_from_flag(&o, &schema, &sigma, &policy, &budget, preference, out) {
-                    Some(s) => s,
-                    None => Session::with_tiers(&schema, &sigma, policy, budget, preference)
-                        .map_err(core_fail)?,
-                };
+            let mut session = match thaw_from_flag(&o, &schema, &sigma, &policy, &budget, out) {
+                Some(s) => s,
+                None => Session::with_budget(&schema, &sigma, policy, budget).map_err(core_fail)?,
+            };
             apply_mutations(&mut session, &schema, &o)?;
             let threads = parse_threads(&o)?;
             let keys = session
@@ -826,17 +753,6 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
                 );
             }
             let _ = writeln!(out, "({} candidate keys of size ≤ 4)", keys.len());
-            if o.engine.is_some() {
-                let _ = writeln!(
-                    out,
-                    "(engine: {preference}, dense closure built: {})",
-                    if session.select_state().dense_built(relation) {
-                        "yes"
-                    } else {
-                        "no"
-                    }
-                );
-            }
             Ok(0)
         }
         "analyze" => {
@@ -882,10 +798,9 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
             let sigma = load_deps(&o, &schema)?;
             let policy = parse_policy(&o)?;
             let budget = parse_budget(&o)?;
-            let preference = parse_engine(&o)?;
             let out_path = o.out.as_deref().ok_or("--out is required")?;
-            let mut session = Session::with_tiers(&schema, &sigma, policy, budget, preference)
-                .map_err(core_fail)?;
+            let mut session =
+                Session::with_budget(&schema, &sigma, policy, budget).map_err(core_fail)?;
             apply_mutations(&mut session, &schema, &o)?;
             let image = session.freeze();
             let bytes = nfd_snap::encode(&image);

@@ -66,8 +66,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use nfd_core::{
-    ClosureCache, CoreError, DeltaReport, EmptySetPolicy, Nfd, TierPreference,
-    DEFAULT_CLOSURE_CACHE_CAPACITY,
+    ClosureCache, CoreError, DeltaReport, EmptySetPolicy, Nfd, DEFAULT_CLOSURE_CACHE_CAPACITY,
 };
 use nfd_faults::fail_point;
 use nfd_govern::{Budget, Verdict};
@@ -305,7 +304,6 @@ impl Registry {
             &sigma,
             EmptySetPolicy::Forbidden,
             self.build_budget(),
-            TierPreference::Auto,
             cache,
             None,
         ) {
@@ -357,15 +355,7 @@ impl Registry {
             Err(e) => return reject(format!("restore: deps: {e}")),
         };
         let image = (!salvaged.degraded).then_some(snap);
-        match Session::owned(
-            schema,
-            &sigma,
-            policy,
-            self.build_budget(),
-            TierPreference::Auto,
-            cache,
-            image,
-        ) {
+        match Session::owned(schema, &sigma, policy, self.build_budget(), cache, image) {
             Ok((session, thawed)) => {
                 self.adopt(name, session);
                 if thawed {
@@ -1412,6 +1402,24 @@ mod tests {
             "tenant_cache=[t:",
         ] {
             assert!(stats.contains(field), "missing `{field}` in: {stats}");
+        }
+        // A hot goal stays on the closure cache however often it is
+        // read: every IMPLIES after the first is one more hit.
+        let hits = || {
+            let stats = reg.stats_line();
+            stats
+                .split_whitespace()
+                .find_map(|f| f.strip_prefix("closure_hits="))
+                .and_then(|v| v.parse::<u64>().ok())
+                .unwrap_or_else(|| panic!("no closure_hits in: {stats}"))
+        };
+        assert!(reg.handle(cmd("IMPLIES t R:[A -> C]")).is_ok());
+        let mut before = hits();
+        for read in 2..=16 {
+            assert!(reg.handle(cmd("IMPLIES t R:[A -> C]")).is_ok());
+            let now = hits();
+            assert_eq!(now, before + 1, "read {read} missed the closure cache");
+            before = now;
         }
         reg.on_shutdown();
     }

@@ -27,7 +27,7 @@ use nfd_core::engine::Engine;
 use nfd_core::proof::{self, Proof};
 use nfd_core::{
     analysis, construct, satisfy, CacheStats, ClosureCache, CoreError, DeltaReport, EmptySetPolicy,
-    Nfd, QueryTrace, SatisfyReport, SchemaRef, SelectState, Tier, TierPreference,
+    Nfd, QueryTrace, SatisfyReport, SchemaRef, Tier, TierPreference,
     DEFAULT_CLOSURE_CACHE_CAPACITY,
 };
 use nfd_faults::fail_point;
@@ -259,19 +259,19 @@ pub struct Decision {
     /// sibling goals racing in a batch — so equality ignores this field,
     /// keeping batch results bit-identical at every thread count.
     pub cache_hits: u64,
-    /// Which engine tier served the saturation attempt's closure query
-    /// (`None` when saturation never chained: reflexivity answered, the
-    /// build failed, or another decider produced the verdict). Like
-    /// `cache_hits` this is cost metadata — promotion state depends on
-    /// query history, including sibling goals racing in a batch — so
+    /// `Some(Tier::Indexed)` when the saturation attempt looked a closure
+    /// up, `None` when it never did (reflexivity answered, the build
+    /// failed, or another decider produced the verdict). Every lookup
+    /// takes the one closure path, so the field stays only for the
+    /// benchmark, which counts decisions per [`Tier`]; like `cache_hits`,
     /// equality ignores it.
     pub tier: Option<Tier>,
     /// True on the first decision a session produces after
-    /// [`Session::reconfigure`] discarded the closure cache, the
-    /// candidate-keys memo and the tier promotion counters — the signal
-    /// that explains the latency cliff of re-warming them. Timing
-    /// metadata (exactly one decision after the rebuild observes it, in
-    /// racing batches an arbitrary one), so equality ignores it.
+    /// [`Session::reconfigure`] discarded the closure cache and the
+    /// candidate-keys memo — the signal that explains the latency cliff
+    /// of re-warming them. Timing metadata (exactly one decision after
+    /// the rebuild observes it, in racing batches an arbitrary one), so
+    /// equality ignores it.
     pub caches_invalidated: bool,
 }
 
@@ -482,13 +482,6 @@ pub struct Session<'s> {
     /// Only successful sweeps are memoized: exhaustion must re-run.
     keys_memo: Mutex<Vec<KeysMemoEntry>>,
     keys_memo_hits: AtomicU64,
-    /// Shared tier-selection state (routing preference, cost model,
-    /// per-relation promotion counters and built dense closures),
-    /// attached to the resident engine and to every rebuilt query engine
-    /// so promotion hysteresis survives per-query rebuilds. Scoped to one
-    /// `(Σ, policy)` compilation exactly like `cache`;
-    /// [`Session::reconfigure`] makes a fresh one.
-    select: Arc<SelectState>,
     /// Latched true by [`Session::reconfigure`] on the session it
     /// returns; the first decision produced drains it into
     /// [`Decision::caches_invalidated`].
@@ -510,14 +503,13 @@ impl Session<'static> {
     ///
     /// With `snapshot` it thaws under exactly the validation of
     /// [`Session::thaw_cached`], compiling `sigma` fresh if the thaw is
-    /// rejected; without one it compiles as [`Session::with_tiers_cached`]
+    /// rejected; without one it compiles as [`Session::with_budget_cached`]
     /// does. The flag is true when the session came from the snapshot.
     pub fn owned(
         schema: Arc<Schema>,
         sigma: &[Nfd],
         policy: EmptySetPolicy,
         budget: Budget,
-        preference: TierPreference,
         cache: Arc<ClosureCache>,
         snapshot: Option<&nfd_snap::Snapshot>,
     ) -> Result<(Session<'static>, bool), CoreError> {
@@ -527,7 +519,6 @@ impl Session<'static> {
                 sigma,
                 policy.clone(),
                 budget.clone(),
-                preference,
                 image,
                 Arc::clone(&cache),
             );
@@ -535,14 +526,7 @@ impl Session<'static> {
                 return Ok((session, true));
             }
         }
-        let session = Session::compiled(
-            SchemaRef::Shared(schema),
-            sigma,
-            policy,
-            budget,
-            preference,
-            cache,
-        )?;
+        let session = Session::compiled(SchemaRef::Shared(schema), sigma, policy, budget, cache)?;
         Ok((session, false))
     }
 }
@@ -574,27 +558,23 @@ impl<'s> Session<'s> {
         policy: EmptySetPolicy,
         budget: Budget,
     ) -> Result<Session<'s>, CoreError> {
-        Session::with_tiers(schema, sigma, policy, budget, TierPreference::Auto)
+        let cache = Arc::new(ClosureCache::with_capacity(DEFAULT_CLOSURE_CACHE_CAPACITY));
+        Session::with_budget_cached(schema, sigma, policy, budget, cache)
     }
 
-    /// [`Session::with_budget`] with an explicit engine-tier routing
-    /// preference — the session-level form of the CLI's `--engine` flag.
-    /// [`TierPreference::Auto`] (what every other constructor uses)
-    /// routes each query through the cost model with promotion to the
-    /// dense tier on hot relations; `Fixed(t)` forces tier `t` for
-    /// debugging and differential testing.
+    /// [`Session::with_budget`]. The ignored [`TierPreference`] stays
+    /// only for the benchmark, which still calls this form.
     pub fn with_tiers(
         schema: &'s Schema,
         sigma: &[Nfd],
         policy: EmptySetPolicy,
         budget: Budget,
-        preference: TierPreference,
+        _preference: TierPreference,
     ) -> Result<Session<'s>, CoreError> {
-        let cache = Arc::new(ClosureCache::with_capacity(DEFAULT_CLOSURE_CACHE_CAPACITY));
-        Session::with_tiers_cached(schema, sigma, policy, budget, preference, cache)
+        Session::with_budget(schema, sigma, policy, budget)
     }
 
-    /// [`Session::with_tiers`] with a caller-supplied closure cache — the
+    /// [`Session::with_budget`] with a caller-supplied closure cache — the
     /// sharing hook behind `nfdtool serve`'s cross-tenant cache pool.
     ///
     /// Sharing one cache between sessions is sound exactly when they were
@@ -605,22 +585,14 @@ impl<'s> Session<'s> {
     /// the soundness note on [`nfd_core::ClosureCache`]). Callers that
     /// mutate Σ afterwards must NOT share the cache (the serve layer
     /// gives mutated epochs a private one for this reason).
-    pub fn with_tiers_cached(
+    pub fn with_budget_cached(
         schema: &'s Schema,
         sigma: &[Nfd],
         policy: EmptySetPolicy,
         budget: Budget,
-        preference: TierPreference,
         cache: Arc<ClosureCache>,
     ) -> Result<Session<'s>, CoreError> {
-        Session::compiled(
-            SchemaRef::Borrowed(schema),
-            sigma,
-            policy,
-            budget,
-            preference,
-            cache,
-        )
+        Session::compiled(SchemaRef::Borrowed(schema), sigma, policy, budget, cache)
     }
 
     fn compiled(
@@ -628,7 +600,6 @@ impl<'s> Session<'s> {
         sigma: &[Nfd],
         policy: EmptySetPolicy,
         budget: Budget,
-        preference: TierPreference,
         cache: Arc<ClosureCache>,
     ) -> Result<Session<'s>, CoreError> {
         let engine = catch_unwind(AssertUnwindSafe(|| {
@@ -638,21 +609,17 @@ impl<'s> Session<'s> {
         .map_err(|p| {
             CoreError::Internal(format!("engine build panicked: {}", panic_message(p)))
         })??;
-        Ok(Session::around(engine, cache, preference))
+        Ok(Session::around(engine, cache))
     }
 
-    /// Wraps a freshly built engine: attaches `cache` and fresh
-    /// tier-selection state, with an empty candidate-keys memo.
-    fn around(engine: Engine<'s>, cache: Arc<ClosureCache>, preference: TierPreference) -> Self {
-        let select = Arc::new(SelectState::new(preference));
+    /// Wraps a freshly built engine: attaches `cache`, with an empty
+    /// candidate-keys memo.
+    fn around(engine: Engine<'s>, cache: Arc<ClosureCache>) -> Self {
         Session {
-            engine: engine
-                .with_closure_cache(Arc::clone(&cache))
-                .with_engine_select(Arc::clone(&select)),
+            engine: engine.with_closure_cache(Arc::clone(&cache)),
             cache,
             keys_memo: Mutex::new(Vec::new()),
             keys_memo_hits: AtomicU64::new(0),
-            select,
             caches_invalidated: AtomicBool::new(false),
         }
     }
@@ -662,7 +629,7 @@ impl<'s> Session<'s> {
     /// round trip returns, without replaying anything: the same Σ and
     /// policy, the very same saturated pools (shared, see
     /// [`Engine::fork`]), a private closure cache seeded with this one's
-    /// entries, fresh tier-selection state and an empty keys memo.
+    /// entries and an empty keys memo.
     ///
     /// `add_deps`/`remove_deps` on the fork rebuild the touched relation
     /// into a new pool and invalidate only the fork's own caches, so
@@ -670,7 +637,7 @@ impl<'s> Session<'s> {
     pub fn fork(&self) -> Session<'s> {
         let cache = Arc::new(ClosureCache::with_capacity(DEFAULT_CLOSURE_CACHE_CAPACITY));
         cache.import(self.cache.export());
-        Session::around(self.engine.fork(), cache, self.select.preference())
+        Session::around(self.engine.fork(), cache)
     }
 
     /// Freezes this session's compiled state into a portable
@@ -688,32 +655,35 @@ impl<'s> Session<'s> {
     /// Rebuilds a session from a [`Session::freeze`] snapshot, skipping
     /// the saturation fixpoint — the warm-start path.
     ///
-    /// The caller supplies the live `(schema, sigma, policy, budget,
-    /// preference)` exactly as for [`Session::with_tiers`]; the snapshot
-    /// must match them or thawing fails with a typed
+    /// The caller supplies the live `(schema, sigma, policy, budget)`
+    /// exactly as for [`Session::with_budget`]; the snapshot must match
+    /// them or thawing fails with a typed
     /// [`SnapError::Mismatch`] — the schema/Σ/policy texts are compared
     /// against the embedded ones, the path tables are recompiled and
     /// required to be bit-identical to the embedded matrices, the pools
     /// replay through the engine's own validated `add` path, and cache
     /// entries are range-checked before import. A rejected thaw leaves
     /// nothing behind: callers fall back to a fresh compile
-    /// ([`Session::with_tiers`]) and the degradation is an event to
+    /// ([`Session::with_budget`]) and the degradation is an event to
     /// report, not a failure. Thawed sessions are bit-identical to
     /// freshly compiled ones (proved by `tests/snapshot_differential.rs`).
+    ///
+    /// The [`TierPreference`] is ignored; the parameter stays only for the
+    /// benchmark, which still passes it.
     pub fn thaw(
         schema: &'s Schema,
         sigma: &[Nfd],
         policy: EmptySetPolicy,
         budget: Budget,
-        preference: TierPreference,
+        _preference: TierPreference,
         snapshot: &nfd_snap::Snapshot,
     ) -> Result<Session<'s>, nfd_snap::SnapError> {
         let cache = Arc::new(ClosureCache::with_capacity(DEFAULT_CLOSURE_CACHE_CAPACITY));
-        Session::thaw_cached(schema, sigma, policy, budget, preference, snapshot, cache)
+        Session::thaw_cached(schema, sigma, policy, budget, snapshot, cache)
     }
 
     /// [`Session::thaw`] with a caller-supplied closure cache, under the
-    /// same sharing contract as [`Session::with_tiers_cached`]. The
+    /// same sharing contract as [`Session::with_budget_cached`]. The
     /// snapshot's validated cache entries are imported *into* the shared
     /// cache — sound because they were computed over the same `(schema,
     /// Σ, policy)` the thaw verifies against.
@@ -722,7 +692,6 @@ impl<'s> Session<'s> {
         sigma: &[Nfd],
         policy: EmptySetPolicy,
         budget: Budget,
-        preference: TierPreference,
         snapshot: &nfd_snap::Snapshot,
         cache: Arc<ClosureCache>,
     ) -> Result<Session<'s>, nfd_snap::SnapError> {
@@ -731,7 +700,6 @@ impl<'s> Session<'s> {
             sigma,
             policy,
             budget,
-            preference,
             snapshot,
             cache,
         )
@@ -742,7 +710,6 @@ impl<'s> Session<'s> {
         sigma: &[Nfd],
         policy: EmptySetPolicy,
         budget: Budget,
-        preference: TierPreference,
         snapshot: &nfd_snap::Snapshot,
         cache: Arc<ClosureCache>,
     ) -> Result<Session<'s>, nfd_snap::SnapError> {
@@ -776,7 +743,7 @@ impl<'s> Session<'s> {
         })?
         .map_err(|e| SnapError::Mismatch(format!("snapshot replay rejected: {e}")))?;
         cache.import(imports);
-        Ok(Session::around(engine, cache, preference))
+        Ok(Session::around(engine, cache))
     }
 
     /// Re-compiles this session's Σ under a different empty-set policy,
@@ -785,12 +752,9 @@ impl<'s> Session<'s> {
     pub fn reconfigure(&self, policy: EmptySetPolicy) -> Result<Session<'s>, CoreError> {
         // A fresh cache and memo: closures are policy-dependent, and the
         // cache key deliberately leaves the policy implicit in the cache's
-        // scope (see the `cache` field docs). Tier promotion state is
-        // policy-scoped for the same reason — dense closures are built
-        // from the policy's saturated pool — so the counters reset and
-        // every relation starts cold; the returned session's first
-        // decision carries `caches_invalidated` to explain the re-warming
-        // cliff.
+        // scope (see the `cache` field docs). Every relation starts cold;
+        // the returned session's first decision carries
+        // `caches_invalidated` to explain the re-warming cliff.
         let cache = Arc::new(ClosureCache::with_capacity(DEFAULT_CLOSURE_CACHE_CAPACITY));
         let engine = Engine::compile(
             self.engine.schema_ref().clone(),
@@ -799,7 +763,7 @@ impl<'s> Session<'s> {
             policy,
             self.engine.budget().clone(),
         )?;
-        let session = Session::around(engine, cache, self.select.preference());
+        let session = Session::around(engine, cache);
         session.caches_invalidated.store(true, Ordering::Relaxed);
         Ok(session)
     }
@@ -808,8 +772,8 @@ impl<'s> Session<'s> {
     /// engine incrementally ([`nfd_core::delta`]): only the relations the
     /// deps name are re-saturated (bit-identical to a from-scratch
     /// compile over the extended Σ), and invalidation is scoped — the
-    /// closure cache, dense rows, promotion counters and candidate-key
-    /// memo drop their entries for the touched relations only, while
+    /// closure cache and candidate-key memo drop their entries for the
+    /// touched relations only, while
     /// every other relation's stay warm. The `caches_invalidated` latch
     /// is extended so the next decision reports the re-warming cliff.
     ///
@@ -858,7 +822,7 @@ impl<'s> Session<'s> {
     }
 
     /// The session's closure cache handle — lets an embedder observe the
-    /// cache a [`Session::with_tiers_cached`] pool shares, or hand it to
+    /// cache a [`Session::with_budget_cached`] pool shares, or hand it to
     /// the next compatible session.
     pub fn closure_cache(&self) -> &Arc<ClosureCache> {
         &self.cache
@@ -867,13 +831,6 @@ impl<'s> Session<'s> {
     /// How many candidate-key sweeps were answered from the session memo.
     pub fn keys_memo_hits(&self) -> u64 {
         self.keys_memo_hits.load(Ordering::Relaxed)
-    }
-
-    /// The session's shared tier-selection state: routing preference,
-    /// cost model and per-relation promotion observability
-    /// ([`SelectState::queries`], [`SelectState::dense_built`]).
-    pub fn select_state(&self) -> &SelectState {
-        &self.select
     }
 
     /// The schema this session reasons over.
@@ -989,14 +946,10 @@ impl<'s> Session<'s> {
                 budget.clone(),
             )
         })) {
-            // Rebuilt query engines share the session cache and tier
-            // state: builds are deterministic per (Σ, policy), so every
-            // rebuild saturates the same pool, the cached closures remain
-            // exact, and promotion counters (plus built dense closures)
-            // carry over — the hysteresis that makes promotion stick.
-            Ok(Ok(engine)) => Ok(engine
-                .with_closure_cache(Arc::clone(&self.cache))
-                .with_engine_select(Arc::clone(&self.select))),
+            // Rebuilt query engines share the session cache: builds are
+            // deterministic per (Σ, policy), so every rebuild saturates
+            // the same pool and the cached closures remain exact.
+            Ok(Ok(engine)) => Ok(engine.with_closure_cache(Arc::clone(&self.cache))),
             Ok(Err(CoreError::Exhausted(r))) => Err(Attempt {
                 decider: "saturation",
                 outcome: AttemptOutcome::Exhausted(r),
@@ -1028,8 +981,8 @@ impl<'s> Session<'s> {
     ) -> Result<Decision, CoreError> {
         let forbidden = *self.engine.policy() == EmptySetPolicy::Forbidden;
         let mut attempts: Vec<Attempt> = Vec::new();
-        // Closure-cache hits and the serving tier observed by this
-        // cascade (only saturation consults either). `Cell`s because the
+        // Closure-cache hits and whether a closure was looked up in this
+        // cascade (only saturation does either). `Cell`s because the
         // recording happens inside the `catch_unwind`-wrapped attempt
         // closure.
         let cache_hits = Cell::new(0u64);
@@ -1090,7 +1043,7 @@ impl<'s> Session<'s> {
                         if trace.cache_hit {
                             cache_hits.set(cache_hits.get() + 1);
                         }
-                        tier.set(trace.tier);
+                        tier.set(trace.chained.then_some(Tier::Indexed));
                         Ok((Verdict::from_bool(b), Some(engine.pool_size() as u64)))
                     }
                     Err(CoreError::Exhausted(r)) => {
@@ -1526,8 +1479,8 @@ impl<'s> Session<'s> {
         contained("closure", || self.engine.closure(base, lhs))
     }
 
-    /// [`Session::closure`] plus the [`QueryTrace`] of the chaining run —
-    /// which engine tier served it and whether it came from the cache.
+    /// [`Session::closure`] plus the [`QueryTrace`] of the lookup —
+    /// whether the closure came from the cache.
     pub fn closure_traced(
         &self,
         base: &RootedPath,

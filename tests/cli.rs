@@ -323,6 +323,13 @@ fn error_paths() {
     ]);
     assert_eq!(code, 2);
     assert!(out.contains("goal:"), "{out}");
+    // An unrecognised flag is a usage error.
+    let goal = "Course:[cnum -> time]";
+    let (code, out) = run(&[
+        "implies", "--schema", &schema, "--deps", &deps, "--turbo", "on", goal,
+    ]);
+    assert_eq!(code, 2, "{out}");
+    assert!(out.contains("unknown flag `--turbo`"), "{out}");
 }
 
 #[test]
@@ -504,71 +511,6 @@ fn retry_escalation_heals_a_starved_budget_end_to_end() {
     ]);
     assert_eq!(code, 2, "{out}");
     assert!(out.contains("--escalate requires --retry"), "{out}");
-}
-
-#[test]
-fn engine_flag_forces_tiers_and_reports_them() {
-    let f = Fixture::new("engine");
-    let schema = f.file("s.nfds", COURSE_SCHEMA);
-    let deps = f.file("d.nfdd", COURSE_DEPS);
-    let goal = "Course:[time, students:sid -> books]";
-
-    // Every forced tier (and auto) returns the same verdict, and the flag
-    // makes the serving tier visible.
-    for engine in ["auto", "naive", "indexed", "dense"] {
-        let (code, out) = run(&[
-            "implies", "--schema", &schema, "--deps", &deps, "--engine", engine, goal,
-        ]);
-        assert_eq!(code, 0, "--engine {engine}: {out}");
-        assert!(out.contains("implied"), "--engine {engine}: {out}");
-        assert!(out.contains("(engine tier: "), "--engine {engine}: {out}");
-    }
-    let (_, out) = run(&[
-        "implies", "--schema", &schema, "--deps", &deps, "--engine", "dense", goal,
-    ]);
-    assert!(out.contains("(engine tier: dense)"), "{out}");
-
-    // Without the flag the output stays exactly as before — no tier line.
-    let (code, out) = run(&["implies", "--schema", &schema, "--deps", &deps, goal]);
-    assert_eq!(code, 0, "{out}");
-    assert!(!out.contains("engine tier"), "{out}");
-
-    // Batch mode prints a tier tally.
-    let goals = f.file("g.goals", "Course:[cnum -> time]; Course:[time -> cnum];");
-    let (code, out) = run(&[
-        "implies", "--schema", &schema, "--deps", &deps, "--goals", &goals, "--engine", "indexed",
-    ]);
-    assert_eq!(code, 1, "{out}");
-    assert!(out.contains("(engine tiers: "), "{out}");
-
-    // closure and keys accept the flag and report.
-    let (code, out) = run(&[
-        "closure", "--schema", &schema, "--deps", &deps, "--base", "Course", "--lhs", "cnum",
-        "--engine", "dense",
-    ]);
-    assert_eq!(code, 0, "{out}");
-    assert!(out.contains("(engine tier: dense)"), "{out}");
-    let (code, out) = run(&[
-        "keys",
-        "--schema",
-        &schema,
-        "--deps",
-        &deps,
-        "--relation",
-        "Course",
-        "--engine",
-        "dense",
-    ]);
-    assert_eq!(code, 0, "{out}");
-    assert!(out.contains("{cnum}"), "{out}");
-    assert!(out.contains("dense closure built: yes"), "{out}");
-
-    // A bad value is a usage error.
-    let (code, out) = run(&[
-        "implies", "--schema", &schema, "--deps", &deps, "--engine", "turbo", goal,
-    ]);
-    assert_eq!(code, 2, "{out}");
-    assert!(out.contains("--engine"), "{out}");
 }
 
 #[test]

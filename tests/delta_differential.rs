@@ -402,83 +402,69 @@ fn assert_forked_from_intact(
     );
 }
 
-/// The census through every `--engine` preference: tier routing (naive
-/// scan, indexed kernel, dense matrix, and the auto router with its
-/// promotion counters) must not change a single post-mutation answer.
-/// Each goal is asked twice so auto's mid-walk promotions and the dense
-/// matrix rebuilt after a scoped invalidation both land inside the
-/// asserted region.
+/// The census through repeated session queries: after every mutation,
+/// each goal is asked twice through `implies_with`, so the second ask is
+/// served from the closure cache the first one filled — scoped
+/// invalidation must never leave a pre-mutation closure behind for it.
 #[test]
-fn mutation_census_under_every_engine_preference() {
-    use nfd::core::{Tier, TierPreference};
+fn mutation_census_through_repeated_session_queries() {
+    for seed in 0..4u64 {
+        let schema = random_multi_schema(seed, SchemaShape::default(), 2);
+        let relations: Vec<Label> = schema.relation_names().collect();
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x7137_ee1d) | 1);
+        let mut sigma: Vec<Nfd> = Vec::new();
+        for &rel in &relations {
+            sigma.extend(random_nfd_in(&mut rng, &schema, rel));
+        }
+        let policy = EmptySetPolicy::Forbidden;
+        let budget = Budget::standard();
+        let mut session =
+            Session::with_budget(&schema, &sigma, policy.clone(), Budget::standard()).unwrap();
 
-    for pref in [
-        TierPreference::Auto,
-        TierPreference::Fixed(Tier::Naive),
-        TierPreference::Fixed(Tier::Indexed),
-        TierPreference::Fixed(Tier::Dense),
-    ] {
-        for seed in 0..4u64 {
-            let schema = random_multi_schema(seed, SchemaShape::default(), 2);
-            let relations: Vec<Label> = schema.relation_names().collect();
-            let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x7137_ee1d) | 1);
-            let mut sigma: Vec<Nfd> = Vec::new();
-            for &rel in &relations {
-                sigma.extend(random_nfd_in(&mut rng, &schema, rel));
-            }
-            let policy = EmptySetPolicy::Forbidden;
-            let budget = Budget::standard();
-            let mut session =
-                Session::with_tiers(&schema, &sigma, policy.clone(), Budget::standard(), pref)
-                    .unwrap();
-
-            for step in 0..30usize {
-                let add = sigma.is_empty() || (sigma.len() < SIGMA_CAP && rng.gen_bool(0.55));
-                if add {
-                    let rel = relations[rng.gen_range(0..relations.len())];
-                    let Some(dep) = random_nfd_in(&mut rng, &schema, rel) else {
-                        continue;
-                    };
-                    session.add_deps(std::slice::from_ref(&dep)).unwrap();
-                    sigma.push(dep);
-                } else {
-                    let dep = sigma[rng.gen_range(0..sigma.len())].clone();
-                    session.remove_deps(std::slice::from_ref(&dep)).unwrap();
-                    let pos = sigma.iter().position(|n| n == &dep).unwrap();
-                    sigma.remove(pos);
-                }
-
-                // The reference is tier-free: a plain fresh session over
-                // the mirror Σ.
-                let fresh =
-                    Session::with_budget(&schema, &sigma, policy.clone(), Budget::standard())
-                        .unwrap();
-                assert_eq!(
-                    session.engine().pool_dump(),
-                    fresh.engine().pool_dump(),
-                    "pool diverged under {pref:?} (seed {seed} step {step})"
-                );
-                let grel = relations[rng.gen_range(0..relations.len())];
-                let Some(goal) = random_nfd_in(&mut rng, &schema, grel) else {
+        for step in 0..30usize {
+            let add = sigma.is_empty() || (sigma.len() < SIGMA_CAP && rng.gen_bool(0.55));
+            if add {
+                let rel = relations[rng.gen_range(0..relations.len())];
+                let Some(dep) = random_nfd_in(&mut rng, &schema, rel) else {
                     continue;
                 };
-                let want = verdict_bool(&fresh.implies_with(&goal, &budget).unwrap().verdict);
-                for ask in 0..2 {
-                    let got = session.implies_with(&goal, &budget).unwrap();
-                    assert_eq!(
-                        want,
-                        verdict_bool(&got.verdict),
-                        "verdict diverged under {pref:?} tier {:?} ask {ask} \
-                         (seed {seed} step {step}) on `{goal}`",
-                        got.tier
-                    );
-                }
+                session.add_deps(std::slice::from_ref(&dep)).unwrap();
+                sigma.push(dep);
+            } else {
+                let dep = sigma[rng.gen_range(0..sigma.len())].clone();
+                session.remove_deps(std::slice::from_ref(&dep)).unwrap();
+                let pos = sigma.iter().position(|n| n == &dep).unwrap();
+                sigma.remove(pos);
+            }
+
+            // The reference: a plain fresh session over the mirror Σ.
+            let fresh =
+                Session::with_budget(&schema, &sigma, policy.clone(), Budget::standard()).unwrap();
+            assert_eq!(
+                session.engine().pool_dump(),
+                fresh.engine().pool_dump(),
+                "pool diverged (seed {seed} step {step})"
+            );
+            let grel = relations[rng.gen_range(0..relations.len())];
+            let Some(goal) = random_nfd_in(&mut rng, &schema, grel) else {
+                continue;
+            };
+            let want = verdict_bool(&fresh.implies_with(&goal, &budget).unwrap().verdict);
+            for ask in 0..2 {
+                let got = session.implies_with(&goal, &budget).unwrap();
                 assert_eq!(
-                    fresh.closure(&goal.base, goal.lhs()).unwrap(),
-                    session.closure(&goal.base, goal.lhs()).unwrap(),
-                    "closure diverged under {pref:?} (seed {seed} step {step})"
+                    want,
+                    verdict_bool(&got.verdict),
+                    "verdict diverged on ask {ask} with {} cache hits \
+                     (seed {seed} step {step}) on `{goal}`",
+                    got.cache_hits
                 );
             }
+            assert_eq!(
+                fresh.closure(&goal.base, goal.lhs()).unwrap(),
+                session.closure(&goal.base, goal.lhs()).unwrap(),
+                "closure diverged (seed {seed} step {step})"
+            );
         }
     }
 }

@@ -18,10 +18,10 @@
 //!   proofs that verify on the indexed engine;
 //! * all of the above under the pessimistic empty-set policy too, so the
 //!   counting kernel's lazy `need_x` gate is exercised;
-//! * the tiered router (`--engine` / `TierPreference`): every forced tier
-//!   and the auto cost model produce bit-identical verdicts, closures and
-//!   candidate keys, including across the promotion boundary where auto
-//!   switches a hot relation to the dense closure matrix.
+//! * the session's one query path (closure cache, then the counting
+//!   kernel): verdicts, closures and candidate keys match the oracle, and
+//!   a goal asked again is served from the cache, never from a stale or
+//!   differently computed closure.
 
 mod common;
 
@@ -30,7 +30,7 @@ use nfd::core::analysis;
 use nfd::core::engine::{Engine, Prov};
 use nfd::core::naive::NaiveEngine;
 use nfd::core::proof;
-use nfd::core::{EmptySetPolicy, Nfd, Tier, TierPreference};
+use nfd::core::{EmptySetPolicy, Nfd, Tier};
 use nfd::govern::{Budget, Verdict};
 use nfd::path::RootedPath;
 use nfd::session::Session;
@@ -178,8 +178,8 @@ fn random_sweep_matches_naive_oracle_pessimistic() {
 }
 
 /// Candidate keys: the naive sequential sweep against the indexed engine
-/// at thread counts 1, 2 and 8, and against the session front end (which
-/// adds the keys memo on top).
+/// at thread counts 1, 2 and 8, on random schemas and on wide Σ, and
+/// against the session front end (which adds the keys memo on top).
 #[test]
 fn candidate_keys_match_naive_at_every_thread_count() {
     for seed in 0..16u64 {
@@ -211,6 +211,23 @@ fn candidate_keys_match_naive_at_every_thread_count() {
             );
         }
         assert!(session.keys_memo_hits() >= 2);
+    }
+
+    // Wide Σ, with zero, one and two attributes that no dependency
+    // derives (the sweep skips candidates missing any of them).
+    for (attrs, n) in [(12, 24), (14, 28), (16, 32)] {
+        let schema = wide_schema(1, attrs);
+        let sigma = wide_sigma(&schema, 1, attrs, n);
+        let relation = only_relation(&schema);
+        let (naive, engine) = build_pair(&schema, &sigma, EmptySetPolicy::Forbidden);
+        let expected = naive.candidate_keys(relation, 3).unwrap();
+        for threads in [1usize, 2, 8] {
+            assert_eq!(
+                expected,
+                analysis::candidate_keys_threaded(&engine, relation, 3, threads).unwrap(),
+                "wide({attrs}, {n}) candidate keys diverged, {threads} threads"
+            );
+        }
     }
 }
 
@@ -402,20 +419,14 @@ fn singleton_conclusions_pinned_on_appendix_a_examples() {
     );
 }
 
-/// Every engine tier against the naive oracle: forced naive-scan, forced
-/// indexed, forced dense and the auto router all return bit-identical
-/// verdicts, closures and candidate keys (at thread counts 1/2/8), under
-/// both empty-set policies. The saturated pool — the provenance store
-/// proofs replay against — is shared by all tiers, so pool equality here
-/// extends the bit-identical guarantee to certificates.
+/// The session's one query path against the naive oracle: verdicts,
+/// closures and candidate keys (at thread counts 1/2/8) are bit-identical
+/// under both empty-set policies, and every decision that looked a
+/// closure up reports [`Tier::Indexed`]. The saturated pool — the
+/// provenance store proofs replay against — matches too, so the
+/// guarantee extends to certificates.
 #[test]
 fn tier_differential_sweep() {
-    let prefs = [
-        TierPreference::Auto,
-        TierPreference::Fixed(Tier::Naive),
-        TierPreference::Fixed(Tier::Indexed),
-        TierPreference::Fixed(Tier::Dense),
-    ];
     for seed in 0..12u64 {
         for policy in [EmptySetPolicy::Forbidden, EmptySetPolicy::pessimistic()] {
             let schema = random_schema(seed, SchemaShape::default());
@@ -431,170 +442,137 @@ fn tier_differential_sweep() {
                 Budget::standard(),
             )
             .unwrap();
-
-            let sessions: Vec<(TierPreference, Session)> = prefs
-                .iter()
-                .map(|p| {
-                    let s = Session::with_tiers(
-                        &schema,
-                        &sigma,
-                        policy.clone(),
-                        Budget::standard(),
-                        *p,
-                    )
-                    .unwrap();
-                    (*p, s)
-                })
-                .collect();
-
-            for (pref, s) in &sessions {
-                assert_eq!(
-                    naive.pool_dump(),
-                    s.engine().pool_dump(),
-                    "pool dump diverged at seed {seed} under {pref}"
-                );
-            }
+            let s =
+                Session::with_budget(&schema, &sigma, policy.clone(), Budget::standard()).unwrap();
+            assert_eq!(
+                naive.pool_dump(),
+                s.engine().pool_dump(),
+                "pool dump diverged at seed {seed}"
+            );
 
             let goals: Vec<Nfd> = (0..GOALS_PER_SEED)
                 .filter_map(|_| random_nfd(&mut rng, &schema))
                 .collect();
             for goal in &goals {
-                let expected = naive.implies(goal).unwrap();
-                let want_closure = naive.closure(&goal.base, goal.lhs()).unwrap();
-                for (pref, s) in &sessions {
-                    let d = s.implies_with(goal, &Budget::standard()).unwrap();
-                    assert_eq!(
-                        expected,
-                        verdict_bool(&d.verdict),
-                        "verdict diverged at seed {seed} under {pref} on `{goal}`"
-                    );
-                    // A forced tier must be the tier that actually ran
-                    // (None means a pre-engine decider answered, e.g.
-                    // reflexivity — no chain was computed at all).
-                    if let (TierPreference::Fixed(t), Some(ran)) = (pref, d.tier) {
-                        assert_eq!(
-                            *t, ran,
-                            "forced {pref} but tier {ran} ran at seed {seed} on `{goal}`"
-                        );
-                    }
-                    let (got_closure, _) = s.closure_traced(&goal.base, goal.lhs()).unwrap();
-                    assert_eq!(
-                        want_closure, got_closure,
-                        "closure diverged at seed {seed} under {pref} on `{goal}`"
-                    );
-                }
+                let d = s.implies_with(goal, &Budget::standard()).unwrap();
+                assert_eq!(
+                    naive.implies(goal).unwrap(),
+                    verdict_bool(&d.verdict),
+                    "verdict diverged at seed {seed} on `{goal}`"
+                );
+                // `None` means no closure was looked up (reflexivity).
+                assert!(
+                    matches!(d.tier, None | Some(Tier::Indexed)),
+                    "tier {:?} reported at seed {seed} on `{goal}`",
+                    d.tier
+                );
+                let (got_closure, _) = s.closure_traced(&goal.base, goal.lhs()).unwrap();
+                assert_eq!(
+                    naive.closure(&goal.base, goal.lhs()).unwrap(),
+                    got_closure,
+                    "closure diverged at seed {seed} on `{goal}`"
+                );
             }
 
-            // Candidate keys route the analysis sweep through the same
-            // tier selection; every tier, every thread count.
             let expected_keys = naive.candidate_keys(relation, 3).unwrap();
-            for (pref, s) in &sessions {
-                for threads in [1usize, 2, 8] {
-                    assert_eq!(
-                        expected_keys,
-                        s.candidate_keys_threaded(relation, 3, threads).unwrap(),
-                        "keys diverged at seed {seed} under {pref}, {threads} threads"
-                    );
-                }
+            for threads in [1usize, 2, 8] {
+                assert_eq!(
+                    expected_keys,
+                    s.candidate_keys_threaded(relation, 3, threads).unwrap(),
+                    "keys diverged at seed {seed}, {threads} threads"
+                );
             }
         }
     }
 }
 
-/// The promotion boundary: under `TierPreference::Auto` a hot relation is
-/// promoted to the dense tier after `promote_after` queries. The same
-/// goal asked on both sides of the boundary gets the same verdict and the
-/// same closure; batch sweeps that cross the boundary mid-flight agree
-/// with the oracle at thread counts 1/2/8; and `reconfigure` both resets
-/// the promotion history and latches `caches_invalidated` onto exactly
-/// one decision.
+/// One goal asked 16 times through `implies_with`: every ask returns the
+/// oracle's verdict and closure, and from the second ask on each decision
+/// is one closure-cache hit on the one query path — the cache stays in
+/// front of every repeated query, however hot the relation gets.
+fn assert_repeated_asks_hit_the_cache(
+    schema: &nfd::model::Schema,
+    sigma: &[Nfd],
+    policy: &EmptySetPolicy,
+    goal: &str,
+) {
+    let goal = Nfd::parse(schema, goal).unwrap();
+    let naive =
+        NaiveEngine::with_policy_budget(schema, sigma, policy.clone(), Budget::standard()).unwrap();
+    let expected = naive.implies(&goal).unwrap();
+    let want_closure = naive.closure(&goal.base, goal.lhs()).unwrap();
+    let session = Session::with_budget(schema, sigma, policy.clone(), Budget::standard()).unwrap();
+    for ask in 0..16 {
+        let d = session.implies_with(&goal, &Budget::standard()).unwrap();
+        assert_eq!(
+            expected,
+            verdict_bool(&d.verdict),
+            "verdict flipped at ask {ask} on `{goal}`"
+        );
+        if ask > 0 {
+            assert_eq!(d.cache_hits, 1, "ask {ask} on `{goal}` missed the cache");
+            assert_eq!(d.tier, Some(Tier::Indexed), "ask {ask} on `{goal}`");
+        }
+        let (got, _) = session.closure_traced(&goal.base, goal.lhs()).unwrap();
+        assert_eq!(want_closure, got, "closure drifted at ask {ask}");
+    }
+}
+
+/// Repeated asks stay on the cache and on the oracle's answers, on the
+/// Course example under both policies and on the wide-Σ family; batches
+/// of random goals agree with the oracle at thread counts 1/2/8; and
+/// `reconfigure` starts from an empty cache and latches
+/// `caches_invalidated` onto exactly one decision.
 #[test]
-fn tier_promotion_boundary_preserves_answers() {
+fn repeated_queries_hit_the_cache_and_match_naive() {
     let schema = course_schema();
     let sigma = course_sigma(&schema);
-    let relation = only_relation(&schema);
-    let goal = Nfd::parse(&schema, "Course:[time, students:sid -> books]").unwrap();
+    let goal_text = "Course:[time, students:sid -> books]";
+    let wide = wide_schema(1, 16);
+    let wide_deps = wide_sigma(&wide, 1, 16, 32);
+    assert_repeated_asks_hit_the_cache(
+        &wide,
+        &wide_deps,
+        &EmptySetPolicy::Forbidden,
+        "R0:[r0a0, r0a1 -> r0a2]",
+    );
 
+    let goal = Nfd::parse(&schema, goal_text).unwrap();
     for policy in [EmptySetPolicy::Forbidden, EmptySetPolicy::pessimistic()] {
+        assert_repeated_asks_hit_the_cache(&schema, &sigma, &policy, goal_text);
         let naive =
             NaiveEngine::with_policy_budget(&schema, &sigma, policy.clone(), Budget::standard())
                 .unwrap();
         let expected = naive.implies(&goal).unwrap();
-        let want_closure = naive.closure(&goal.base, goal.lhs()).unwrap();
 
-        let session = Session::with_tiers(
-            &schema,
-            &sigma,
-            policy.clone(),
-            Budget::standard(),
-            TierPreference::Auto,
-        )
-        .unwrap();
-        let mut saw_dense = false;
-        for i in 0..16 {
-            let d = session.implies_with(&goal, &Budget::standard()).unwrap();
-            assert_eq!(
-                expected,
-                verdict_bool(&d.verdict),
-                "verdict flipped at query {i}"
-            );
-            if i == 0 {
-                assert_ne!(d.tier, Some(Tier::Dense), "promoted with no query history");
-                assert!(
-                    !session.select_state().dense_built(relation),
-                    "dense structure built before promotion"
-                );
-            }
-            saw_dense |= d.tier == Some(Tier::Dense);
-            let (got, _) = session.closure_traced(&goal.base, goal.lhs()).unwrap();
-            assert_eq!(want_closure, got, "closure drifted at query {i}");
-        }
-        assert!(saw_dense, "auto never promoted the hot relation to dense");
-        assert!(
-            session.select_state().dense_built(relation),
-            "promotion reported but no dense structure exists"
-        );
-
-        // `reconfigure` starts selection from scratch: no dense carry-over,
-        // and the invalidation flag rides on exactly one decision.
+        // `reconfigure` starts from a fresh cache, and the invalidation
+        // flag rides on exactly one decision.
+        let session =
+            Session::with_budget(&schema, &sigma, policy.clone(), Budget::standard()).unwrap();
+        session.implies_with(&goal, &Budget::standard()).unwrap();
         let re = session.reconfigure(policy.clone()).unwrap();
-        assert!(
-            !re.select_state().dense_built(relation),
-            "dense structure leaked across reconfigure"
-        );
         let d = re.implies_with(&goal, &Budget::standard()).unwrap();
         assert!(
             d.caches_invalidated,
             "first post-reconfigure decision must carry caches_invalidated"
         );
-        assert_ne!(
-            d.tier,
-            Some(Tier::Dense),
-            "promotion history leaked across reconfigure"
-        );
+        assert_eq!(d.cache_hits, 0, "closures leaked across reconfigure");
         assert_eq!(expected, verdict_bool(&d.verdict));
         let d2 = re.implies_with(&goal, &Budget::standard()).unwrap();
         assert!(
             !d2.caches_invalidated,
             "caches_invalidated is a one-shot latch"
         );
+        assert_eq!(d2.cache_hits, 1);
 
-        // Batch sweeps long enough to cross the boundary mid-flight: the
-        // early goals run pre-promotion, the late ones on the dense tier.
         let mut rng = StdRng::seed_from_u64(0x00d5_7ea5 | 1);
         let goals: Vec<Nfd> = (0..24)
             .filter_map(|_| random_nfd(&mut rng, &schema))
             .collect();
         let expected_batch: Vec<bool> = goals.iter().map(|g| naive.implies(g).unwrap()).collect();
         for threads in [1usize, 2, 8] {
-            let fresh = Session::with_tiers(
-                &schema,
-                &sigma,
-                policy.clone(),
-                Budget::standard(),
-                TierPreference::Auto,
-            )
-            .unwrap();
+            let fresh =
+                Session::with_budget(&schema, &sigma, policy.clone(), Budget::standard()).unwrap();
             let batch = fresh
                 .implies_batch(&goals, &Budget::standard(), threads)
                 .unwrap();
@@ -603,10 +581,7 @@ fn tier_promotion_boundary_preserves_answers() {
                 .iter()
                 .map(|d| verdict_bool(&d.as_ref().unwrap().verdict))
                 .collect();
-            assert_eq!(
-                expected_batch, got,
-                "boundary-crossing batch diverged at {threads} threads"
-            );
+            assert_eq!(expected_batch, got, "batch diverged at {threads} threads");
         }
     }
 }

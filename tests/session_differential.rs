@@ -245,8 +245,8 @@ fn session_keys_on_the_worked_example() {
     );
 }
 
-/// [`Session::reconfigure`] discards the closure cache, keys memo and
-/// tier state, and signals it through `Decision.caches_invalidated` —
+/// [`Session::reconfigure`] discards the closure cache and keys memo,
+/// and signals it through `Decision.caches_invalidated` —
 /// which must latch on the rebuilt session exactly once, including when
 /// the first decision after the rebuild goes through the retrying entry
 /// point.

@@ -1,8 +1,8 @@
 //! Thaw-vs-fresh differential census: a session thawed from a snapshot
 //! must be *bit-identical* to one compiled fresh — same saturated pools,
 //! same verdicts, same derivation chains, same closures, same candidate
-//! keys, same verified proofs — across both empty-set policies, every
-//! engine-tier preference, and batch parallelism at 1/2/8 threads.
+//! keys, same verified proofs — across the empty-set policies and batch
+//! parallelism at 1/2/8 threads.
 //!
 //! This is the headline correctness proof for `nfd-snap`: warm starts
 //! are a pure performance optimization with zero observable semantics.
@@ -54,7 +54,6 @@ fn thaw_round_trip<'s>(
     schema: &'s Schema,
     sigma: &[Nfd],
     policy: &EmptySetPolicy,
-    preference: TierPreference,
 ) -> Session<'s> {
     let image = fresh.freeze();
     let bytes = nfd::snap::encode(&image);
@@ -65,7 +64,7 @@ fn thaw_round_trip<'s>(
         sigma,
         policy.clone(),
         Budget::standard(),
-        preference,
+        TierPreference::Auto,
         &decoded,
     )
     .expect("pristine image thaws")
@@ -76,79 +75,66 @@ fn thawed_sessions_are_bit_identical_to_fresh_compiles() {
     let schema = Schema::parse(SCHEMA).unwrap();
     let sigma = parse_set(&schema, SIGMA).unwrap();
     for (policy_name, policy) in policies() {
-        for preference in [
-            TierPreference::Auto,
-            TierPreference::Fixed(nfd::core::Tier::Naive),
-            TierPreference::Fixed(nfd::core::Tier::Indexed),
-            TierPreference::Fixed(nfd::core::Tier::Dense),
-        ] {
-            let tag = format!("policy={policy_name} engine={preference}");
-            let fresh = Session::with_tiers(
-                &schema,
-                &sigma,
-                policy.clone(),
-                Budget::standard(),
-                preference,
-            )
-            .unwrap();
-            // Warm the closure cache before freezing so the snapshot
-            // carries non-trivial cache entries too.
-            let base = RootedPath::parse("Course").unwrap();
-            let lhs = vec![nfd_path::Path::parse("cnum").unwrap()];
-            let fresh_closure = fresh.closure(&base, &lhs).unwrap();
+        let tag = format!("policy={policy_name}");
+        let fresh =
+            Session::with_budget(&schema, &sigma, policy.clone(), Budget::standard()).unwrap();
+        // Warm the closure cache before freezing so the snapshot
+        // carries non-trivial cache entries too.
+        let base = RootedPath::parse("Course").unwrap();
+        let lhs = vec![nfd_path::Path::parse("cnum").unwrap()];
+        let fresh_closure = fresh.closure(&base, &lhs).unwrap();
 
-            let thawed = thaw_round_trip(&fresh, &schema, &sigma, &policy, preference);
+        let thawed = thaw_round_trip(&fresh, &schema, &sigma, &policy);
 
-            // Census 1: the saturated pools, entry for entry.
+        // Census 1: the saturated pools, entry for entry.
+        assert_eq!(
+            fresh.engine().pool_dump(),
+            thawed.engine().pool_dump(),
+            "pool census diverged ({tag})"
+        );
+        thawed.engine().check_invariants().unwrap();
+
+        // Census 2: verdicts and derivation chains per goal.
+        for goal_text in GOALS {
+            let goal = Nfd::parse(&schema, goal_text).unwrap();
+            let fresh_verdict = fresh.implies_text(goal_text).unwrap();
+            let thawed_verdict = thawed.implies_text(goal_text).unwrap();
             assert_eq!(
-                fresh.engine().pool_dump(),
-                thawed.engine().pool_dump(),
-                "pool census diverged ({tag})"
+                fresh_verdict, thawed_verdict,
+                "verdict diverged on {goal_text} ({tag})"
             );
-            thawed.engine().check_invariants().unwrap();
-
-            // Census 2: verdicts and derivation chains per goal.
-            for goal_text in GOALS {
-                let goal = Nfd::parse(&schema, goal_text).unwrap();
-                let fresh_verdict = fresh.implies_text(goal_text).unwrap();
-                let thawed_verdict = thawed.implies_text(goal_text).unwrap();
-                assert_eq!(
-                    fresh_verdict, thawed_verdict,
-                    "verdict diverged on {goal_text} ({tag})"
-                );
-                assert_eq!(
-                    fresh.engine().chain_dump(&goal).unwrap(),
-                    thawed.engine().chain_dump(&goal).unwrap(),
-                    "chain dump diverged on {goal_text} ({tag})"
-                );
-            }
-
-            // Census 3: closures (including the cache-warmed one).
             assert_eq!(
-                thawed.closure(&base, &lhs).unwrap(),
-                fresh_closure,
-                "closure diverged ({tag})"
+                fresh.engine().chain_dump(&goal).unwrap(),
+                thawed.engine().chain_dump(&goal).unwrap(),
+                "chain dump diverged on {goal_text} ({tag})"
             );
-            let r_base = RootedPath::parse("R").unwrap();
-            let r_lhs = vec![nfd_path::Path::parse("A").unwrap()];
-            assert_eq!(
-                fresh.closure(&r_base, &r_lhs).unwrap(),
-                thawed.closure(&r_base, &r_lhs).unwrap(),
-                "R closure diverged ({tag})"
-            );
-
-            // Census 4: verified proofs replay across the pair.
-            let provable = Nfd::parse(&schema, "Course:[time, students:sid -> books]").unwrap();
-            let fresh_proof = fresh.prove(&provable).unwrap().expect("provable");
-            let thawed_proof = thawed.prove(&provable).unwrap().expect("provable");
-            assert_eq!(
-                fresh_proof.to_string(),
-                thawed_proof.to_string(),
-                "proof text diverged ({tag})"
-            );
-            fresh.verify(&thawed_proof).unwrap();
-            thawed.verify(&fresh_proof).unwrap();
         }
+
+        // Census 3: closures (including the cache-warmed one).
+        assert_eq!(
+            thawed.closure(&base, &lhs).unwrap(),
+            fresh_closure,
+            "closure diverged ({tag})"
+        );
+        let r_base = RootedPath::parse("R").unwrap();
+        let r_lhs = vec![nfd_path::Path::parse("A").unwrap()];
+        assert_eq!(
+            fresh.closure(&r_base, &r_lhs).unwrap(),
+            thawed.closure(&r_base, &r_lhs).unwrap(),
+            "R closure diverged ({tag})"
+        );
+
+        // Census 4: verified proofs replay across the pair.
+        let provable = Nfd::parse(&schema, "Course:[time, students:sid -> books]").unwrap();
+        let fresh_proof = fresh.prove(&provable).unwrap().expect("provable");
+        let thawed_proof = thawed.prove(&provable).unwrap().expect("provable");
+        assert_eq!(
+            fresh_proof.to_string(),
+            thawed_proof.to_string(),
+            "proof text diverged ({tag})"
+        );
+        fresh.verify(&thawed_proof).unwrap();
+        thawed.verify(&fresh_proof).unwrap();
     }
 }
 
@@ -161,15 +147,9 @@ fn batch_and_keys_match_at_every_thread_count() {
         .map(|g| Nfd::parse(&schema, g).unwrap())
         .collect();
     for (policy_name, policy) in policies() {
-        let fresh = Session::with_tiers(
-            &schema,
-            &sigma,
-            policy.clone(),
-            Budget::standard(),
-            TierPreference::Auto,
-        )
-        .unwrap();
-        let thawed = thaw_round_trip(&fresh, &schema, &sigma, &policy, TierPreference::Auto);
+        let fresh =
+            Session::with_budget(&schema, &sigma, policy.clone(), Budget::standard()).unwrap();
+        let thawed = thaw_round_trip(&fresh, &schema, &sigma, &policy);
         for threads in [1usize, 2, 8] {
             let tag = format!("policy={policy_name} threads={threads}");
             let budget = Budget::standard();

@@ -21,7 +21,6 @@ const BUDGETS: &[(&str, usize)] = &[
     ("crates/core/src/naive.rs", 0),
     ("crates/core/src/satisfy.rs", 0),
     ("crates/core/src/analysis.rs", 0),
-    ("crates/core/src/dense.rs", 0),
     ("crates/core/src/delta.rs", 0),
     ("crates/core/src/select.rs", 0),
     ("crates/par/src/lib.rs", 0),
