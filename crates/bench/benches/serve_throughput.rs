@@ -1,34 +1,29 @@
-//! B18 — read-parallel registry throughput (`nfdtool serve --workers N`).
+//! B18 — BATCH-width scaling of `nfdtool serve` (`--workers N`).
 //!
 //! One hot tenant carrying a wide Σ (the B14/B15 overlapping-paths
 //! family) is hammered with BATCH requests by concurrent TCP clients.
-//! The sequential daemon (`--workers 1`) answers every request from a
-//! fresh per-request engine — it re-saturates Σ each time, exactly as
-//! the historical one-actor-per-tenant registry did. At `--workers ≥ 2`
-//! the registry answers from the tenant's resident compiled session,
-//! so the per-request saturation cost is amortised away entirely.
-//! Either way reads run on the connection threads, concurrently;
-//! beyond picking the read path, `workers` only sets how many threads
-//! one BATCH fans its goals across.
+//! Every read answers from the tenant's resident compiled session on
+//! its connection thread; `workers` only sets how many threads one
+//! BATCH fans its goals across, so `--workers 1` (every BATCH
+//! sequential) is the baseline.
 //!
 //! Two sweeps, both over the same request corpus:
 //!
 //! * `batch_vs_workers` — 8 clients, workers ∈ {1, 2, 4, 8}; baseline
-//!   is the sequential daemon. The headline acceptance row is
-//!   workers = 8: ≥ 3× BATCH throughput.
+//!   is the same daemon at workers = 1.
 //! * `batch_vs_clients` — workers = 8, clients ∈ {1, 2, 4, 8}; baseline
-//!   is the sequential daemon at the *same* client count, so the row
-//!   isolates what residency buys at each concurrency level.
+//!   is workers = 1 at the *same* client count.
 //!
 //! Every response from every run is asserted byte-identical to the
 //! expected transcript before any time is recorded — the speedup is
-//! only meaningful if the parallel daemon is answering the same
-//! question the same way.
+//! only meaningful if every width answers the same question the same
+//! way.
 //!
-//! On a single-core host the win is architectural (resident-engine
-//! reuse), not thread-level parallelism; BATCH threads beyond the core
-//! count add nothing. The report records host parallelism so readers
-//! can interpret the workers = 2 vs 8 spread.
+//! A BATCH of four goals costs microseconds of engine work, while each
+//! response waits on the ~44 ms transport floor (`nfdbench/README.md`,
+//! "The 44 ms transport floor"), so the rows time that floor until it
+//! is removed. BATCH threads beyond the core count add nothing; the
+//! report records host parallelism so readers can interpret the spread.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -99,10 +94,7 @@ fn tenant_sources(attrs: usize, sigma_n: usize) -> (String, String) {
 }
 
 /// The measured request: one BATCH whose goals mix members of Σ
-/// (implied) with goals the wide family does not derive. Verdicts are
-/// irrelevant to the cost model — what matters is that the sequential
-/// daemon pays a full Σ saturation to answer it and the resident daemon
-/// does not.
+/// (implied) with goals the wide family does not derive.
 fn batch_request(attrs: usize) -> String {
     let goals = [
         format!("R:[a0, a1 -> a{}]", attrs - 1),
@@ -174,8 +166,8 @@ fn main() {
     let load = format!("LOAD hot {schema_src} | {deps_src}");
     let batch = batch_request(attrs);
 
-    // The reference transcript comes from a single-client sequential
-    // daemon — the same code path the historical registry served.
+    // The reference transcript comes from a single client of a daemon
+    // that runs every BATCH sequentially.
     let expected = {
         let (addr, server) = start(1);
         let mut c = Client::connect(addr);
@@ -236,8 +228,8 @@ fn main() {
         records.push(rec);
     }
 
-    // Sweep 2: fixed 8 workers, clients 1 → 8; baseline is the
-    // sequential daemon at the same client count.
+    // Sweep 2: fixed 8 workers, clients 1 → 8; baseline is workers = 1
+    // at the same client count.
     for clients in [1usize, 2, 4, 8] {
         let baseline_ns = if clients == 8 {
             seq_8c
@@ -275,12 +267,6 @@ fn main() {
         qps(headline.candidate_ns),
         headline.speedup()
     );
-    if !smoke && headline.speedup() < 3.0 {
-        eprintln!(
-            "warning: headline speedup {:.2}x is under the 3x acceptance bar",
-            headline.speedup()
-        );
-    }
 
     BenchReport {
         bench_id: "B18",

@@ -928,6 +928,29 @@ impl<'s> Engine<'s> {
         self.rels.values().map(|r| r.deps.len()).sum()
     }
 
+    /// Charges a query `budget` for the pools its answer reads, by the
+    /// rule of the counter check in `RelEngine::add`. Liveness is polled
+    /// first; then, with `L = budget.max_pool_deps`, a relation pool
+    /// longer than `L` makes the charge `Exhausted(PoolDeps, L, L + 1)`.
+    /// That is exactly where a build under `budget` stops: `add` charges
+    /// every accepted entry and pools only grow, so the build trips on
+    /// the `(L + 1)`-th entry of that pool. Builds are deterministic, so
+    /// the resident pools answer for every budget they fit and are never
+    /// derived again at query time.
+    pub fn charge_pool(&self, budget: &Budget) -> Result<(), nfd_govern::ResourceReport> {
+        budget.check_live()?;
+        let longest = self.rels.values().map(|r| r.deps.len()).max().unwrap_or(0) as u64;
+        let limit = budget.max_pool_deps;
+        if longest > limit {
+            return Err(nfd_govern::ResourceReport::counter(
+                ResourceKind::PoolDeps,
+                limit,
+                limit + 1,
+            ));
+        }
+        Ok(())
+    }
+
     pub(crate) fn rel(&self, relation: Label) -> Result<&RelEngine, CoreError> {
         self.rels
             .get(&relation)
@@ -960,21 +983,27 @@ impl<'s> Engine<'s> {
     /// Does Σ logically imply `goal` (over instances consistent with the
     /// engine's empty-set policy)?
     pub fn implies(&self, goal: &Nfd) -> Result<bool, CoreError> {
-        self.implies_queried(goal).map(|(v, _)| v)
+        self.implies_queried(goal, &self.budget).map(|(v, _)| v)
     }
 
     /// [`Engine::implies`] plus the [`QueryTrace`]: whether a closure was
     /// looked up (reflexivity decides some goals first) and whether the
-    /// attached cache answered it. The failpoint and liveness poll sit
-    /// ahead of the cache lookup, so injected faults and cancellation
-    /// behave identically whether or not the closure is cached.
-    pub fn implies_queried(&self, goal: &Nfd) -> Result<(bool, QueryTrace), CoreError> {
+    /// attached cache answered it. The failpoint and liveness poll act on
+    /// `budget` — a session passes its query's budget, [`Engine::implies`]
+    /// the engine's own — and sit ahead of the cache lookup, so injected
+    /// faults and cancellation behave identically whether or not the
+    /// closure is cached.
+    pub fn implies_queried(
+        &self,
+        goal: &Nfd,
+        budget: &Budget,
+    ) -> Result<(bool, QueryTrace), CoreError> {
         fail_point!(
             "engine::implies",
             Err(CoreError::Exhausted(nfd_govern::ResourceReport::injected())),
-            self.budget.cancel_token()
+            budget.cancel_token()
         );
-        self.budget.check_live().map_err(CoreError::Exhausted)?;
+        budget.check_live().map_err(CoreError::Exhausted)?;
         let (relation, lhs, rhs) = self.normalize_goal(goal)?;
         if lhs.contains(&rhs) {
             let trace = QueryTrace {
@@ -1468,6 +1497,38 @@ mod tests {
             }
             Err(other) => panic!("unexpected error {other}"),
             Ok(_) => panic!("expected the saturation budget to be exceeded"),
+        }
+    }
+
+    #[test]
+    fn pool_charge_matches_a_build_under_the_same_budget() {
+        // Two relations: a build trips on whichever pool passes the limit.
+        let schema = Schema::parse(
+            "R : { <A: {<B: {<C: int>}, E: {<F: int, G: int>}>}, D: int> };
+             S : {<X: int, Y: int, Z: int>};",
+        )
+        .unwrap();
+        let sigma = parse_set(
+            &schema,
+            "R:[A:B:C, D -> A:E:F]; R:A:[B -> E:G]; S:[X -> Y]; S:[Y -> Z];",
+        )
+        .unwrap();
+        let engine = Engine::new(&schema, &sigma).unwrap();
+        let longest = engine.rels.values().map(|r| r.deps.len()).max().unwrap() as u64;
+        for limit in 0..=longest + 1 {
+            let budget = Budget::limited(limit);
+            let built =
+                Engine::with_budget(&schema, &sigma, EmptySetPolicy::Forbidden, budget.clone());
+            match (engine.charge_pool(&budget), built) {
+                (Ok(()), Ok(_)) => assert!(limit >= longest),
+                (Err(charged), Err(CoreError::Exhausted(tripped))) => {
+                    assert_eq!(charged, tripped, "limit {limit}")
+                }
+                (charged, built) => panic!(
+                    "limit {limit}: charge {charged:?}, build {:?}",
+                    built.map(|_| ())
+                ),
+            }
         }
     }
 

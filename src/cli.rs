@@ -175,11 +175,12 @@ const USAGE: &str = "usage:
   the per-request deadline. Reads (IMPLIES/BATCH/CLOSURE/KEYS) run in
   parallel on the connection threads, as many as --max-inflight admits;
   ADDDEP/DROPDEP fork the tenant's compiled session, change the fork
-  and swap it in, never blocking readers. --workers 1 forces the
-  sequential reference mode (every query re-saturates under its own
-  budget); any other N answers from the resident compiled session and
-  runs each BATCH on N threads, 0 or omitted using all available
-  cores. Exits 0 on a clean SHUTDOWN drain.
+  and swap it in, never blocking readers. Every read answers from the
+  resident compiled session, which no query re-saturates: a query is
+  charged for the pools it reads, so a tenant whose quota or --budget
+  is below its largest pool falls back to the chase and logic-eval.
+  --workers N sets only how many threads each BATCH runs on (0 or
+  omitted: all available cores). Exits 0 on a clean SHUTDOWN drain.
 
   exit codes: 0 holds/implied · 1 fails/not implied · 2 usage or input
   error · 3 budget or deadline exhausted · 101 contained internal panic";
@@ -215,8 +216,7 @@ struct Opts {
     /// `--thaw-min-bytes N`: image-size floor below which `--snapshot`
     /// compiles fresh instead of thawing (`0` disables the gate).
     thaw_min_bytes: Option<String>,
-    /// `--workers N`: `serve`'s read path (1 = per-query rebuild) and
-    /// `BATCH` thread count.
+    /// `--workers N`: `serve`'s `BATCH` thread count.
     workers: Option<String>,
     /// `--out FILE`: where the `snapshot` subcommand writes its image.
     out: Option<String>,
@@ -827,19 +827,22 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
                 })
                 .transpose()
             };
-            let registry_cfg = crate::serve::RegistryConfig {
-                max_resident: parse_u64(o.max_resident.as_deref(), "--max-resident")?
-                    .map(|n| n as usize)
-                    .unwrap_or(8),
-                default_quota: parse_u64(o.quota.as_deref(), "--quota")?,
-                query_budget: parse_u64(o.budget.as_deref(), "--budget")?,
-                request_timeout_ms: parse_u64(o.timeout_ms.as_deref(), "--timeout-ms")?
-                    .unwrap_or(30_000),
-                // 0 = all available parallelism, matching --threads.
-                workers: parse_u64(o.workers.as_deref(), "--workers")?
-                    .map(|n| n as usize)
-                    .unwrap_or(0),
-            };
+            let mut registry_cfg = crate::serve::RegistryConfig::default();
+            if let Some(n) = parse_u64(o.max_resident.as_deref(), "--max-resident")? {
+                registry_cfg.max_resident = n as usize;
+            }
+            if let Some(n) = parse_u64(o.quota.as_deref(), "--quota")? {
+                registry_cfg.default_quota = Some(n);
+            }
+            if let Some(n) = parse_u64(o.budget.as_deref(), "--budget")? {
+                registry_cfg.query_budget = Some(n);
+            }
+            if let Some(ms) = parse_u64(o.timeout_ms.as_deref(), "--timeout-ms")? {
+                registry_cfg.request_timeout_ms = ms;
+            }
+            if let Some(n) = parse_u64(o.workers.as_deref(), "--workers")? {
+                registry_cfg.workers = n as usize;
+            }
             let mut server_cfg = nfd_serve::ServerConfig::default();
             if let Some(n) = parse_u64(o.max_inflight.as_deref(), "--max-inflight")? {
                 server_cfg.max_inflight = n as usize;

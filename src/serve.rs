@@ -14,15 +14,13 @@
 //!   server's admission gate admits. `LOAD` and `RESTORE` compile or
 //!   thaw on the connection thread too: no thread is spawned per tenant
 //!   or per write.
-//! * **Two read paths, chosen by [`RegistryConfig::workers`].** At
-//!   `workers == 1` every query re-saturates a fresh engine under its
-//!   own budget — the historical daemon, kept as the differential
-//!   reference. Otherwise reads are served from the *resident* compiled
-//!   engine ([`Session::implies_with_resident`]) and `BATCH` fans out to
-//!   `workers` threads; builds are deterministic and query-time chaining
-//!   consumes no budget counters, so verdicts match the reference (see
-//!   DESIGN.md §"Read-parallel registry" for the argument and the
-//!   metered-tenant caveat).
+//! * **One read path.** Every read answers from the tenant's resident
+//!   compiled engine, which is never re-saturated at query time. A
+//!   query budget is charged for the pools it reads (DESIGN.md §6), so
+//!   a tenant whose quota is below its largest pool falls back to the
+//!   chase and logic-eval, whatever the `BATCH` width.
+//!   [`RegistryConfig::workers`] sets only that width: how many threads
+//!   one `BATCH` fans out to.
 //! * **Fork-and-swap mutation.** Write verbs (ADDDEP/DROPDEP) never
 //!   touch the serving session: under a per-tenant write gate, the
 //!   registry forks the current epoch ([`Session::fork`]: the same
@@ -81,7 +79,8 @@ use crate::session::Session;
 const SHARED_CACHE_POOL_CAP: usize = 32;
 
 /// Tuning for the registry side of the server (the transport side is
-/// [`nfd_serve::ServerConfig`]).
+/// [`nfd_serve::ServerConfig`]). The default is what `nfdtool serve`
+/// runs with no flags.
 #[derive(Clone, Debug)]
 pub struct RegistryConfig {
     /// Resident-session cap; loading past it evicts the LRU tenant.
@@ -94,13 +93,10 @@ pub struct RegistryConfig {
     pub query_budget: Option<u64>,
     /// Wall-clock deadline per `IMPLIES`/`BATCH` query (ms; 0 = none).
     pub request_timeout_ms: u64,
-    /// Which read path serves queries. `1` is the sequential reference
-    /// mode: every query re-saturates a fresh engine under its own
-    /// budget, exactly the historical daemon. Any other value serves
-    /// reads from the resident compiled engine and runs `BATCH` goals
-    /// at this thread count; `0` means all available parallelism.
-    /// Reads run on the connection threads either way, as many at once
-    /// as the server's admission gate admits.
+    /// Threads one `BATCH` fans its goals out to (`0` = all available
+    /// parallelism). It sets nothing else: every read answers from the
+    /// resident engine on its connection thread, as many at once as the
+    /// server's admission gate admits.
     pub workers: usize,
 }
 
@@ -111,7 +107,7 @@ impl Default for RegistryConfig {
             default_quota: None,
             query_budget: None,
             request_timeout_ms: 30_000,
-            workers: 1,
+            workers: 0,
         }
     }
 }
@@ -184,8 +180,8 @@ type CacheKey = (String, String, String);
 pub struct Registry {
     cfg: RegistryConfig,
     /// [`RegistryConfig::workers`] resolved once (`0` = all available
-    /// parallelism, which costs a cgroup lookup to learn): `1` selects
-    /// the per-query-rebuild path, anything more the resident engine.
+    /// parallelism, which costs a cgroup lookup to learn): the `BATCH`
+    /// width, and nothing else.
     workers: usize,
     tenants: Mutex<Vec<Tenant>>,
     shared_caches: Mutex<HashMap<CacheKey, Arc<ClosureCache>>>,
@@ -659,11 +655,9 @@ impl Handler for Registry {
     }
 }
 
-/// Answers one read on `session`: from the resident engine when
-/// `workers >= 2` (with `BATCH` fanned out that wide), via the per-query
-/// rebuild reference path when `workers == 1`.
+/// Answers one read on `session`'s resident engine, with `BATCH` fanned
+/// out to `workers` threads.
 fn answer(session: &Session<'_>, query: Query, budget: &Budget, workers: usize) -> Reply {
-    let resident = workers >= 2;
     let schema = session.schema();
     match query {
         Query::Implies { goal } => {
@@ -671,12 +665,7 @@ fn answer(session: &Session<'_>, query: Query, budget: &Budget, workers: usize) 
                 Ok(goal) => goal,
                 Err(e) => return input_error(e),
             };
-            let decision = if resident {
-                session.implies_with_resident(&goal, budget)
-            } else {
-                session.implies_with(&goal, budget)
-            };
-            match decision {
+            match session.implies_with(&goal, budget) {
                 Ok(decision) => {
                     let cost = decision_cost(&decision);
                     Reply {
@@ -698,12 +687,7 @@ fn answer(session: &Session<'_>, query: Query, budget: &Budget, workers: usize) 
                     cost: 1,
                 };
             }
-            let batch = if resident {
-                session.implies_batch_resident(&goals, budget, workers)
-            } else {
-                session.implies_batch(&goals, budget, 1)
-            };
-            match batch {
+            match session.implies_batch(&goals, budget, workers) {
                 Ok(batch) => {
                     let statuses: Vec<&str> = batch
                         .decisions
@@ -1258,9 +1242,8 @@ mod tests {
         ));
     }
 
-    /// The differential pin for the tentpole: the parallel pool answers
-    /// every verb — reads, mutations, reads-after-mutation — with the
-    /// same wire responses the sequential daemon gives.
+    /// A 4-wide registry answers every verb — reads, mutations,
+    /// reads-after-mutation — with the verdicts of the tenant's Σ.
     #[test]
     fn parallel_pool_matches_the_sequential_daemon() {
         let reg = Registry::new(RegistryConfig {

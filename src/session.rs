@@ -260,11 +260,11 @@ pub struct Decision {
     /// keeping batch results bit-identical at every thread count.
     pub cache_hits: u64,
     /// `Some(Tier::Indexed)` when the saturation attempt looked a closure
-    /// up, `None` when it never did (reflexivity answered, the build
-    /// failed, or another decider produced the verdict). Every lookup
-    /// takes the one closure path, so the field stays only for the
-    /// benchmark, which counts decisions per [`Tier`]; like `cache_hits`,
-    /// equality ignores it.
+    /// up, `None` when it never did (reflexivity answered, the pool
+    /// charge refused the budget, or another decider produced the
+    /// verdict). Every lookup takes the one closure path, so the field
+    /// stays only for the benchmark, which counts decisions per
+    /// [`Tier`]; like `cache_hits`, equality ignores it.
     pub tier: Option<Tier>,
     /// True on the first decision a session produces after
     /// [`Session::reconfigure`] discarded the closure cache and the
@@ -470,11 +470,10 @@ pub struct Session<'s> {
     /// The resident engine, which also holds the schema (borrowed for
     /// `'s`, or shared-owned by a [`Session::owned`] session).
     engine: Engine<'s>,
-    /// Shared closure cache, consulted by the session engine and every
-    /// query engine rebuilt over the cached tables. Scoped to one
-    /// `(Σ, policy)` compilation — [`Session::reconfigure`] makes a fresh
-    /// one — which is what makes the `(relation, LHS set, policy)` key of
-    /// the cache sound without storing the policy per entry.
+    /// Shared closure cache, consulted by the session engine. Scoped to
+    /// one `(Σ, policy)` compilation — [`Session::reconfigure`] makes a
+    /// fresh one — which is what makes the `(relation, LHS set, policy)`
+    /// key of the cache sound without storing the policy per entry.
     cache: Arc<ClosureCache>,
     /// Memo of completed candidate-key sweeps, keyed by
     /// `(relation, max_size)`; thread count is deliberately not part of
@@ -548,10 +547,14 @@ impl<'s> Session<'s> {
         Session::with_budget(schema, sigma, policy, Budget::standard())
     }
 
-    /// Compiles a session under an explicit resource [`Budget`]. The
-    /// budget governs compilation (pool growth, deadline, cancellation)
-    /// and every subsequent query served by the cached engine; running
-    /// out surfaces as [`CoreError::Exhausted`], never a wrong answer.
+    /// Compiles a session under an explicit resource [`Budget`]. This
+    /// build budget governs compilation (pool growth, deadline,
+    /// cancellation), every later Σ delta, and the queries that take no
+    /// budget of their own ([`Session::implies`], [`Session::closure`],
+    /// [`Session::candidate_keys`]); [`Session::implies_with`] and its
+    /// batch and retry forms are governed by the budget they are given.
+    /// Running out surfaces as [`CoreError::Exhausted`], never a wrong
+    /// answer.
     pub fn with_budget(
         schema: &'s Schema,
         sigma: &[Nfd],
@@ -869,11 +872,17 @@ impl<'s> Session<'s> {
     }
 
     /// Decides `Σ ⊨ goal` under an explicit [`Budget`], falling back
-    /// through the decision procedures: **saturation** first (rebuilt over
-    /// the cached path tables so the query budget governs pool growth),
-    /// then the **chase**, then **logic-eval**. The first decider to
-    /// answer wins; one that exhausts its budget or panics (contained
-    /// here — the session boundary is panic-free) yields to the next.
+    /// through the decision procedures: **saturation** first, then the
+    /// **chase**, then **logic-eval**. The first decider to answer wins;
+    /// one that exhausts its budget or panics (contained here — the
+    /// session boundary is panic-free) yields to the next.
+    ///
+    /// Saturation answers from the session's resident pools, which are
+    /// never derived again. The query budget is polled for liveness and
+    /// charged for those pools ([`Engine::charge_pool`]): a budget whose
+    /// `max_pool_deps` is below the longest pool exhausts saturation
+    /// exactly as re-saturating under it would, and the fallbacks get
+    /// their turn.
     ///
     /// The chase and logic-eval are only sound in the no-empty-sets
     /// regime, so under any other [`EmptySetPolicy`] they are skipped
@@ -885,100 +894,22 @@ impl<'s> Session<'s> {
     /// without exhausting.
     pub fn implies_with(&self, goal: &Nfd, budget: &Budget) -> Result<Decision, CoreError> {
         goal.validate(self.schema())?;
-        let saturation = self.build_query_engine(budget);
-        self.cascade(goal, budget, saturation.as_ref())
+        self.cascade(goal, budget)
     }
 
-    /// [`Session::implies_with`] served from the session's *resident*
-    /// compiled engine instead of a per-query rebuild — the amortized
-    /// read path behind `nfdtool serve --workers N`.
-    ///
-    /// Engine builds are deterministic and query-time chaining consumes
-    /// no budget counters (a closure-chain hit skips work but can never
-    /// change a verdict or a counter-limited outcome — see
-    /// `nfd_core::Engine::implies_queried`), so serving every goal from
-    /// the one resident engine yields verdicts identical to
-    /// [`Session::implies_with`] whenever `budget`'s counters are at
-    /// least the session's build budget. The differences are exactly the
-    /// ones [`Session::closure`] and [`Session::candidate_keys`] already
-    /// accept by running on the resident engine: a *tighter* query
-    /// budget's counters cannot retroactively exhaust an
-    /// already-saturated pool, and the per-request deadline/cancellation
-    /// is honoured at the cascade layer rather than inside saturation.
+    /// [`Session::implies_with`]. Stays only because nfdbench still calls
+    /// this form.
     pub fn implies_with_resident(
         &self,
         goal: &Nfd,
         budget: &Budget,
     ) -> Result<Decision, CoreError> {
-        goal.validate(self.schema())?;
-        let saturation = self.resident_saturation(budget);
-        self.cascade(goal, budget, saturation.as_ref().map(|e| *e))
-    }
-
-    /// The resident engine as a cascade input: alive budgets serve from
-    /// `self.engine`; a dead one (cancelled, past deadline) pre-renders
-    /// the same exhausted saturation [`Attempt`] a per-query rebuild
-    /// would have produced, so the cascade falls through identically.
-    fn resident_saturation(&self, budget: &Budget) -> Result<&Engine<'s>, Attempt> {
-        match budget.check_live() {
-            Ok(()) => Ok(&self.engine),
-            Err(r) => Err(Attempt {
-                decider: "saturation",
-                outcome: AttemptOutcome::Exhausted(r),
-                cost: None,
-                round: 0,
-            }),
-        }
-    }
-
-    /// Rebuilds the saturation engine over the session's cached path
-    /// tables under a query budget. A failure is returned as the complete
-    /// saturation [`Attempt`] it should appear as in a cascade log —
-    /// engine builds are deterministic, so one build serves a whole batch
-    /// and each goal replicates the same attempt.
-    fn build_query_engine(&self, budget: &Budget) -> Result<Engine<'s>, Attempt> {
-        match catch_unwind(AssertUnwindSafe(|| {
-            Engine::compile(
-                self.engine.schema_ref().clone(),
-                self.engine.tables().clone(),
-                &self.engine.sigma,
-                self.engine.policy().clone(),
-                budget.clone(),
-            )
-        })) {
-            // Rebuilt query engines share the session cache: builds are
-            // deterministic per (Σ, policy), so every rebuild saturates
-            // the same pool and the cached closures remain exact.
-            Ok(Ok(engine)) => Ok(engine.with_closure_cache(Arc::clone(&self.cache))),
-            Ok(Err(CoreError::Exhausted(r))) => Err(Attempt {
-                decider: "saturation",
-                outcome: AttemptOutcome::Exhausted(r),
-                cost: None,
-                round: 0,
-            }),
-            Ok(Err(e)) => Err(Attempt {
-                decider: "saturation",
-                outcome: AttemptOutcome::Failed(e.to_string()),
-                cost: None,
-                round: 0,
-            }),
-            Err(payload) => Err(Attempt {
-                decider: "saturation",
-                outcome: AttemptOutcome::Failed(format!("panicked: {}", panic_message(payload))),
-                cost: None,
-                round: 0,
-            }),
-        }
+        self.implies_with(goal, budget)
     }
 
     /// The decider cascade for one (already validated) goal: saturation
-    /// over the prebuilt query engine, then the chase, then logic-eval.
-    fn cascade(
-        &self,
-        goal: &Nfd,
-        budget: &Budget,
-        saturation: Result<&Engine<'s>, &Attempt>,
-    ) -> Result<Decision, CoreError> {
+    /// over the resident engine, then the chase, then logic-eval.
+    fn cascade(&self, goal: &Nfd, budget: &Budget) -> Result<Decision, CoreError> {
         let forbidden = *self.engine.policy() == EmptySetPolicy::Forbidden;
         let mut attempts: Vec<Attempt> = Vec::new();
         // Closure-cache hits and whether a closure was looked up in this
@@ -1028,17 +959,17 @@ impl<'s> Session<'s> {
             }
         };
 
-        // 1. Saturation, re-governed by the query budget but reusing the
-        //    session's interned path tables. The engine was prebuilt (and
-        //    build failures pre-rendered) by `build_query_engine`.
-        attempts.push(match saturation {
-            Ok(engine) => run("saturation", &mut || {
+        // 1. Saturation over the resident pools, charged to the query
+        //    budget first; a refused charge costs nothing.
+        let engine = &self.engine;
+        attempts.push(match engine.charge_pool(budget) {
+            Ok(()) => run("saturation", &mut || {
                 fail_point!(
                     "session::cascade_saturation",
                     Ok((Verdict::Exhausted(ResourceReport::injected()), None)),
                     budget.cancel_token()
                 );
-                match engine.implies_queried(goal) {
+                match engine.implies_queried(goal, budget) {
                     Ok((b, trace)) => {
                         if trace.cache_hit {
                             cache_hits.set(cache_hits.get() + 1);
@@ -1052,7 +983,12 @@ impl<'s> Session<'s> {
                     Err(e) => Err(e.to_string()),
                 }
             }),
-            Err(attempt) => (*attempt).clone(),
+            Err(r) => Attempt {
+                decider: "saturation",
+                outcome: AttemptOutcome::Exhausted(r),
+                cost: None,
+                round: 0,
+            },
         });
 
         // 2 & 3. The independent deciders, as fallbacks.
@@ -1148,11 +1084,10 @@ impl<'s> Session<'s> {
     /// sharded across `threads` workers (`0` = all available
     /// parallelism).
     ///
-    /// The workers share this session's compiled tables and a single
-    /// prebuilt query engine (builds are deterministic, so sharing one is
-    /// indistinguishable from [`Session::implies_with`]'s per-goal
-    /// rebuild). The budget's counters and deadline govern every worker;
-    /// the pool additionally derives a [child cancellation
+    /// Every worker answers from the session's resident engine, each goal
+    /// through [`Session::implies_with`]'s cascade and pool charge. The
+    /// budget's counters and deadline govern every worker; the pool
+    /// additionally derives a [child cancellation
     /// token](nfd_govern::CancelToken::child) from the caller's, so the
     /// first goal to *genuinely* exhaust the budget stops the whole pool
     /// within one poll window without disturbing the caller's token.
@@ -1178,33 +1113,6 @@ impl<'s> Session<'s> {
         budget: &Budget,
         threads: usize,
     ) -> Result<BatchDecision, CoreError> {
-        self.implies_batch_impl(goals, budget, threads, false)
-    }
-
-    /// [`Session::implies_batch`] served from the session's *resident*
-    /// compiled engine — the batch form of
-    /// [`Session::implies_with_resident`], with the same equivalence
-    /// argument and the same caveats (a tighter query budget's counters
-    /// do not re-govern the already-saturated pool; deadlines and
-    /// cancellation are honoured at the cascade layer). The batch
-    /// normalization contract (deterministic cutoff, taint re-runs) is
-    /// identical; re-runs also serve from the resident engine.
-    pub fn implies_batch_resident(
-        &self,
-        goals: &[Nfd],
-        budget: &Budget,
-        threads: usize,
-    ) -> Result<BatchDecision, CoreError> {
-        self.implies_batch_impl(goals, budget, threads, true)
-    }
-
-    fn implies_batch_impl(
-        &self,
-        goals: &[Nfd],
-        budget: &Budget,
-        threads: usize,
-        resident: bool,
-    ) -> Result<BatchDecision, CoreError> {
         // Validate everything up front so input errors are deterministic
         // (always the lowest offending index) regardless of scheduling.
         for goal in goals {
@@ -1216,15 +1124,6 @@ impl<'s> Session<'s> {
         // the caller.
         let pool_token = budget.cancel_token().child();
         let worker_budget = budget.clone().with_cancel(pool_token.clone());
-        let built;
-        let resident_sat;
-        let saturation: Result<&Engine<'s>, &Attempt> = if resident {
-            resident_sat = self.resident_saturation(&worker_budget);
-            resident_sat.as_ref().map(|e| *e)
-        } else {
-            built = self.build_query_engine(&worker_budget);
-            built.as_ref()
-        };
 
         let pool = || {
             nfd_par::map_indexed_while(
@@ -1241,7 +1140,7 @@ impl<'s> Session<'s> {
                             Err(CoreError::Exhausted(ResourceReport::injected())),
                             worker_budget.cancel_token()
                         );
-                        self.cascade(&goals[i], &worker_budget, saturation)
+                        self.cascade(&goals[i], &worker_budget)
                     }))
                     .unwrap_or_else(|p| {
                         Err(CoreError::Internal(format!(
@@ -1291,7 +1190,6 @@ impl<'s> Session<'s> {
                         AttemptOutcome::Exhausted(r) if r.kind == ResourceKind::Cancelled)
                 })
         };
-        let mut rerun_saturation: Option<Result<Engine<'s>, Attempt>> = None;
         let mut decisions: Vec<Result<Decision, CoreError>> = Vec::with_capacity(goals.len());
         let mut first_exhausted: Option<usize> = None;
         for (i, slot) in raw.into_iter().enumerate() {
@@ -1306,18 +1204,8 @@ impl<'s> Session<'s> {
                 Some(Err(e)) => Err(e),
                 // Tainted by the pool stop, or never dispatched: re-run
                 // under the caller's budget, exactly as a sequential
-                // sweep would have run it. Builds are deterministic, so
-                // one re-run engine serves every re-run goal.
-                _ => {
-                    if resident {
-                        let sat = self.resident_saturation(budget);
-                        self.cascade(&goals[i], budget, sat.as_ref().map(|e| *e))
-                    } else {
-                        let saturation =
-                            rerun_saturation.get_or_insert_with(|| self.build_query_engine(budget));
-                        self.cascade(&goals[i], budget, saturation.as_ref())
-                    }
-                }
+                // sweep would have run it.
+                _ => self.cascade(&goals[i], budget),
             };
             // Post-normalization, an Exhausted verdict is genuine: a
             // cancellation report here means the caller's own token.
@@ -1330,6 +1218,17 @@ impl<'s> Session<'s> {
             decisions,
             first_exhausted,
         })
+    }
+
+    /// [`Session::implies_batch`]. Stays only because nfdbench still calls
+    /// this form.
+    pub fn implies_batch_resident(
+        &self,
+        goals: &[Nfd],
+        budget: &Budget,
+        threads: usize,
+    ) -> Result<BatchDecision, CoreError> {
+        self.implies_batch(goals, budget, threads)
     }
 
     /// [`Session::implies_with`], retried under escalating budgets when

@@ -192,10 +192,10 @@ fn census_reaches_every_layer() {
 /// the cascade into the layer under test (the chase only runs once
 /// saturation yields, logic-eval once both yield). Companions are armed
 /// with plain `ReturnExhausted`, which never changes a produced verdict.
-const QUERY_SITES: [(&str, &[&str]); 12] = [
-    ("engine::build", &[]),
-    ("engine::saturate", &[]),
-    ("engine::singleton", &[]),
+/// The build sites are absent: queries answer from the resident engine
+/// and never build one (`queries_never_rebuild_the_engine`), so
+/// `build_sites_fail_closed_and_disarm_cleanly` covers them.
+const QUERY_SITES: [(&str, &[&str]); 9] = [
     ("engine::implies", &[]),
     ("session::cascade_saturation", &[]),
     ("session::cascade_chase", &["session::cascade_saturation"]),
@@ -231,6 +231,9 @@ fn every_query_site_survives_every_action() {
     let goals = parse_goals(&schema);
     let session = Session::new(&schema, &sigma).unwrap();
     let expected = reference_verdicts(&session, &goals);
+    let base = RootedPath::parse("Course").unwrap();
+    let lhs = [Path::parse("cnum").unwrap()];
+    let closure = session.closure(&base, &lhs).unwrap();
 
     for (site, companions) in QUERY_SITES {
         for action in ACTIONS {
@@ -261,7 +264,10 @@ fn every_query_site_survives_every_action() {
                 }
             }
 
-            // Disarm; the same session must answer exactly as before.
+            // Disarm; the same session must answer exactly as before, from
+            // saturation. A fault on the query path acts on the query's
+            // budget, never on the session's build token, so `closure`
+            // (which runs under that token) still answers too.
             faults::reset();
             for (goal, &want) in goals.iter().zip(&expected) {
                 let d = session
@@ -270,7 +276,15 @@ fn every_query_site_survives_every_action() {
                         panic!("{site} × {action:?}: session unusable after fault: {e}")
                     });
                 assert_eq!(d.verdict.as_bool(), Some(want), "{site} × {action:?}");
+                assert_eq!(d.answered_by(), Some("saturation"), "{site} × {action:?}");
             }
+            assert_eq!(
+                session.closure(&base, &lhs).unwrap_or_else(|e| {
+                    panic!("{site} × {action:?}: closure unusable after fault: {e}")
+                }),
+                closure,
+                "{site} × {action:?}"
+            );
         }
     }
 }
@@ -322,7 +336,6 @@ fn batch_sites_degrade_gracefully_and_normalization_repairs_cancel() {
         "session::batch_goal",
         "par::worker",
         "par::reassemble",
-        "engine::build",
         "session::cascade_saturation",
     ];
     for site in batch_sites {
@@ -382,6 +395,43 @@ fn batch_sites_degrade_gracefully_and_normalization_repairs_cancel() {
         repaired, reference,
         "injected pool cancellation must be repaired by normalization"
     );
+}
+
+/// Queries answer from the resident engine: once a session is built, no
+/// `implies_with` or `implies_batch` call that saturation answers builds
+/// or saturates an engine again. (A starved query's logic-eval fallback
+/// still compiles its own engine for the Appendix-A witness.)
+#[test]
+fn queries_never_rebuild_the_engine() {
+    let _guard = serial();
+    faults::reset();
+    let (schema, sigma) = fixture();
+    let goals = parse_goals(&schema);
+    let session = Session::new(&schema, &sigma).unwrap();
+    let built = faults::hits("engine::build");
+    let saturated = faults::hits("engine::saturate");
+    assert_eq!(built, 1, "construction builds the engine once");
+
+    session
+        .implies_with(&goals[0], &Budget::standard())
+        .unwrap();
+    session
+        .implies_with(&goals[1], &Budget::standard())
+        .unwrap();
+    session
+        .implies_batch(&goals, &Budget::standard(), 2)
+        .unwrap();
+    assert_eq!(
+        faults::hits("engine::build"),
+        built,
+        "a query built an engine"
+    );
+    assert_eq!(
+        faults::hits("engine::saturate"),
+        saturated,
+        "a query re-saturated a pool"
+    );
+    faults::reset();
 }
 
 #[test]

@@ -173,12 +173,14 @@ fn first_exhaustion_stops_the_whole_pool_promptly() {
 }
 
 #[test]
-fn external_cancellation_preempts_a_heavy_batch() {
-    // Calibrate the workload so the uncancelled batch would take at least
-    // ~400ms on this machine, then cancel early and require the batch to
-    // return well before the full work completes. The ladder reaches well
-    // past n=200 because the indexed saturation kernel builds chains far
-    // faster than the old all-pairs scan did.
+fn external_cancellation_preempts_a_heavy_compile() {
+    // Calibrate the workload so the uncancelled compile would take at
+    // least ~400ms on this machine, then cancel early and require the
+    // compile to return well before the full work completes. The ladder
+    // reaches well past n=200 because the indexed saturation kernel
+    // builds chains far faster than the old all-pairs scan did. Queries
+    // answer from the resident pools and never saturate, so the compile
+    // is the heavy work a cancellation has to preempt.
     let mut calibrated = None;
     for n in [100usize, 140, 200, 280, 400, 560, 800] {
         let (schema, sigma) = chain_problem(n);
@@ -194,10 +196,6 @@ fn external_cancellation_preempts_a_heavy_batch() {
     let Some((schema, sigma, full_time)) = calibrated else {
         panic!("even the largest chain saturates in <400ms; grow the calibration sizes");
     };
-    let session = Session::new(&schema, &sigma).unwrap();
-    let goals: Vec<Nfd> = (0..8)
-        .map(|i| Nfd::parse(&schema, &format!("R:[a{i} -> a{}]", i + 50)).unwrap())
-        .collect();
 
     let token = CancelToken::new();
     let budget = Budget::standard().with_cancel(token.clone());
@@ -208,18 +206,13 @@ fn external_cancellation_preempts_a_heavy_batch() {
             std::thread::sleep(delay);
             token.cancel();
         });
-        // The batch re-saturates under the worker budget (≈ full_time of
-        // work); the cancel lands mid-build and must preempt it.
-        let batch = session.implies_batch(&goals, &budget, 8).unwrap();
+        // The cancel lands mid-saturation and must preempt it.
+        let err = Session::with_budget(&schema, &sigma, EmptySetPolicy::Forbidden, budget).err();
         let elapsed = t.elapsed();
         assert!(
-            batch
-                .decisions
-                .iter()
-                .all(|d| matches!(d, Ok(d) if d.verdict.is_exhausted())),
-            "a cancelled batch reports exhaustion, never a made-up verdict"
+            matches!(&err, Some(CoreError::Exhausted(r)) if r.kind == ResourceKind::Cancelled),
+            "a cancelled compile reports cancellation, never a session: {err:?}"
         );
-        assert_eq!(batch.first_exhausted, Some(0));
         assert!(
             elapsed < full_time / 2 + delay,
             "cancellation after {delay:?} must preempt the ≈{full_time:?} build, \

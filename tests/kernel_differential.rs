@@ -264,8 +264,8 @@ fn proofs_reconstruct_and_verify_on_indexed_pools() {
 }
 
 /// Session batch verdicts agree with the naive oracle at every thread
-/// count (the batch path rebuilds query engines that share the session's
-/// closure cache — cache hits must never change a verdict).
+/// count (every batch goal reads the session's closure cache — cache
+/// hits must never change a verdict).
 #[test]
 fn session_batches_match_naive_at_every_thread_count() {
     for seed in 0..12u64 {

@@ -1,13 +1,14 @@
-//! Concurrency tests for the read-parallel registry (`nfdtool serve`
-//! with `--workers N`).
+//! Concurrency tests for the read-parallel registry (`nfdtool serve`):
+//! reads answer from the tenant's resident engine on the connection
+//! threads, and each `BATCH` fans out to `--workers N` threads.
 //!
 //! Two load-bearing pins:
 //!
 //! 1. **Bit-identity under concurrency.** N clients hammering one hot
-//!    tenant through the parallel worker pool receive byte-for-byte the
-//!    responses a sequential (`workers = 1`) daemon gives for the same
-//!    requests — the pool may reorder *which* reader answers, never
-//!    *what* is answered.
+//!    tenant, with every `BATCH` 8 wide, receive byte-for-byte the
+//!    responses one client of a `workers = 1` daemon (every `BATCH`
+//!    sequential) gets for the same requests — concurrency may reorder
+//!    *which* reader answers, never *what* is answered.
 //! 2. **Epoch atomicity under interleaved mutation.** While a writer
 //!    flips Σ back and forth with ADDDEP/DROPDEP, every concurrently
 //!    served BATCH sees either the old Σ or the new Σ in full: two
@@ -104,7 +105,7 @@ fn read_requests() -> Vec<String> {
     reqs
 }
 
-/// Pin 1: every response from the 8-worker pool, under 8 concurrent
+/// Pin 1: every response from the 8-wide daemon, under 8 concurrent
 /// clients, is byte-identical to the sequential daemon's answer for the
 /// same request line.
 #[test]
@@ -113,7 +114,7 @@ fn concurrent_clients_are_bit_identical_to_the_sequential_daemon() {
     let load = format!("LOAD course {schema_src} | {deps_src}");
     let requests = read_requests();
 
-    // Sequential replay first: workers=1 is the reference daemon.
+    // Sequential replay first: one client, every BATCH on one thread.
     let expected: Vec<String> = {
         let (addr, server) = start(
             RegistryConfig {

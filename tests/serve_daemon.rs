@@ -235,6 +235,40 @@ fn tenant_quotas_meter_exhaust_and_recover() {
     server.join().expect("server");
 }
 
+/// A tenant metered below its largest pool gets the same replies at
+/// every `BATCH` width: every read answers from the resident engine,
+/// and a query is charged for the pool it reads instead of saturating
+/// it again, so `workers` cannot change what the quota buys.
+#[test]
+fn metered_tenants_get_the_same_replies_at_every_worker_count() {
+    let (schema_src, deps_src) = course_sources();
+    let replies = |quota: u64, workers: usize| -> Vec<String> {
+        let (addr, server) = start(
+            RegistryConfig {
+                default_quota: Some(quota),
+                workers,
+                ..RegistryConfig::default()
+            },
+            quick_server_cfg(),
+        );
+        let mut c = Client::connect(addr);
+        assert_eq!(
+            c.ask(&format!("LOAD course {schema_src} | {deps_src}")),
+            "OK loaded deps=7"
+        );
+        let replies = vec![
+            c.ask("IMPLIES course Course:[time, students:sid -> books]"),
+            c.ask("BATCH course Course:[cnum -> time]; Course:[time -> cnum];"),
+        ];
+        assert_eq!(c.ask("SHUTDOWN"), "OK draining");
+        server.join().expect("server");
+        replies
+    };
+    for quota in [1, 5, 20] {
+        assert_eq!(replies(quota, 1), replies(quota, 2), "quota {quota}");
+    }
+}
+
 #[test]
 fn lru_keeps_hot_tenants_resident() {
     let (schema_src, deps_src) = course_sources();
