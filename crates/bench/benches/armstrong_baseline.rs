@@ -8,20 +8,14 @@
 //! fixpoint-chaining query. The baseline should win by one to two orders
 //! of magnitude — the price of handling nesting uniformly.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nfd_bench::*;
 use nfd_core::engine::Engine;
 use nfd_core::Nfd;
 use nfd_relational::{attrs, closure, implies, Fd};
 use std::hint::black_box;
-use std::time::Duration;
 
-fn bench_implication(c: &mut Criterion) {
-    let mut group = c.benchmark_group("armstrong_baseline/implication");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
+fn main() {
+    let mut bench = Bench::new("B5", "armstrong_baseline", 10);
     for n in [4usize, 8, 16, 32] {
         let schema = flat_schema(n);
         let sigma_nfd = flat_chain_sigma(&schema, n);
@@ -29,31 +23,33 @@ fn bench_implication(c: &mut Criterion) {
         let goal_nfd = Nfd::parse(&schema, &format!("R:[a0 -> a{}]", n - 1)).unwrap();
         let goal_fd = Fd::of(["a0"], [format!("a{}", n - 1).as_str()]);
 
-        group.bench_with_input(BenchmarkId::new("armstrong", n), &n, |b, _| {
-            b.iter(|| implies(black_box(&sigma_fd), black_box(&goal_fd)))
-        });
-        group.bench_with_input(BenchmarkId::new("nfd_engine_cold", n), &n, |b, _| {
-            b.iter(|| {
-                Engine::new(black_box(&schema), black_box(&sigma_nfd))
-                    .unwrap()
-                    .implies(&goal_nfd)
-                    .unwrap()
-            })
-        });
+        let armstrong = bench.time(|| implies(black_box(&sigma_fd), black_box(&goal_fd)));
+        bench.pair(
+            "implication_cold",
+            n,
+            ("armstrong", armstrong),
+            (
+                "nfd_engine",
+                bench.time(|| {
+                    Engine::new(black_box(&schema), black_box(&sigma_nfd))
+                        .unwrap()
+                        .implies(&goal_nfd)
+                        .unwrap()
+                }),
+            ),
+        );
         let engine = Engine::new(&schema, &sigma_nfd).unwrap();
-        group.bench_with_input(BenchmarkId::new("nfd_engine_warm", n), &n, |b, _| {
-            b.iter(|| engine.implies(black_box(&goal_nfd)).unwrap())
-        });
+        bench.pair(
+            "implication_warm",
+            n,
+            ("armstrong", armstrong),
+            (
+                "nfd_engine",
+                bench.time(|| engine.implies(black_box(&goal_nfd)).unwrap()),
+            ),
+        );
     }
-    group.finish();
-}
 
-fn bench_closure_computation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("armstrong_baseline/closure");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
     for n in [8usize, 32] {
         let schema = flat_schema(n);
         let sigma_nfd = flat_chain_sigma(&schema, n);
@@ -62,45 +58,42 @@ fn bench_closure_computation(c: &mut Criterion) {
         let base = nfd_path::RootedPath::parse("R").unwrap();
         let x_paths = vec![nfd_path::Path::parse("a0").unwrap()];
         let x_attrs = attrs(["a0"]);
-
-        group.bench_with_input(BenchmarkId::new("armstrong", n), &n, |b, _| {
-            b.iter(|| closure(black_box(&sigma_fd), black_box(&x_attrs)).len())
-        });
-        group.bench_with_input(BenchmarkId::new("nfd_engine", n), &n, |b, _| {
-            b.iter(|| {
-                engine
-                    .closure(black_box(&base), black_box(&x_paths))
-                    .unwrap()
-                    .len()
-            })
-        });
+        bench.pair(
+            "closure",
+            n,
+            (
+                "armstrong",
+                bench.time(|| closure(black_box(&sigma_fd), black_box(&x_attrs)).len()),
+            ),
+            (
+                "nfd_engine",
+                bench.time(|| {
+                    engine
+                        .closure(black_box(&base), black_box(&x_paths))
+                        .unwrap()
+                        .len()
+                }),
+            ),
+        );
     }
-    group.finish();
-}
 
-fn bench_design_algorithms(c: &mut Criterion) {
-    let mut group = c.benchmark_group("armstrong_baseline/design");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(500));
+    // The design algorithms of the relational baseline, on its own.
     let n = 8;
     let sigma = flat_chain_fds(n);
     let names: Vec<String> = (0..n).map(|i| format!("a{i}")).collect();
     let universe = attrs(names.iter().map(String::as_str));
-    group.bench_function("candidate_keys", |b| {
-        b.iter(|| nfd_relational::candidate_keys(black_box(&universe), black_box(&sigma)).len())
-    });
-    group.bench_function("minimal_cover", |b| {
-        b.iter(|| nfd_relational::minimal_cover(black_box(&sigma)).len())
-    });
-    group.finish();
+    bench.one(
+        "candidate_keys",
+        n,
+        "relational",
+        bench
+            .time(|| nfd_relational::candidate_keys(black_box(&universe), black_box(&sigma)).len()),
+    );
+    bench.one(
+        "minimal_cover",
+        n,
+        "relational",
+        bench.time(|| nfd_relational::minimal_cover(black_box(&sigma)).len()),
+    );
+    bench.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_implication,
-    bench_closure_computation,
-    bench_design_algorithms
-);
-criterion_main!(benches);

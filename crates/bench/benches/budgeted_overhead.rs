@@ -7,7 +7,8 @@
 //! This bench reruns the B10 session workload (flat chain, all-pairs goal
 //! batch) under three budgets to measure what those checks cost:
 //!
-//! * `standard`  — the default budget (generous counters, no deadline);
+//! * `standard`  — the default budget (generous counters, no deadline),
+//!   the baseline of every row;
 //! * `unlimited` — every counter at `u64::MAX`, no deadline;
 //! * `deadline`  — unlimited counters plus a far-future deadline and a
 //!   cancellation token, so every `check_live` poll reads the clock and
@@ -16,26 +17,12 @@
 //! The acceptance bar for the governance PR is `deadline` within 5% of
 //! `standard` on the B10 workload.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nfd::session::Session;
 use nfd_bench::*;
 use nfd_core::{EmptySetPolicy, Nfd};
 use nfd_govern::{Budget, CancelToken};
-use nfd_model::Schema;
 use std::hint::black_box;
 use std::time::Duration;
-
-fn goal_batch(schema: &Schema, n: usize) -> Vec<Nfd> {
-    let mut goals = Vec::new();
-    for i in 0..n {
-        for j in 0..n {
-            if i != j {
-                goals.push(Nfd::parse(schema, &format!("R:[a{i} -> a{j}]")).unwrap());
-            }
-        }
-    }
-    goals
-}
 
 fn budgets() -> Vec<(&'static str, Budget)> {
     vec![
@@ -50,21 +37,31 @@ fn budgets() -> Vec<(&'static str, Budget)> {
     ]
 }
 
-/// Build + all-pairs query batch under each budget flavour — the same
-/// work as B10's `one_session_many_queries`, now with governance on.
-fn bench_session_under_budgets(c: &mut Criterion) {
-    let mut group = c.benchmark_group("govern/session_batch");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(800));
+/// One row per governed budget against `standard`, from the times of
+/// [`budgets`] in order.
+fn against_standard(
+    bench: &mut Bench,
+    workload: &'static str,
+    param: usize,
+    times: &[(&'static str, u128)],
+) {
+    for &governed in &times[1..] {
+        bench.pair(workload, param, times[0], governed);
+    }
+}
+
+fn main() {
+    let mut bench = Bench::new("B11", "budgeted_overhead", 10);
+    // Build + all-pairs query batch under each budget flavour — the same
+    // work as B10's `one_session`, now with governance on.
     for n in [8usize, 16, 24] {
         let schema = flat_schema(n);
         let sigma = flat_chain_sigma(&schema, n);
-        let goals = goal_batch(&schema, n);
-        for (label, budget) in budgets() {
-            group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                b.iter(|| {
+        let goals = all_pairs_goals(&schema, n);
+        let times: Vec<_> = budgets()
+            .into_iter()
+            .map(|(label, budget)| {
+                let ns = bench.time(|| {
                     let session = Session::with_budget(
                         black_box(&schema),
                         black_box(&sigma),
@@ -76,52 +73,43 @@ fn bench_session_under_budgets(c: &mut Criterion) {
                         .iter()
                         .filter(|g| session.implies(black_box(g)).unwrap())
                         .count()
-                })
-            });
-        }
+                });
+                (label, ns)
+            })
+            .collect();
+        against_standard(&mut bench, "session_batch", n, &times);
     }
-    group.finish();
-}
 
-/// Steady-state single queries over a prebuilt session, per budget — the
-/// per-query overhead with compilation sunk.
-fn bench_steady_state_under_budgets(c: &mut Criterion) {
-    let mut group = c.benchmark_group("govern/steady_state");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
+    // Steady-state queries over a prebuilt session, per budget — the
+    // per-query overhead with compilation sunk.
     let n = 16usize;
     let schema = flat_schema(n);
     let sigma = flat_chain_sigma(&schema, n);
-    let goals = goal_batch(&schema, n);
-    for (label, budget) in budgets() {
-        let session =
-            Session::with_budget(&schema, &sigma, EmptySetPolicy::Forbidden, budget).unwrap();
-        group.bench_function(BenchmarkId::new(label, n), |b| {
-            b.iter(|| {
+    let goals = all_pairs_goals(&schema, n);
+    let times: Vec<_> = budgets()
+        .into_iter()
+        .map(|(label, budget)| {
+            let session =
+                Session::with_budget(&schema, &sigma, EmptySetPolicy::Forbidden, budget).unwrap();
+            let ns = bench.time(|| {
                 goals
                     .iter()
                     .filter(|g| session.implies(black_box(g)).unwrap())
                     .count()
-            })
-        });
-    }
-    group.finish();
-}
+            });
+            (label, ns)
+        })
+        .collect();
+    against_standard(&mut bench, "steady_state", n, &times);
 
-/// The chase under governance: assignment counting dominates its checks.
-fn bench_chase_under_budgets(c: &mut Criterion) {
-    let mut group = c.benchmark_group("govern/chase");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
+    // The chase under governance: assignment counting dominates its
+    // checks.
     let (schema, sigma) = course();
     let goal = Nfd::parse(&schema, "Course:[time, students:sid -> books]").unwrap();
-    for (label, budget) in budgets() {
-        group.bench_function(BenchmarkId::new(label, "course"), |b| {
-            b.iter(|| {
+    let times: Vec<_> = budgets()
+        .into_iter()
+        .map(|(label, budget)| {
+            let ns = bench.time(|| {
                 nfd_chase::chase_with(
                     black_box(&schema),
                     black_box(&sigma),
@@ -130,16 +118,10 @@ fn bench_chase_under_budgets(c: &mut Criterion) {
                 )
                 .unwrap()
                 .implied
-            })
-        });
-    }
-    group.finish();
+            });
+            (label, ns)
+        })
+        .collect();
+    against_standard(&mut bench, "course_chase", sigma.len(), &times);
+    bench.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_session_under_budgets,
-    bench_steady_state_under_budgets,
-    bench_chase_under_budgets
-);
-criterion_main!(benches);

@@ -1,111 +1,81 @@
 //! Bench `chase_vs_axioms` (EXPERIMENTS.md §B8): the two decision
 //! procedures for NFD implication — the axiomatic saturation engine
 //! (Theorem 3.1) and the nested tableau chase (the paper's §4 future
-//! work) — on identical problems.
+//! work) — on identical problems. Each row takes the chase as its
+//! baseline, so a speedup above 1 means the axioms win.
 //!
 //! Expected shape: identical verdicts (differentially tested); the chase
 //! re-enumerates tableau assignments per step, so it scales worse with
 //! nesting depth and Σ size, while the engine amortizes saturation across
 //! queries.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nfd_bench::*;
 use nfd_chase::chase;
 use nfd_core::engine::Engine;
 use nfd_core::Nfd;
+use nfd_model::Schema;
 use std::hint::black_box;
-use std::time::Duration;
 
-fn bench_worked_example(c: &mut Criterion) {
-    let (schema, sigma, goal) = worked_example();
-    let mut group = c.benchmark_group("chase_vs_axioms/worked_example");
-    group
-        .sample_size(15)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(700));
-    group.bench_function("axioms_cold", |b| {
-        b.iter(|| {
-            Engine::new(black_box(&schema), black_box(&sigma))
-                .unwrap()
-                .implies(&goal)
-                .unwrap()
-        })
-    });
-    let engine = Engine::new(&schema, &sigma).unwrap();
-    group.bench_function("axioms_warm", |b| {
-        b.iter(|| engine.implies(black_box(&goal)).unwrap())
-    });
-    group.bench_function("chase", |b| {
-        b.iter(|| chase(black_box(&schema), &sigma, &goal).unwrap().implied)
-    });
-    group.finish();
+/// Times the chase and a cold engine (build + query) on one problem,
+/// after checking that they agree.
+fn chase_vs_cold(
+    bench: &Bench,
+    schema: &Schema,
+    sigma: &[Nfd],
+    goal: &Nfd,
+) -> [(&'static str, u128); 2] {
+    assert_eq!(
+        Engine::new(schema, sigma).unwrap().implies(goal).unwrap(),
+        chase(schema, sigma, goal).unwrap().implied,
+        "the procedures must agree"
+    );
+    [
+        (
+            "chase",
+            bench.time(|| chase(black_box(schema), sigma, goal).unwrap().implied),
+        ),
+        (
+            "axioms_cold",
+            bench.time(|| {
+                Engine::new(black_box(schema), black_box(sigma))
+                    .unwrap()
+                    .implies(goal)
+                    .unwrap()
+            }),
+        ),
+    ]
 }
 
-fn bench_flat_chains(c: &mut Criterion) {
-    let mut group = c.benchmark_group("chase_vs_axioms/flat_chain");
-    group
-        .sample_size(15)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(700));
+fn main() {
+    let mut bench = Bench::new("B8", "chase_vs_axioms", 10);
+    let (schema, sigma, goal) = worked_example();
+    let [chased, cold] = chase_vs_cold(&bench, &schema, &sigma, &goal);
+    bench.pair("worked_example", sigma.len(), chased, cold);
+    let engine = Engine::new(&schema, &sigma).unwrap();
+    bench.pair(
+        "worked_example",
+        sigma.len(),
+        chased,
+        (
+            "axioms_warm",
+            bench.time(|| engine.implies(black_box(&goal)).unwrap()),
+        ),
+    );
+
     for n in [4usize, 8, 12] {
         let schema = flat_schema(n);
         let sigma = flat_chain_sigma(&schema, n);
         let goal = Nfd::parse(&schema, &format!("R:[a0 -> a{}]", n - 1)).unwrap();
-        // Verdicts must agree.
-        let engine = Engine::new(&schema, &sigma).unwrap();
-        assert_eq!(
-            engine.implies(&goal).unwrap(),
-            chase(&schema, &sigma, &goal).unwrap().implied
-        );
-        group.bench_with_input(BenchmarkId::new("axioms_cold", n), &n, |b, _| {
-            b.iter(|| {
-                Engine::new(black_box(&schema), black_box(&sigma))
-                    .unwrap()
-                    .implies(&goal)
-                    .unwrap()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("chase", n), &n, |b, _| {
-            b.iter(|| chase(black_box(&schema), &sigma, &goal).unwrap().implied)
-        });
+        let [chased, cold] = chase_vs_cold(&bench, &schema, &sigma, &goal);
+        bench.pair("flat_chain", n, chased, cold);
     }
-    group.finish();
-}
 
-fn bench_nested(c: &mut Criterion) {
-    let mut group = c.benchmark_group("chase_vs_axioms/ladder");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(800));
     for depth in [1usize, 2] {
         let schema = ladder_schema(depth);
         let sigma = ladder_sigma(&schema, depth);
         let goal = ladder_goal(&schema, depth);
-        let engine = Engine::new(&schema, &sigma).unwrap();
-        assert_eq!(
-            engine.implies(&goal).unwrap(),
-            chase(&schema, &sigma, &goal).unwrap().implied
-        );
-        group.bench_with_input(BenchmarkId::new("axioms_cold", depth), &depth, |b, _| {
-            b.iter(|| {
-                Engine::new(black_box(&schema), black_box(&sigma))
-                    .unwrap()
-                    .implies(&goal)
-                    .unwrap()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("chase", depth), &depth, |b, _| {
-            b.iter(|| chase(black_box(&schema), &sigma, &goal).unwrap().implied)
-        });
+        let [chased, cold] = chase_vs_cold(&bench, &schema, &sigma, &goal);
+        bench.pair("ladder", depth, chased, cold);
     }
-    group.finish();
+    bench.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_worked_example,
-    bench_flat_chains,
-    bench_nested
-);
-criterion_main!(benches);

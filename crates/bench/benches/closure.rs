@@ -7,86 +7,76 @@
 //! path vocabulary and the full-locality opportunities, so ladders grow
 //! faster than flat chains of the same |Σ|.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nfd_bench::*;
 use nfd_core::engine::Engine;
 use nfd_core::Nfd;
 use std::hint::black_box;
-use std::time::Duration;
 
-fn bench_flat_chain(c: &mut Criterion) {
-    let mut group = c.benchmark_group("closure/flat_chain");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
+fn main() {
+    let mut bench = Bench::new("B1", "closure", 10);
     for n in [4usize, 8, 16, 32] {
         let schema = flat_schema(n);
         let sigma = flat_chain_sigma(&schema, n);
-        group.bench_with_input(BenchmarkId::new("build", n), &n, |b, _| {
-            b.iter(|| {
+        bench.one(
+            "flat_chain_build",
+            n,
+            "engine",
+            bench.time(|| {
                 Engine::new(black_box(&schema), black_box(&sigma))
                     .unwrap()
                     .pool_size()
-            })
-        });
+            }),
+        );
         let engine = Engine::new(&schema, &sigma).unwrap();
         let goal = Nfd::parse(&schema, &format!("R:[a0 -> a{}]", n - 1)).unwrap();
-        group.bench_with_input(BenchmarkId::new("query", n), &n, |b, _| {
-            b.iter(|| engine.implies(black_box(&goal)).unwrap())
-        });
+        bench.one(
+            "flat_chain_query",
+            n,
+            "engine",
+            bench.time(|| engine.implies(black_box(&goal)).unwrap()),
+        );
     }
-    group.finish();
-}
 
-fn bench_ladder(c: &mut Criterion) {
-    let mut group = c.benchmark_group("closure/ladder_depth");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
     for depth in [1usize, 2, 3, 4] {
         let schema = ladder_schema(depth);
         let sigma = ladder_sigma(&schema, depth);
         let goal = ladder_goal(&schema, depth);
-        group.bench_with_input(BenchmarkId::new("build", depth), &depth, |b, _| {
-            b.iter(|| {
+        bench.one(
+            "ladder_build",
+            depth,
+            "engine",
+            bench.time(|| {
                 Engine::new(black_box(&schema), black_box(&sigma))
                     .unwrap()
                     .pool_size()
-            })
-        });
+            }),
+        );
         let engine = Engine::new(&schema, &sigma).unwrap();
-        group.bench_with_input(BenchmarkId::new("query", depth), &depth, |b, _| {
-            b.iter(|| engine.implies(black_box(&goal)).unwrap())
-        });
+        bench.one(
+            "ladder_query",
+            depth,
+            "engine",
+            bench.time(|| engine.implies(black_box(&goal)).unwrap()),
+        );
     }
-    group.finish();
-}
 
-fn bench_closure_set(c: &mut Criterion) {
-    let mut group = c.benchmark_group("closure/closure_set");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
     for depth in [1usize, 2, 3] {
         let schema = ladder_schema(depth);
         let sigma = ladder_sigma(&schema, depth);
         let engine = Engine::new(&schema, &sigma).unwrap();
         let base = nfd_path::RootedPath::parse("R").unwrap();
         let x = vec![nfd_path::Path::parse("k0").unwrap()];
-        group.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, _| {
-            b.iter(|| {
+        bench.one(
+            "ladder_closure_set",
+            depth,
+            "engine",
+            bench.time(|| {
                 engine
                     .closure(black_box(&base), black_box(&x))
                     .unwrap()
                     .len()
-            })
-        });
+            }),
+        );
     }
-    group.finish();
+    bench.finish();
 }
-
-criterion_group!(benches, bench_flat_chain, bench_ladder, bench_closure_set);
-criterion_main!(benches);

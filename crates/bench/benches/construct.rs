@@ -6,89 +6,63 @@
 //! child); deeper ladders additionally pay for the constants closures
 //! `(p, ∅)*` that `newRow` consults.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nfd_bench::*;
 use nfd_core::{construct, engine::Engine};
 use nfd_path::{Path, RootedPath};
 use std::hint::black_box;
-use std::time::Duration;
 
-fn bench_flat_width(c: &mut Criterion) {
-    let mut group = c.benchmark_group("construct/flat_width");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
+fn main() {
+    let mut bench = Bench::new("B4", "construct", 10);
+    let base = RootedPath::parse("R").unwrap();
+    let built = |engine: &Engine<'_>, x: &[Path]| {
+        construct::counterexample(black_box(engine), &base, x)
+            .unwrap()
+            .instance
+            .base_count()
+    };
+
     for n in [4usize, 8, 16, 32] {
         let schema = flat_schema(n);
         let sigma = flat_chain_sigma(&schema, n);
         let engine = Engine::new(&schema, &sigma).unwrap();
-        let base = RootedPath::parse("R").unwrap();
         let x = vec![Path::parse("a0").unwrap()];
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
-                construct::counterexample(black_box(&engine), &base, &x)
-                    .unwrap()
-                    .instance
-                    .base_count()
-            })
-        });
+        bench.one(
+            "flat_width",
+            n,
+            "construct",
+            bench.time(|| built(&engine, &x)),
+        );
     }
-    group.finish();
-}
 
-fn bench_ladder_depth(c: &mut Criterion) {
-    let mut group = c.benchmark_group("construct/ladder_depth");
-    group
-        .sample_size(15)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(700));
     for depth in [1usize, 2, 3, 4] {
         let schema = ladder_schema(depth);
         let sigma = ladder_sigma(&schema, depth);
         let engine = Engine::new(&schema, &sigma).unwrap();
-        let base = RootedPath::parse("R").unwrap();
         let x = vec![Path::parse("k0").unwrap()];
-        group.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, _| {
-            b.iter(|| {
-                construct::counterexample(black_box(&engine), &base, &x)
-                    .unwrap()
-                    .instance
-                    .base_count()
-            })
-        });
+        bench.one(
+            "ladder_depth",
+            depth,
+            "construct",
+            bench.time(|| built(&engine, &x)),
+        );
     }
-    group.finish();
-}
 
-/// Construction + full Lemma A.1 validation (what the completeness test
-/// suite pays per trial).
-fn bench_construct_and_validate(c: &mut Criterion) {
+    // Construction + full Lemma A.1 validation (what the completeness
+    // test suite pays per trial).
     let (schema, sigma, _) = worked_example();
     let engine = Engine::new(&schema, &sigma).unwrap();
-    let base = RootedPath::parse("R").unwrap();
     let x = vec![Path::parse("A:B:C").unwrap()];
-    let mut group = c.benchmark_group("construct/validate");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(500));
-    group.bench_function("worked_example", |b| {
-        b.iter(|| {
+    bench.one(
+        "worked_example_validate",
+        sigma.len(),
+        "construct_and_check",
+        bench.time(|| {
             let built = construct::counterexample(black_box(&engine), &base, &x).unwrap();
             sigma
                 .iter()
                 .filter(|n| nfd_core::check(&schema, &built.instance, n).unwrap().holds)
                 .count()
-        })
-    });
-    group.finish();
+        }),
+    );
+    bench.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_flat_width,
-    bench_ladder_depth,
-    bench_construct_and_validate
-);
-criterion_main!(benches);

@@ -7,13 +7,12 @@
 //! policy additionally *prunes* derivations, which can make its pool
 //! smaller and its queries faster despite the gate cost.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nfd_bench::*;
 use nfd_core::engine::Engine;
 use nfd_core::{EmptySetPolicy, Nfd};
+use nfd_model::gen::{GenConfig, Generator};
 use nfd_path::RootedPath;
 use std::hint::black_box;
-use std::time::Duration;
 
 fn policies(schema: &nfd_model::Schema, depth: usize) -> Vec<(&'static str, EmptySetPolicy)> {
     // Annotate every spine set of the ladder as non-empty.
@@ -34,78 +33,62 @@ fn policies(schema: &nfd_model::Schema, depth: usize) -> Vec<(&'static str, Empt
     ]
 }
 
-fn bench_build(c: &mut Criterion) {
-    let mut group = c.benchmark_group("emptyset_policies/build");
-    group
-        .sample_size(15)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(700));
-    let depth = 3;
-    let schema = ladder_schema(depth);
-    let sigma = ladder_sigma(&schema, depth);
-    for (name, policy) in policies(&schema, depth) {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &name, |b, _| {
-            b.iter(|| {
-                Engine::with_policy(black_box(&schema), black_box(&sigma), policy.clone())
-                    .unwrap()
-                    .pool_size()
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_query(c: &mut Criterion) {
-    let mut group = c.benchmark_group("emptyset_policies/query");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
+fn main() {
+    let mut bench = Bench::new("B7", "emptyset_policies", 10);
     let depth = 3;
     let schema = ladder_schema(depth);
     let sigma = ladder_sigma(&schema, depth);
     let goal = ladder_goal(&schema, depth);
+    // Each gated policy against the Theorem 3.1 engine (`forbidden`).
+    let mut build = Vec::new();
+    let mut query = Vec::new();
     for (name, policy) in policies(&schema, depth) {
+        build.push((
+            name,
+            bench.time(|| {
+                Engine::with_policy(black_box(&schema), black_box(&sigma), policy.clone())
+                    .unwrap()
+                    .pool_size()
+            }),
+        ));
         let engine = Engine::with_policy(&schema, &sigma, policy).unwrap();
-        group.bench_with_input(BenchmarkId::from_parameter(name), &name, |b, _| {
-            b.iter(|| engine.implies(black_box(&goal)).unwrap())
-        });
+        query.push((
+            name,
+            bench.time(|| engine.implies(black_box(&goal)).unwrap()),
+        ));
     }
-    group.finish();
-}
+    for (workload, times) in [("ladder_build", &build), ("ladder_query", &query)] {
+        for &gated in &times[1..] {
+            bench.pair(workload, depth, times[0], gated);
+        }
+    }
 
-/// Satisfaction checking on instances with empty sets: vacuous branches
-/// make checking *cheaper*, quantifying the Section 3.2 phenomenon.
-fn bench_check_with_empties(c: &mut Criterion) {
-    use nfd_model::gen::{GenConfig, Generator};
+    // Satisfaction checking on instances with empty sets: vacuous
+    // branches make checking *cheaper*, quantifying the Section 3.2
+    // phenomenon. The param is the empty-set rate in percent.
     let (schema, _) = course();
     let global = Nfd::parse(&schema, "Course:[students:sid -> students:age]").unwrap();
-    let mut group = c.benchmark_group("emptyset_policies/check_vs_empty_rate");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
-    for pct in [0u32, 25, 50, 75] {
+    for pct in [0usize, 25, 50, 75] {
         let mut g = Generator::new(
             7,
             GenConfig {
                 min_set: 0,
                 max_set: 4,
-                empty_prob: f64::from(pct) / 100.0,
+                empty_prob: pct as f64 / 100.0,
                 domain: 64,
             },
         );
         let inst = g.instance(&schema);
-        group.bench_with_input(BenchmarkId::from_parameter(pct), &pct, |b, _| {
-            b.iter(|| {
+        bench.one(
+            "check_vs_empty_rate",
+            pct,
+            "check",
+            bench.time(|| {
                 nfd_core::check(&schema, black_box(&inst), &global)
                     .unwrap()
                     .assignments_checked
-            })
-        });
+            }),
+        );
     }
-    group.finish();
+    bench.finish();
 }
-
-criterion_group!(benches, bench_build, bench_query, bench_check_with_empties);
-criterion_main!(benches);

@@ -7,14 +7,12 @@
 //! the n insertions rechecks O(n) accumulated tuples); the index is
 //! linear (each insertion touches only its own assignments).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nfd_bench::course;
+use nfd_bench::{course, Bench};
 use nfd_core::incremental::ConstraintIndex;
 use nfd_core::satisfy;
 use nfd_model::gen::{GenConfig, Generator};
 use nfd_model::{Instance, Label, RecordValue, Type, Value};
 use std::hint::black_box;
-use std::time::Duration;
 
 fn stream(n: usize) -> (nfd_model::Schema, Vec<nfd_core::Nfd>, Vec<RecordValue>) {
     let (schema, sigma) = course();
@@ -44,48 +42,42 @@ fn stream(n: usize) -> (nfd_model::Schema, Vec<nfd_core::Nfd>, Vec<RecordValue>)
     (schema, sigma, tuples)
 }
 
-fn bench_stream(c: &mut Criterion) {
-    let mut group = c.benchmark_group("incremental/stream");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(800));
+fn main() {
+    let mut bench = Bench::new("B9", "incremental", 10);
     for n in [8usize, 32, 128] {
         let (schema, sigma, tuples) = stream(n);
-        group.bench_with_input(BenchmarkId::new("index_insert", n), &n, |b, _| {
-            b.iter(|| {
-                let empty = Instance::parse(&schema, "Course = {};").unwrap();
-                let mut index = ConstraintIndex::build(&schema, &empty, &sigma).unwrap();
-                let mut accepted = 0usize;
-                for t in &tuples {
-                    if index.insert(black_box(t)).unwrap().is_none() {
-                        accepted += 1;
-                    }
+        let index_insert = bench.time(|| {
+            let empty = Instance::parse(&schema, "Course = {};").unwrap();
+            let mut index = ConstraintIndex::build(&schema, &empty, &sigma).unwrap();
+            let mut accepted = 0usize;
+            for t in &tuples {
+                if index.insert(black_box(t)).unwrap().is_none() {
+                    accepted += 1;
                 }
-                accepted
-            })
+            }
+            accepted
         });
-        group.bench_with_input(BenchmarkId::new("full_recheck", n), &n, |b, _| {
-            b.iter(|| {
-                let mut accepted: Vec<Value> = Vec::new();
-                let mut count = 0usize;
-                for t in &tuples {
-                    let mut with = accepted.clone();
-                    with.push(Value::Record(t.clone()));
-                    let trial =
-                        Instance::new(&schema, vec![(Label::new("Course"), Value::set(with))])
-                            .unwrap();
-                    if satisfy::satisfies_all(&schema, black_box(&trial), &sigma).unwrap() {
-                        accepted.push(Value::Record(t.clone()));
-                        count += 1;
-                    }
+        let full_recheck = bench.time(|| {
+            let mut accepted: Vec<Value> = Vec::new();
+            let mut count = 0usize;
+            for t in &tuples {
+                let mut with = accepted.clone();
+                with.push(Value::Record(t.clone()));
+                let trial =
+                    Instance::new(&schema, vec![(Label::new("Course"), Value::set(with))]).unwrap();
+                if satisfy::satisfies_all(&schema, black_box(&trial), &sigma).unwrap() {
+                    accepted.push(Value::Record(t.clone()));
+                    count += 1;
                 }
-                count
-            })
+            }
+            count
         });
+        bench.pair(
+            "insert_stream",
+            n,
+            ("full_recheck", full_recheck),
+            ("index_insert", index_insert),
+        );
     }
-    group.finish();
+    bench.finish();
 }
-
-criterion_group!(benches, bench_stream);
-criterion_main!(benches);

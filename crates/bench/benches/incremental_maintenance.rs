@@ -19,129 +19,104 @@
 //! * `course_roundtrip` — the paper's Course schema (7 NFDs): small-Σ
 //!   honest trailer on a nested shape.
 //!
-//! Custom `harness = false` main emitting `BENCH_B16.json` (path
-//! overridable via `BENCH_B16_OUT`) in the shared record schema.
-//! Honours the `--test` smoke flag.
+//! The `mutation_profile` trailer reports what one retraction on the
+//! headline shape touches.
 
 use nfd::session::Session;
 use nfd_bench::*;
 use nfd_core::{EmptySetPolicy, Nfd};
 use nfd_govern::Budget;
 use nfd_model::Schema;
-use std::hint::black_box;
-use std::time::Instant;
-
-/// Best-of-`iters` wall time of `f`, in nanoseconds (minimum, to shed
-/// scheduler noise).
-fn time_ns<T>(iters: usize, mut f: impl FnMut() -> T) -> u128 {
-    let mut best = u128::MAX;
-    for _ in 0..iters {
-        let t = Instant::now();
-        black_box(f());
-        best = best.min(t.elapsed().as_nanos());
-    }
-    best
-}
 
 fn session<'s>(schema: &'s Schema, sigma: &[Nfd]) -> Session<'s> {
     Session::with_budget(schema, sigma, EmptySetPolicy::Forbidden, Budget::standard()).unwrap()
 }
 
-/// One Σ-revision round-trip through the delta layer: add `extra`,
-/// answer `goal`, retract `extra`, answer again. The session is mutated
-/// in place and ends each iteration back at the original Σ, so best-of
-/// timing stays comparable across iterations.
-fn delta_roundtrip_ns(
-    schema: &Schema,
-    sigma: &[Nfd],
-    extra: &Nfd,
-    goal: &Nfd,
-    iters: usize,
-) -> u128 {
+/// Records one Σ-revision round trip — add `extra`, answer `goal`,
+/// retract `extra`, answer again — through the delta layer, against the
+/// only way a delta-less stack can answer the same two revisions: a full
+/// from-scratch session rebuild per revision.
+fn roundtrip(
+    bench: &mut Bench,
+    workload: &'static str,
+    param: usize,
+    samples: usize,
+    (schema, sigma): (&Schema, &[Nfd]),
+    (extra, goal): (&Nfd, &Nfd),
+) {
+    let mut grown_sigma = sigma.to_vec();
+    grown_sigma.push(extra.clone());
+    let rebuild = bench.time_n(samples, || {
+        let grown = session(schema, &grown_sigma).implies(goal).unwrap();
+        (grown, session(schema, sigma).implies(goal).unwrap())
+    });
+    // The live session ends every run back at the original Σ, so every
+    // run times the same work.
     let mut live = session(schema, sigma);
-    time_ns(iters, || {
+    let delta = bench.time_n(samples, || {
         live.add_deps(std::slice::from_ref(extra)).unwrap();
         let grown = live.implies(goal).unwrap();
         live.remove_deps(std::slice::from_ref(extra)).unwrap();
         (grown, live.implies(goal).unwrap())
-    })
-}
-
-/// The same two Σ revisions answered the only way a delta-less stack
-/// can: a full from-scratch session rebuild per revision.
-fn rebuild_roundtrip_ns(
-    schema: &Schema,
-    sigma: &[Nfd],
-    extra: &Nfd,
-    goal: &Nfd,
-    iters: usize,
-) -> u128 {
-    let mut grown_sigma = sigma.to_vec();
-    grown_sigma.push(extra.clone());
-    time_ns(iters, || {
-        let grown = session(schema, &grown_sigma).implies(goal).unwrap();
-        (grown, session(schema, sigma).implies(goal).unwrap())
-    })
+    });
+    bench.pair(workload, param, ("rebuild", rebuild), ("delta", delta));
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--test");
-    let iters = if smoke { 1 } else { 5 };
-    let mut rows: Vec<BenchRecord> = Vec::new();
+    let samples = 5;
+    let mut bench = Bench::new("B16", "incremental_maintenance", samples);
 
     // Headline: 8 wide-Σ relations, single-dep mutations in one of them.
     const RELS: usize = 8;
     const ATTRS: usize = 24;
-    let wide_sizes: &[usize] = if smoke { &[8] } else { &[32, 64] };
-    let wide_iters = if smoke { 1 } else { 3 };
+    let wide_sizes = bench.sizes(&[8], &[32, 64]);
     for &n in wide_sizes {
         let schema = multi_flat_schema(RELS, ATTRS);
         let sigma = multi_wide_sigma(&schema, RELS, ATTRS, n);
         let extra = Nfd::parse(&schema, &format!("R0:[r0a0 -> r0a{}]", ATTRS - 1)).unwrap();
         let goal = Nfd::parse(&schema, "R0:[r0a0 -> r0a1]").unwrap();
-        rows.push(BenchRecord {
-            bench_id: "B16",
-            workload: "multi_wide_roundtrip",
-            param: n,
-            baseline: "rebuild",
-            baseline_ns: rebuild_roundtrip_ns(&schema, &sigma, &extra, &goal, wide_iters),
-            candidate: "delta",
-            candidate_ns: delta_roundtrip_ns(&schema, &sigma, &extra, &goal, wide_iters),
-        });
+        let shape = (&schema, &sigma[..]);
+        roundtrip(
+            &mut bench,
+            "multi_wide_roundtrip",
+            n,
+            3,
+            shape,
+            (&extra, &goal),
+        );
     }
 
     // Honest row: one relation, so the delta rebuild redoes everything
     // the full rebuild does, plus retraction bookkeeping.
-    let chain_sizes: &[usize] = if smoke { &[4] } else { &[8, 16] };
-    for &n in chain_sizes {
+    for &n in bench.sizes(&[4], &[8, 16]) {
         let schema = flat_schema(n);
         let sigma = flat_chain_sigma(&schema, n);
         let extra = Nfd::parse(&schema, &format!("R:[a{} -> a0]", n - 1)).unwrap();
         let goal = Nfd::parse(&schema, &format!("R:[a0 -> a{}]", n - 1)).unwrap();
-        rows.push(BenchRecord {
-            bench_id: "B16",
-            workload: "flat_chain_roundtrip",
-            param: n,
-            baseline: "rebuild",
-            baseline_ns: rebuild_roundtrip_ns(&schema, &sigma, &extra, &goal, iters),
-            candidate: "delta",
-            candidate_ns: delta_roundtrip_ns(&schema, &sigma, &extra, &goal, iters),
-        });
+        let shape = (&schema, &sigma[..]);
+        roundtrip(
+            &mut bench,
+            "flat_chain_roundtrip",
+            n,
+            samples,
+            shape,
+            (&extra, &goal),
+        );
     }
 
     // Honest trailer: the paper's Course schema, Σ of seven NFDs.
     let (schema, sigma) = course();
     let extra = Nfd::parse(&schema, "Course:[time -> books:isbn]").unwrap();
     let goal = Nfd::parse(&schema, "Course:[students:sid -> books:isbn]").unwrap();
-    rows.push(BenchRecord {
-        bench_id: "B16",
-        workload: "course_roundtrip",
-        param: sigma.len(),
-        baseline: "rebuild",
-        baseline_ns: rebuild_roundtrip_ns(&schema, &sigma, &extra, &goal, iters),
-        candidate: "delta",
-        candidate_ns: delta_roundtrip_ns(&schema, &sigma, &extra, &goal, iters),
-    });
+    let shape = (&schema, &sigma[..]);
+    roundtrip(
+        &mut bench,
+        "course_roundtrip",
+        sigma.len(),
+        samples,
+        shape,
+        (&extra, &goal),
+    );
 
     // Observability trailer: what one retraction on the headline shape
     // actually touches (scoped to R0; overdeleted = counting pass size).
@@ -160,40 +135,12 @@ fn main() {
         .remove_deps(std::slice::from_ref(&target))
         .unwrap()
         .remove(0);
-    let mutation_profile = format!(
-        "{{\"relations\": {}, \"relation\": \"{}\", \"pool_before\": {}, \"pool_after\": {}, \"overdeleted\": {}}}",
-        RELS, report.relation, report.pool_before, report.pool_after, report.overdeleted
+    bench.extra(
+        "mutation_profile",
+        format!(
+            "{{\"relations\": {}, \"relation\": \"{}\", \"pool_before\": {}, \"pool_after\": {}, \"overdeleted\": {}}}",
+            RELS, report.relation, report.pool_before, report.pool_after, report.overdeleted
+        ),
     );
-
-    println!(
-        "B16 incremental maintenance — delta mutation vs full reconfigure ({} iteration(s), best-of)",
-        iters
-    );
-    println!(
-        "{:<24} {:>6} {:>10} {:>14} {:>10} {:>14} {:>9}",
-        "workload", "param", "baseline", "ns", "candidate", "ns", "speedup"
-    );
-    for r in &rows {
-        println!(
-            "{:<24} {:>6} {:>10} {:>14} {:>10} {:>14} {:>8.2}x",
-            r.workload,
-            r.param,
-            r.baseline,
-            r.baseline_ns,
-            r.candidate,
-            r.candidate_ns,
-            r.speedup()
-        );
-    }
-    println!("retraction profile: {mutation_profile}");
-
-    BenchReport {
-        bench_id: "B16",
-        bench: "incremental_maintenance",
-        mode: if smoke { "smoke" } else { "full" },
-        iters,
-        records: rows,
-        extra: vec![("mutation_profile".to_string(), mutation_profile)],
-    }
-    .write("BENCH_B16_OUT");
+    bench.finish();
 }

@@ -8,22 +8,16 @@
 //! pair enumeration that grouping avoids, so the gap widens with tuple
 //! count.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nfd_bench::*;
 use nfd_core::{check, Nfd};
 use std::hint::black_box;
-use std::time::Duration;
 
-fn bench_checkers(c: &mut Criterion) {
-    let (schema, _) = course();
+fn main() {
+    let mut bench = Bench::new("B3", "logic_vs_direct", 10);
+    let (schema, sigma) = course();
     let global = Nfd::parse(&schema, "Course:[students:sid -> students:age]").unwrap();
     let formula = global.to_formula(&schema).unwrap();
 
-    let mut group = c.benchmark_group("logic_vs_direct");
-    group
-        .sample_size(15)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(700));
     for tuples in [2usize, 4, 8, 16, 32] {
         let inst = course_instance(&schema, tuples, 3);
         // Verdicts must agree — assert once outside the timed loop.
@@ -31,33 +25,30 @@ fn bench_checkers(c: &mut Criterion) {
         let logic_verdict = nfd_logic::eval(&inst, &formula).unwrap();
         assert_eq!(direct_verdict, logic_verdict, "checkers must agree");
 
-        group.bench_with_input(BenchmarkId::new("direct", tuples), &tuples, |b, _| {
-            b.iter(|| check(&schema, black_box(&inst), &global).unwrap().holds)
-        });
-        group.bench_with_input(BenchmarkId::new("logic_eval", tuples), &tuples, |b, _| {
-            b.iter(|| nfd_logic::eval(black_box(&inst), &formula).unwrap())
-        });
+        bench.pair(
+            "global_check",
+            tuples,
+            (
+                "logic_eval",
+                bench.time(|| nfd_logic::eval(black_box(&inst), &formula).unwrap()),
+            ),
+            (
+                "direct",
+                bench.time(|| check(&schema, black_box(&inst), &global).unwrap().holds),
+            ),
+        );
     }
-    group.finish();
-}
 
-fn bench_translation(c: &mut Criterion) {
-    let (schema, sigma) = course();
-    let mut group = c.benchmark_group("logic_vs_direct/translate");
-    group
-        .sample_size(30)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(500));
-    group.bench_function("translate_all_course_nfds", |b| {
-        b.iter(|| {
+    bench.one(
+        "translate_course_sigma",
+        sigma.len(),
+        "to_formula",
+        bench.time(|| {
             sigma
                 .iter()
                 .map(|n| n.to_formula(black_box(&schema)).unwrap().quantifier_count())
                 .sum::<usize>()
-        })
-    });
-    group.finish();
+        }),
+    );
+    bench.finish();
 }
-
-criterion_group!(benches, bench_checkers, bench_translation);
-criterion_main!(benches);

@@ -7,88 +7,67 @@
 //! linear in the number of assignments — the violation check is
 //! hash-grouped rather than pairwise.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nfd_bench::*;
 use nfd_core::{check, Nfd};
+use nfd_model::Instance;
 use std::hint::black_box;
-use std::time::Duration;
 
-fn bench_tuples(c: &mut Criterion) {
+fn main() {
+    let mut bench = Bench::new("B2", "satisfy", 10);
     let (schema, _) = course();
+    let checked = |inst: &Instance, nfd: &Nfd| {
+        check(&schema, black_box(inst), nfd)
+            .unwrap()
+            .assignments_checked
+    };
     let local = Nfd::parse(&schema, "Course:students:[sid -> grade]").unwrap();
     let global = Nfd::parse(&schema, "Course:[students:sid -> students:age]").unwrap();
     let key = Nfd::parse(&schema, "Course:[cnum -> books]").unwrap();
 
-    let mut group = c.benchmark_group("satisfy/tuples");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
     for tuples in [4usize, 16, 64, 256] {
         let inst = course_instance(&schema, tuples, 3);
-        for (name, nfd) in [("local", &local), ("global", &global), ("key", &key)] {
-            group.bench_with_input(BenchmarkId::new(name, tuples), &tuples, |b, _| {
-                b.iter(|| {
-                    check(&schema, black_box(&inst), nfd)
-                        .unwrap()
-                        .assignments_checked
-                })
-            });
+        for (workload, nfd) in [
+            ("tuples_local", &local),
+            ("tuples_global", &global),
+            ("tuples_key", &key),
+        ] {
+            bench.one(
+                workload,
+                tuples,
+                "check",
+                bench.time(|| checked(&inst, nfd)),
+            );
         }
     }
-    group.finish();
-}
 
-fn bench_fanout(c: &mut Criterion) {
-    let (schema, _) = course();
-    let global = Nfd::parse(&schema, "Course:[students:sid -> students:age]").unwrap();
-    let mut group = c.benchmark_group("satisfy/fanout");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
     for fanout in [1usize, 2, 4, 8, 16] {
         let inst = course_instance(&schema, 32, fanout);
-        group.bench_with_input(BenchmarkId::from_parameter(fanout), &fanout, |b, _| {
-            b.iter(|| {
-                check(&schema, black_box(&inst), &global)
-                    .unwrap()
-                    .assignments_checked
-            })
-        });
+        bench.one(
+            "fanout_global",
+            fanout,
+            "check",
+            bench.time(|| checked(&inst, &global)),
+        );
     }
-    group.finish();
-}
 
-/// Multi-path NFDs multiply assignments (cross product of trie branches).
-fn bench_lhs_width(c: &mut Criterion) {
-    let (schema, _) = course();
+    // Multi-path NFDs multiply assignments (cross product of trie
+    // branches); the param is the number of LHS paths.
     let inst = course_instance(&schema, 32, 4);
-    let goals = [
-        ("one_path", "Course:[students:sid -> time]"),
-        ("two_paths", "Course:[students:sid, books:isbn -> time]"),
+    for (paths, text) in [
+        (1usize, "Course:[students:sid -> time]"),
+        (2, "Course:[students:sid, books:isbn -> time]"),
         (
-            "three_paths",
+            3,
             "Course:[students:sid, students:grade, books:isbn -> time]",
         ),
-    ];
-    let mut group = c.benchmark_group("satisfy/lhs_width");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
-    for (name, text) in goals {
+    ] {
         let nfd = Nfd::parse(&schema, text).unwrap();
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                check(&schema, black_box(&inst), &nfd)
-                    .unwrap()
-                    .assignments_checked
-            })
-        });
+        bench.one(
+            "lhs_width",
+            paths,
+            "check",
+            bench.time(|| checked(&inst, &nfd)),
+        );
     }
-    group.finish();
+    bench.finish();
 }
-
-criterion_group!(benches, bench_tuples, bench_fanout, bench_lhs_width);
-criterion_main!(benches);

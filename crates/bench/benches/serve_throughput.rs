@@ -1,6 +1,6 @@
 //! B18 — BATCH-width scaling of `nfdtool serve` (`--workers N`).
 //!
-//! One hot tenant carrying a wide Σ (the B14/B15 overlapping-paths
+//! One hot tenant carrying a wide Σ (the B14 overlapping-paths
 //! family) is hammered with BATCH requests by concurrent TCP clients.
 //! Every read answers from the tenant's resident compiled session on
 //! its connection thread; `workers` only sets how many threads one
@@ -23,7 +23,11 @@
 //! response waits on the ~44 ms transport floor (`nfdbench/README.md`,
 //! "The 44 ms transport floor"), so the rows time that floor until it
 //! is removed. BATCH threads beyond the core count add nothing; the
-//! report records host parallelism so readers can interpret the spread.
+//! record's `host_parallelism` lets readers interpret the spread.
+//!
+//! Each row is the best of the bench's samples of one whole
+//! configuration run, timed from the first request to the last response
+//! (server start and LOAD excluded).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -32,7 +36,7 @@ use std::time::Instant;
 
 use nfd::prelude::*;
 use nfd::serve::{Registry, RegistryConfig};
-use nfd_bench::{flat_schema, wide_sigma, BenchRecord, BenchReport};
+use nfd_bench::{flat_schema, wide_sigma, Bench};
 
 /// One benchmark server: a registry at the given worker count behind a
 /// TCP acceptor with enough admission slots for every client below.
@@ -155,11 +159,11 @@ fn run(
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--test");
-    let (attrs, sigma_n, reqs_per_client, iters) = if smoke {
-        (12, 16, 2, 1)
+    let mut bench = Bench::new("B18", "serve_throughput", 2);
+    let (attrs, sigma_n, reqs_per_client) = if bench.smoke() {
+        (12, 16, 2)
     } else {
-        (24, 64, 8, 2)
+        (24, 64, 8)
     };
 
     let (schema_src, deps_src) = tenant_sources(attrs, sigma_n);
@@ -182,110 +186,52 @@ fn main() {
         expected
     };
 
+    let samples = bench.samples();
     let best = |workers: usize, clients: usize| -> u128 {
-        (0..iters)
+        (0..samples)
             .map(|_| run(workers, clients, reqs_per_client, &load, &batch, &expected))
             .min()
-            .expect("at least one iter")
+            .expect("at least one sample")
     };
-
-    let mut records = Vec::new();
-    println!("B18 serve_throughput (wide Σ: {attrs} attrs × {sigma_n} deps, {reqs_per_client} BATCH/client)");
-    println!(
-        "{:<22} {:>14} {:>14} {:>9}",
-        "row", "workers=1 ns", "candidate ns", "speedup"
-    );
 
     // Sweep 1: fixed 8 clients, workers 1 → 8.
     let seq_8c = best(1, 8);
-    for (workers, candidate) in [
+    for (workers, name) in [
         (1usize, "workers=1"),
         (2, "workers=2"),
         (4, "workers=4"),
         (8, "workers=8"),
     ] {
-        let candidate_ns = if workers == 1 {
+        let ns = if workers == 1 {
             seq_8c
         } else {
             best(workers, 8)
         };
-        let rec = BenchRecord {
-            bench_id: "B18",
-            workload: "batch_vs_workers",
-            param: workers,
-            baseline: "workers=1",
-            baseline_ns: seq_8c,
-            candidate,
-            candidate_ns,
-        };
-        println!(
-            "{:<22} {:>14} {:>14} {:>8.2}x",
-            format!("8 clients, {candidate}"),
-            rec.baseline_ns,
-            rec.candidate_ns,
-            rec.speedup()
+        bench.pair(
+            "batch_vs_workers",
+            workers,
+            ("workers=1", seq_8c),
+            (name, ns),
         );
-        records.push(rec);
     }
 
     // Sweep 2: fixed 8 workers, clients 1 → 8; baseline is workers = 1
     // at the same client count.
     for clients in [1usize, 2, 4, 8] {
-        let baseline_ns = if clients == 8 {
+        let baseline = if clients == 8 {
             seq_8c
         } else {
             best(1, clients)
         };
-        let rec = BenchRecord {
-            bench_id: "B18",
-            workload: "batch_vs_clients",
-            param: clients,
-            baseline: "workers=1",
-            baseline_ns,
-            candidate: "workers=8",
-            candidate_ns: best(8, clients),
-        };
-        println!(
-            "{:<22} {:>14} {:>14} {:>8.2}x",
-            format!("{clients} clients, workers=8"),
-            rec.baseline_ns,
-            rec.candidate_ns,
-            rec.speedup()
+        bench.pair(
+            "batch_vs_clients",
+            clients,
+            ("workers=1", baseline),
+            ("workers=8", best(8, clients)),
         );
-        records.push(rec);
     }
-
-    let headline = records
-        .iter()
-        .find(|r| r.workload == "batch_vs_workers" && r.param == 8)
-        .expect("headline row");
-    let total_requests = 8 * reqs_per_client;
-    let qps = |ns: u128| total_requests as f64 / (ns as f64 / 1e9);
-    println!(
-        "headline: {:.0} → {:.0} BATCH/s at 8 clients ({:.2}x)",
-        qps(headline.baseline_ns),
-        qps(headline.candidate_ns),
-        headline.speedup()
-    );
-
-    BenchReport {
-        bench_id: "B18",
-        bench: "serve_throughput",
-        mode: if smoke { "smoke" } else { "full" },
-        iters,
-        records,
-        extra: vec![
-            ("attrs".to_string(), attrs.to_string()),
-            ("sigma".to_string(), sigma_n.to_string()),
-            ("reqs_per_client".to_string(), reqs_per_client.to_string()),
-            (
-                "host_parallelism".to_string(),
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-                    .to_string(),
-            ),
-        ],
-    }
-    .write("BENCH_B18_OUT");
+    bench.extra("attrs", attrs.to_string());
+    bench.extra("sigma", sigma_n.to_string());
+    bench.extra("reqs_per_client", reqs_per_client.to_string());
+    bench.finish();
 }

@@ -6,137 +6,96 @@
 //! resolution saturation for every goal; a session pays that once and
 //! answers each goal with a single bitset fixed point over the cached
 //! pool. The gap therefore grows with |Σ| (saturation is the superlinear
-//! part) and with the number of goals amortized over.
+//! part) and with the number of goals amortized over. The goal batch is
+//! every single-attribute question over the flat chain (mixed implied /
+//! not-implied verdicts).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nfd::session::Session;
 use nfd_bench::*;
 use nfd_core::engine::Engine;
-use nfd_core::Nfd;
-use nfd_model::Schema;
+use nfd_core::EmptySetPolicy;
 use std::hint::black_box;
-use std::time::Duration;
 
-/// The goal batch: every single-attribute implication question over the
-/// flat chain (mixed implied / not-implied verdicts).
-fn goal_batch(schema: &Schema, n: usize) -> Vec<Nfd> {
-    let mut goals = Vec::new();
-    for i in 0..n {
-        for j in 0..n {
-            if i != j {
-                goals.push(Nfd::parse(schema, &format!("R:[a{i} -> a{j}]")).unwrap());
-            }
-        }
-    }
-    goals
-}
-
-fn bench_fresh_vs_session(c: &mut Criterion) {
-    let mut group = c.benchmark_group("session/fresh_vs_session");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(800));
+fn main() {
+    let mut bench = Bench::new("B10", "session_amortized", 10);
     for n in [8usize, 16, 24] {
         let schema = flat_schema(n);
         let sigma = flat_chain_sigma(&schema, n);
-        let goals = goal_batch(&schema, n);
+        let goals = all_pairs_goals(&schema, n);
 
-        // One fresh engine per query: the pre-session idiom.
-        group.bench_with_input(BenchmarkId::new("fresh_engine_per_query", n), &n, |b, _| {
-            b.iter(|| {
-                let mut yes = 0usize;
-                for goal in &goals {
-                    let engine = Engine::new(black_box(&schema), black_box(&sigma)).unwrap();
-                    if engine.implies(goal).unwrap() {
-                        yes += 1;
-                    }
-                }
-                yes
-            })
-        });
-
-        // One session, many queries.
-        group.bench_with_input(
-            BenchmarkId::new("one_session_many_queries", n),
-            &n,
-            |b, _| {
-                b.iter(|| {
+        // One fresh engine per query (the pre-session idiom) against one
+        // session compiled for the whole batch.
+        bench.pair(
+            "all_pairs_batch",
+            n,
+            (
+                "fresh_engine_per_query",
+                bench.time(|| {
+                    goals
+                        .iter()
+                        .filter(|goal| {
+                            Engine::new(black_box(&schema), black_box(&sigma))
+                                .unwrap()
+                                .implies(goal)
+                                .unwrap()
+                        })
+                        .count()
+                }),
+            ),
+            (
+                "one_session",
+                bench.time(|| {
                     let session = Session::new(black_box(&schema), black_box(&sigma)).unwrap();
-                    let mut yes = 0usize;
-                    for goal in &goals {
-                        if session.implies(goal).unwrap() {
-                            yes += 1;
-                        }
-                    }
-                    yes
-                })
-            },
+                    goals.iter().filter(|g| session.implies(g).unwrap()).count()
+                }),
+            ),
         );
-    }
-    group.finish();
-}
 
-fn bench_amortized_query(c: &mut Criterion) {
-    let mut group = c.benchmark_group("session/steady_state_query");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
-    for n in [8usize, 16, 24] {
-        let schema = flat_schema(n);
-        let sigma = flat_chain_sigma(&schema, n);
-        let goals = goal_batch(&schema, n);
+        // Steady state: the per-batch cost once compilation is sunk.
         let session = Session::new(&schema, &sigma).unwrap();
-        // Steady state: the per-query cost once compilation is sunk.
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
+        bench.one(
+            "steady_state_batch",
+            n,
+            "session",
+            bench.time(|| {
                 goals
                     .iter()
                     .filter(|g| session.implies(black_box(g)).unwrap())
                     .count()
-            })
-        });
+            }),
+        );
     }
-    group.finish();
-}
 
-fn bench_reconfigure(c: &mut Criterion) {
-    let mut group = c.benchmark_group("session/reconfigure_vs_rebuild");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
+    // Same Σ under another empty-set policy: a from-scratch compile
+    // against `reconfigure`, which reuses the compiled path tables.
     let (schema, sigma) = course();
     let session = Session::new(&schema, &sigma).unwrap();
-    group.bench_function(BenchmarkId::new("rebuild", "course"), |b| {
-        b.iter(|| {
-            Session::with_policy(
-                black_box(&schema),
-                black_box(&sigma),
-                nfd_core::EmptySetPolicy::pessimistic(),
-            )
-            .unwrap()
-            .sigma()
-            .len()
-        })
-    });
-    group.bench_function(BenchmarkId::new("reconfigure", "course"), |b| {
-        b.iter(|| {
-            session
-                .reconfigure(nfd_core::EmptySetPolicy::pessimistic())
+    bench.pair(
+        "course_policy_switch",
+        sigma.len(),
+        (
+            "rebuild",
+            bench.time(|| {
+                Session::with_policy(
+                    black_box(&schema),
+                    black_box(&sigma),
+                    EmptySetPolicy::pessimistic(),
+                )
                 .unwrap()
                 .sigma()
                 .len()
-        })
-    });
-    group.finish();
+            }),
+        ),
+        (
+            "reconfigure",
+            bench.time(|| {
+                session
+                    .reconfigure(EmptySetPolicy::pessimistic())
+                    .unwrap()
+                    .sigma()
+                    .len()
+            }),
+        ),
+    );
+    bench.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_fresh_vs_session,
-    bench_amortized_query,
-    bench_reconfigure
-);
-criterion_main!(benches);

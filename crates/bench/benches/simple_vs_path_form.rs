@@ -8,62 +8,48 @@
 //! engine construction dominated by saturation either way, with the
 //! pre-normalized variant saving only the push-in passes.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nfd_bench::*;
 use nfd_core::engine::Engine;
 use nfd_core::{simple, Nfd};
 use std::hint::black_box;
-use std::time::Duration;
 
-fn bench_normalization(c: &mut Criterion) {
-    let mut group = c.benchmark_group("simple_vs_path_form/normalize");
-    group
-        .sample_size(30)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(500));
+fn main() {
+    let mut bench = Bench::new("B6", "simple_vs_path_form", 10);
     for depth in [1usize, 2, 3, 4] {
         let schema = ladder_schema(depth);
         // The deepest local NFD of the ladder.
         let base: String = (0..depth).map(|d| format!(":s{d}")).collect();
         let local = Nfd::parse(&schema, &format!("R{base}:[k{depth} -> v{depth}]")).unwrap();
-        group.bench_with_input(BenchmarkId::new("to_simple", depth), &depth, |b, _| {
-            b.iter(|| simple::to_simple(black_box(&local)))
-        });
+        bench.one(
+            "to_simple",
+            depth,
+            "simple",
+            bench.time(|| simple::to_simple(black_box(&local))),
+        );
         let simple_form = simple::to_simple(&local);
-        group.bench_with_input(BenchmarkId::new("localize", depth), &depth, |b, _| {
-            b.iter(|| simple::localize(black_box(&simple_form)))
-        });
+        bench.one(
+            "localize",
+            depth,
+            "simple",
+            bench.time(|| simple::localize(black_box(&simple_form))),
+        );
     }
-    group.finish();
-}
 
-fn bench_engine_by_input_form(c: &mut Criterion) {
-    let mut group = c.benchmark_group("simple_vs_path_form/engine_build");
-    group
-        .sample_size(15)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(700));
     for depth in [2usize, 3, 4] {
         let schema = ladder_schema(depth);
         let sigma_local = ladder_sigma(&schema, depth);
         let sigma_simple: Vec<Nfd> = sigma_local.iter().map(simple::to_simple).collect();
-        group.bench_with_input(BenchmarkId::new("path_form", depth), &depth, |b, _| {
-            b.iter(|| {
-                Engine::new(black_box(&schema), black_box(&sigma_local))
-                    .unwrap()
-                    .pool_size()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("simple_form", depth), &depth, |b, _| {
-            b.iter(|| {
-                Engine::new(black_box(&schema), black_box(&sigma_simple))
-                    .unwrap()
-                    .pool_size()
-            })
-        });
+        let build = |sigma: &[Nfd]| {
+            Engine::new(black_box(&schema), black_box(sigma))
+                .unwrap()
+                .pool_size()
+        };
+        bench.pair(
+            "engine_build",
+            depth,
+            ("path_form", bench.time(|| build(&sigma_local))),
+            ("simple_form", bench.time(|| build(&sigma_simple))),
+        );
     }
-    group.finish();
+    bench.finish();
 }
-
-criterion_group!(benches, bench_normalization, bench_engine_by_input_form);
-criterion_main!(benches);

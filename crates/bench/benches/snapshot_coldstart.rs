@@ -12,7 +12,7 @@
 //! in-memory schema and Σ, then the same query.
 //!
 //! * `wide_sigma_coldstart` — the headline shape: one relation with a
-//!   wide overlapping Σ (the B14/B15 family) where saturation dominates
+//!   wide overlapping Σ (the B14 family) where saturation dominates
 //!   startup and the thaw's linear replay wins.
 //! * `multi_wide_coldstart` — 8 isomorphic wide-Σ relations: the
 //!   schema-registry restart shape (`nfdtool serve` RESTORE).
@@ -21,52 +21,35 @@
 //!   sweep + validated replay is pure overhead, so fresh compilation
 //!   wins or ties and the record says so.
 //!
-//! Custom `harness = false` main emitting `BENCH_B17.json` (path
-//! overridable via `BENCH_B17_OUT`) in the shared record schema.
-//! Honours the `--test` smoke flag.
+//! The `image_bytes` trailer records each image's size.
 
 use nfd::session::Session;
 use nfd_bench::*;
 use nfd_core::{EmptySetPolicy, Nfd, TierPreference};
 use nfd_govern::Budget;
 use nfd_model::Schema;
-use std::hint::black_box;
-use std::time::Instant;
-
-/// Best-of-`iters` wall time of `f`, in nanoseconds (minimum, to shed
-/// scheduler noise).
-fn time_ns<T>(iters: usize, mut f: impl FnMut() -> T) -> u128 {
-    let mut best = u128::MAX;
-    for _ in 0..iters {
-        let t = Instant::now();
-        black_box(f());
-        best = best.min(t.elapsed().as_nanos());
-    }
-    best
-}
 
 fn fresh<'s>(schema: &'s Schema, sigma: &[Nfd]) -> Session<'s> {
     Session::with_budget(schema, sigma, EmptySetPolicy::Forbidden, Budget::standard()).unwrap()
 }
 
-/// Fresh compile + one query: the cold start a snapshot-less stack pays.
-fn fresh_coldstart_ns(schema: &Schema, sigma: &[Nfd], goal: &Nfd, iters: usize) -> u128 {
-    time_ns(iters, || fresh(schema, sigma).implies(goal).unwrap())
-}
-
-/// Disk read → strict decode → thaw + the same query: the warm start.
-/// Returns the best-of time and the image size in bytes.
-fn thaw_coldstart_ns(
-    schema: &Schema,
-    sigma: &[Nfd],
+/// Records fresh compile + one query (the cold start a snapshot-less
+/// stack pays) against disk read → strict decode → thaw + the same query
+/// (the warm start from an image written to `path`). Returns the image
+/// size in bytes.
+fn coldstart(
+    bench: &mut Bench,
+    workload: &'static str,
+    param: usize,
+    samples: usize,
+    (schema, sigma): (&Schema, &[Nfd]),
     goal: &Nfd,
     path: &std::path::Path,
-    iters: usize,
-) -> (u128, usize) {
+) -> usize {
     let image = fresh(schema, sigma).freeze();
     let bytes = nfd::snap::encode(&image);
     nfd::snap::write_atomic(path, &bytes).unwrap();
-    let ns = time_ns(iters, || {
+    let thaw_ns = bench.time_n(samples, || {
         let bytes = nfd::snap::read_file(path).unwrap();
         let decoded = nfd::snap::decode(&bytes).unwrap();
         let session = Session::thaw(
@@ -80,59 +63,57 @@ fn thaw_coldstart_ns(
         .unwrap();
         session.implies(goal).unwrap()
     });
-    (ns, bytes.len())
+    let fresh_ns = bench.time_n(samples, || fresh(schema, sigma).implies(goal).unwrap());
+    bench.pair(workload, param, ("fresh", fresh_ns), ("thaw", thaw_ns));
+    bytes.len()
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--test");
-    let iters = if smoke { 1 } else { 5 };
+    let samples = 5;
+    let mut bench = Bench::new("B17", "snapshot_coldstart", samples);
     let dir = std::env::temp_dir().join(format!("nfd-bench-b17-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let mut rows: Vec<BenchRecord> = Vec::new();
-    let mut sizes: Vec<(String, usize)> = Vec::new();
+    let mut sizes: Vec<String> = Vec::new();
 
     // Headline: one relation, wide overlapping Σ — saturation dominates
     // the fresh compile, the thaw replays its output linearly.
     const ATTRS: usize = 24;
-    let wide_sizes: &[usize] = if smoke { &[16] } else { &[64, 128] };
-    for &n in wide_sizes {
+    for &n in bench.sizes(&[16], &[64, 128]) {
         let schema = flat_schema(ATTRS);
         let sigma = wide_sigma(&schema, ATTRS, n);
         let goal = Nfd::parse(&schema, "R:[a0, a1 -> a2]").unwrap();
         let path = dir.join(format!("wide-{n}.snap"));
-        let (thaw_ns, size) = thaw_coldstart_ns(&schema, &sigma, &goal, &path, iters);
-        sizes.push((format!("wide_sigma/{n}"), size));
-        rows.push(BenchRecord {
-            bench_id: "B17",
-            workload: "wide_sigma_coldstart",
-            param: n,
-            baseline: "fresh",
-            baseline_ns: fresh_coldstart_ns(&schema, &sigma, &goal, iters),
-            candidate: "thaw",
-            candidate_ns: thaw_ns,
-        });
+        let shape = (&schema, &sigma[..]);
+        let size = coldstart(
+            &mut bench,
+            "wide_sigma_coldstart",
+            n,
+            samples,
+            shape,
+            &goal,
+            &path,
+        );
+        sizes.push(format!("\"wide_sigma/{n}\": {size}"));
     }
 
     // Registry-restart shape: 8 isomorphic wide-Σ relations.
     const RELS: usize = 8;
-    let multi_sizes: &[usize] = if smoke { &[8] } else { &[32, 64] };
-    let multi_iters = if smoke { 1 } else { 3 };
-    for &n in multi_sizes {
+    for &n in bench.sizes(&[8], &[32, 64]) {
         let schema = multi_flat_schema(RELS, ATTRS);
         let sigma = multi_wide_sigma(&schema, RELS, ATTRS, n);
         let goal = Nfd::parse(&schema, "R0:[r0a0, r0a1 -> r0a2]").unwrap();
         let path = dir.join(format!("multi-{n}.snap"));
-        let (thaw_ns, size) = thaw_coldstart_ns(&schema, &sigma, &goal, &path, multi_iters);
-        sizes.push((format!("multi_wide/{n}"), size));
-        rows.push(BenchRecord {
-            bench_id: "B17",
-            workload: "multi_wide_coldstart",
-            param: n,
-            baseline: "fresh",
-            baseline_ns: fresh_coldstart_ns(&schema, &sigma, &goal, multi_iters),
-            candidate: "thaw",
-            candidate_ns: thaw_ns,
-        });
+        let shape = (&schema, &sigma[..]);
+        let size = coldstart(
+            &mut bench,
+            "multi_wide_coldstart",
+            n,
+            3,
+            shape,
+            &goal,
+            &path,
+        );
+        sizes.push(format!("\"multi_wide/{n}\": {size}"));
     }
 
     // Honest row: the paper's Course schema — Σ of seven NFDs leaves
@@ -141,57 +122,19 @@ fn main() {
     let (schema, sigma) = course();
     let goal = Nfd::parse(&schema, "Course:[time, students:sid -> books]").unwrap();
     let path = dir.join("course.snap");
-    let (thaw_ns, size) = thaw_coldstart_ns(&schema, &sigma, &goal, &path, iters);
-    sizes.push(("course".to_string(), size));
-    rows.push(BenchRecord {
-        bench_id: "B17",
-        workload: "course_coldstart",
-        param: sigma.len(),
-        baseline: "fresh",
-        baseline_ns: fresh_coldstart_ns(&schema, &sigma, &goal, iters),
-        candidate: "thaw",
-        candidate_ns: thaw_ns,
-    });
+    let shape = (&schema, &sigma[..]);
+    let size = coldstart(
+        &mut bench,
+        "course_coldstart",
+        sigma.len(),
+        samples,
+        shape,
+        &goal,
+        &path,
+    );
+    sizes.push(format!("\"course\": {size}"));
 
     let _ = std::fs::remove_dir_all(&dir);
-
-    println!(
-        "B17 snapshot cold start — read+decode+thaw vs fresh compile ({} iteration(s), best-of)",
-        iters
-    );
-    println!(
-        "{:<24} {:>6} {:>10} {:>14} {:>10} {:>14} {:>9}",
-        "workload", "param", "baseline", "ns", "candidate", "ns", "speedup"
-    );
-    for r in &rows {
-        println!(
-            "{:<24} {:>6} {:>10} {:>14} {:>10} {:>14} {:>8.2}x",
-            r.workload,
-            r.param,
-            r.baseline,
-            r.baseline_ns,
-            r.candidate,
-            r.candidate_ns,
-            r.speedup()
-        );
-    }
-    let image_sizes = format!(
-        "{{{}}}",
-        sizes
-            .iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    println!("image sizes (bytes): {image_sizes}");
-
-    BenchReport {
-        bench_id: "B17",
-        bench: "snapshot_coldstart",
-        mode: if smoke { "smoke" } else { "full" },
-        iters,
-        records: rows,
-        extra: vec![("image_bytes".to_string(), image_sizes)],
-    }
-    .write("BENCH_B17_OUT");
+    bench.extra("image_bytes", format!("{{{}}}", sizes.join(", ")));
+    bench.finish();
 }

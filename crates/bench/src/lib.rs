@@ -1,131 +1,27 @@
-//! # nfd-bench — workload generators for the benchmark harness
+//! # nfd-bench — the bench harness and its workload generators
 //!
-//! The Criterion benches under `benches/` regenerate the performance
-//! characterization recorded in `EXPERIMENTS.md` (the paper itself is
-//! theory-only, so its "evaluation" artifacts are reproduced exactly in
-//! the test suite; the benches characterize the algorithms it introduces).
+//! The benches under `benches/` (B1–B14, B16–B18) regenerate the
+//! performance characterization recorded in `EXPERIMENTS.md` Part B (the
+//! paper itself is theory-only, so its "evaluation" artifacts are
+//! reproduced exactly in the test suite; the benches characterize the
+//! algorithms it introduces). Each is a `harness = false` main on
+//! [`Bench`], which times, prints the table and writes the bench's
+//! `BENCH_<id>.json` record.
 //!
 //! Everything here is deterministic: workloads are parameterized by size,
 //! never by randomness, so bench runs are comparable.
 
 #![warn(missing_docs)]
 
+mod harness;
+
+pub use harness::Bench;
+
 use nfd_core::nfd::parse_set;
 use nfd_core::Nfd;
 use nfd_model::gen::{GenConfig, Generator};
 use nfd_model::{Instance, Schema};
 use std::fmt::Write as _;
-
-/// One measurement in the stable bench-record schema shared by the
-/// machine-readable emitters (`BENCH_B14.json`, `BENCH_B15.json`).
-///
-/// Every record names its `bench_id`, `workload`, the `baseline` and
-/// `candidate` implementations being compared, their best-of wall times,
-/// and the derived `speedup` — so the performance trajectory stays
-/// diffable across PRs without each bench inventing its own keys.
-pub struct BenchRecord {
-    /// Experiment id (`"B14"`, `"B15"`).
-    pub bench_id: &'static str,
-    /// Workload family (`"flat_chain_queries"`, …).
-    pub workload: &'static str,
-    /// Workload size parameter.
-    pub param: usize,
-    /// What `baseline_ns` measured (`"naive"`, …).
-    pub baseline: &'static str,
-    /// Best-of wall time of the baseline, nanoseconds.
-    pub baseline_ns: u128,
-    /// What `candidate_ns` measured (`"indexed"`, `"auto"`, `"dense"`).
-    pub candidate: &'static str,
-    /// Best-of wall time of the candidate, nanoseconds.
-    pub candidate_ns: u128,
-}
-
-impl BenchRecord {
-    /// Baseline time over candidate time (>1 means the candidate wins).
-    pub fn speedup(&self) -> f64 {
-        if self.candidate_ns == 0 {
-            return f64::INFINITY;
-        }
-        self.baseline_ns as f64 / self.candidate_ns as f64
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"bench_id\": \"{}\", \"workload\": \"{}\", \"param\": {}, \
-             \"baseline\": \"{}\", \"baseline_ns\": {}, \
-             \"candidate\": \"{}\", \"candidate_ns\": {}, \"speedup\": {:.3}}}",
-            self.bench_id,
-            self.workload,
-            self.param,
-            self.baseline,
-            self.baseline_ns,
-            self.candidate,
-            self.candidate_ns,
-            self.speedup()
-        )
-    }
-}
-
-/// A full machine-readable bench report in the shared schema: header,
-/// `results` array of [`BenchRecord`]s, and optional bench-specific
-/// trailer fields (pre-rendered JSON values).
-pub struct BenchReport {
-    /// Experiment id (`"B14"`).
-    pub bench_id: &'static str,
-    /// Harness name (`"saturation_kernel"`).
-    pub bench: &'static str,
-    /// `"smoke"` under `--test`, `"full"` otherwise.
-    pub mode: &'static str,
-    /// Best-of iteration count the times were taken over.
-    pub iters: usize,
-    /// The measurements.
-    pub records: Vec<BenchRecord>,
-    /// Extra top-level fields: `(key, rendered JSON value)`.
-    pub extra: Vec<(String, String)>,
-}
-
-impl BenchReport {
-    /// Render the whole report as stable, human-diffable JSON.
-    pub fn to_json(&self) -> String {
-        let mut json = String::from("{\n");
-        let _ = writeln!(json, "  \"bench_id\": \"{}\",", self.bench_id);
-        let _ = writeln!(json, "  \"bench\": \"{}\",", self.bench);
-        let _ = writeln!(json, "  \"mode\": \"{}\",", self.mode);
-        let _ = writeln!(json, "  \"iters\": {},", self.iters);
-        let _ = writeln!(json, "  \"results\": [");
-        for (i, r) in self.records.iter().enumerate() {
-            let comma = if i + 1 < self.records.len() { "," } else { "" };
-            let _ = writeln!(json, "    {}{comma}", r.json());
-        }
-        let trailer = if self.extra.is_empty() { "" } else { "," };
-        let _ = writeln!(json, "  ]{trailer}");
-        for (i, (key, value)) in self.extra.iter().enumerate() {
-            let comma = if i + 1 < self.extra.len() { "," } else { "" };
-            let _ = writeln!(json, "  \"{key}\": {value}{comma}");
-        }
-        json.push('}');
-        json.push('\n');
-        json
-    }
-
-    /// Write the report to `$env_var` if set, else to
-    /// `BENCH_<bench_id>.json` at the workspace root (benches run with
-    /// the package as cwd, so the default is anchored to the manifest).
-    pub fn write(&self, env_var: &str) {
-        let out = std::env::var(env_var).unwrap_or_else(|_| {
-            format!(
-                "{}/../../BENCH_{}.json",
-                env!("CARGO_MANIFEST_DIR"),
-                self.bench_id
-            )
-        });
-        if let Err(e) = std::fs::write(&out, self.to_json()) {
-            eprintln!("warning: could not write {out}: {e}");
-        } else {
-            println!("wrote {out}");
-        }
-    }
-}
 
 /// A flat schema `R : {<a0: int, …, a{n-1}: int>}`.
 pub fn flat_schema(n: usize) -> Schema {
@@ -142,6 +38,20 @@ pub fn flat_chain_sigma(schema: &Schema, n: usize) -> Vec<Nfd> {
         .map(|i| format!("R:[a{i} -> a{}];", i + 1))
         .collect::<String>();
     parse_set(schema, &text).expect("chain parses")
+}
+
+/// Every single-attribute goal `R:[ai -> aj]`, `i ≠ j`, over
+/// [`flat_schema`]`(n)`: n·(n−1) goals, implied or not depending on Σ.
+pub fn all_pairs_goals(schema: &Schema, n: usize) -> Vec<Nfd> {
+    let mut goals = Vec::with_capacity(n * n.saturating_sub(1));
+    for i in 0..n {
+        for j in 0..n {
+            if i != j {
+                goals.push(Nfd::parse(schema, &format!("R:[a{i} -> a{j}]")).expect("goal parses"));
+            }
+        }
+    }
+    goals
 }
 
 /// The same chain as classical FDs for the Armstrong baseline.
@@ -205,7 +115,7 @@ pub fn ladder_goal(schema: &Schema, depth: usize) -> Nfd {
 /// The wide-Σ family over [`flat_schema`]`(attrs)`: `n` deterministic
 /// two-LHS dependencies whose paths overlap heavily, so almost every
 /// pool entry shares paths with many others — the shape where all-pairs
-/// naive saturation degrades quadratically (B14/B15).
+/// naive saturation degrades quadratically (B14, B17, B18).
 pub fn wide_sigma(schema: &Schema, attrs: usize, n: usize) -> Vec<Nfd> {
     // Deterministic splitmix-style attribute picks: a polynomial in `i`
     // mod `attrs` would repeat with period `attrs` and collapse under

@@ -129,9 +129,13 @@ const USAGE: &str = "usage:
   --budget N caps every work counter (derived dependencies, chase steps &
   nulls, assignment enumerations, key candidates) at N; --timeout-ms T adds
   a wall-clock deadline. With neither flag generous defaults apply. An
-  exhausted budget is an honest \"don't know\", never a wrong verdict; for
-  `implies` the tool falls back saturation -> chase -> logic-eval before
-  giving up.
+  exhausted budget is an honest \"don't know\", never a wrong verdict.
+  The budget also governs the session compile: one below the largest
+  saturated pool exits 3 at compile, and one the compile fits also
+  passes each query's pool charge, so `implies` never reaches its
+  chase -> logic-eval fallback on a pool limit. (That fallback serves
+  library callers of Session::implies_with and serve tenants whose quota
+  is below their pool.) --retry escalates a compile that runs out too.
 
   --threads N shards batch implication (--goals) and the candidate-key
   search across N worker threads sharing one budget; 0 or omitted uses all

@@ -40,7 +40,6 @@ use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// An error from a [`Decider`] — a human-readable description carrying
 /// the name of the procedure that failed.
@@ -384,31 +383,20 @@ pub struct RetryPolicy {
     /// attempt; see [`Budget::escalate`]. Factors ≤ 1 still grow each
     /// limit by one, so retries always make progress.
     pub budget_escalation_factor: f64,
-    /// Fixed sleep between attempts (zero by default — the workloads are
-    /// CPU-bound, so there is usually nothing to wait for).
-    pub backoff: Duration,
 }
 
 impl RetryPolicy {
-    /// A policy with `max_attempts` total attempts, 4× escalation and no
-    /// backoff.
+    /// A policy with `max_attempts` total attempts and 4× escalation.
     pub fn new(max_attempts: u32) -> RetryPolicy {
         RetryPolicy {
             max_attempts: max_attempts.max(1),
             budget_escalation_factor: 4.0,
-            backoff: Duration::ZERO,
         }
     }
 
     /// Replaces the escalation factor.
     pub fn with_escalation(mut self, factor: f64) -> RetryPolicy {
         self.budget_escalation_factor = factor;
-        self
-    }
-
-    /// Replaces the inter-attempt backoff.
-    pub fn with_backoff(mut self, backoff: Duration) -> RetryPolicy {
-        self.backoff = backoff;
         self
     }
 
@@ -420,7 +408,7 @@ impl RetryPolicy {
 }
 
 impl Default for RetryPolicy {
-    /// Three total attempts at 4× escalation, no backoff.
+    /// Three total attempts at 4× escalation.
     fn default() -> RetryPolicy {
         RetryPolicy::new(3)
     }
@@ -501,9 +489,20 @@ impl Session<'static> {
     /// schema and no self-reference.
     ///
     /// With `snapshot` it thaws under exactly the validation of
-    /// [`Session::thaw_cached`], compiling `sigma` fresh if the thaw is
-    /// rejected; without one it compiles as [`Session::with_budget_cached`]
+    /// [`Session::thaw`], compiling `sigma` fresh if the thaw is
+    /// rejected; without one it compiles as [`Session::with_budget`]
     /// does. The flag is true when the session came from the snapshot.
+    ///
+    /// `cache` may be shared with other sessions compiled from the same
+    /// `(schema, Σ, policy)` under the same build budget: engine builds
+    /// are deterministic, so every such session saturates the identical
+    /// pool and computes the identical closures, and a hit only skips
+    /// work another session already did bit for bit (see the soundness
+    /// note on [`nfd_core::ClosureCache`]). A thaw imports the snapshot's
+    /// validated cache entries into it, which is sound because they were
+    /// computed over the same `(schema, Σ, policy)` the thaw verifies
+    /// against. A session whose Σ is mutated afterwards must not share
+    /// its cache.
     pub fn owned(
         schema: Arc<Schema>,
         sigma: &[Nfd],
@@ -562,7 +561,7 @@ impl<'s> Session<'s> {
         budget: Budget,
     ) -> Result<Session<'s>, CoreError> {
         let cache = Arc::new(ClosureCache::with_capacity(DEFAULT_CLOSURE_CACHE_CAPACITY));
-        Session::with_budget_cached(schema, sigma, policy, budget, cache)
+        Session::compiled(SchemaRef::Borrowed(schema), sigma, policy, budget, cache)
     }
 
     /// [`Session::with_budget`]. The ignored [`TierPreference`] stays
@@ -575,27 +574,6 @@ impl<'s> Session<'s> {
         _preference: TierPreference,
     ) -> Result<Session<'s>, CoreError> {
         Session::with_budget(schema, sigma, policy, budget)
-    }
-
-    /// [`Session::with_budget`] with a caller-supplied closure cache — the
-    /// sharing hook behind `nfdtool serve`'s cross-tenant cache pool.
-    ///
-    /// Sharing one cache between sessions is sound exactly when they were
-    /// compiled from the same `(schema, Σ, policy)` under the same build
-    /// budget: engine builds are deterministic, so every such session
-    /// saturates the identical pool and computes the identical closures —
-    /// a hit only skips work another session already did bit-for-bit (see
-    /// the soundness note on [`nfd_core::ClosureCache`]). Callers that
-    /// mutate Σ afterwards must NOT share the cache (the serve layer
-    /// gives mutated epochs a private one for this reason).
-    pub fn with_budget_cached(
-        schema: &'s Schema,
-        sigma: &[Nfd],
-        policy: EmptySetPolicy,
-        budget: Budget,
-        cache: Arc<ClosureCache>,
-    ) -> Result<Session<'s>, CoreError> {
-        Session::compiled(SchemaRef::Borrowed(schema), sigma, policy, budget, cache)
     }
 
     fn compiled(
@@ -682,22 +660,6 @@ impl<'s> Session<'s> {
         snapshot: &nfd_snap::Snapshot,
     ) -> Result<Session<'s>, nfd_snap::SnapError> {
         let cache = Arc::new(ClosureCache::with_capacity(DEFAULT_CLOSURE_CACHE_CAPACITY));
-        Session::thaw_cached(schema, sigma, policy, budget, snapshot, cache)
-    }
-
-    /// [`Session::thaw`] with a caller-supplied closure cache, under the
-    /// same sharing contract as [`Session::with_budget_cached`]. The
-    /// snapshot's validated cache entries are imported *into* the shared
-    /// cache — sound because they were computed over the same `(schema,
-    /// Σ, policy)` the thaw verifies against.
-    pub fn thaw_cached(
-        schema: &'s Schema,
-        sigma: &[Nfd],
-        policy: EmptySetPolicy,
-        budget: Budget,
-        snapshot: &nfd_snap::Snapshot,
-        cache: Arc<ClosureCache>,
-    ) -> Result<Session<'s>, nfd_snap::SnapError> {
         Session::thawed(
             SchemaRef::Borrowed(schema),
             sigma,
@@ -825,8 +787,8 @@ impl<'s> Session<'s> {
     }
 
     /// The session's closure cache handle — lets an embedder observe the
-    /// cache a [`Session::with_budget_cached`] pool shares, or hand it to
-    /// the next compatible session.
+    /// cache a [`Session::owned`] pool shares, or hand it to the next
+    /// compatible session.
     pub fn closure_cache(&self) -> &Arc<ClosureCache> {
         &self.cache
     }
@@ -1274,9 +1236,6 @@ impl<'s> Session<'s> {
                     caches_invalidated: invalidated,
                 });
             }
-            if !policy.backoff.is_zero() {
-                std::thread::sleep(policy.backoff);
-            }
             budget = budget.escalate(policy.budget_escalation_factor);
         }
     }
@@ -1330,9 +1289,6 @@ impl<'s> Session<'s> {
             }
             if budget.cancel_token().is_cancelled() {
                 break;
-            }
-            if !policy.backoff.is_zero() {
-                std::thread::sleep(policy.backoff);
             }
             let (start_budget, sub_policy) = if from_scratch {
                 (budget.clone(), policy.clone())
