@@ -15,11 +15,12 @@
 //!   hot paths of every crate; with the `failpoints` feature disabled
 //!   (always, for benches) the macro expands to an empty block. The
 //!   `failpoint_free_baseline` rows run the B10/B11-shaped all-pairs
-//!   workload through per-goal `implies_with` (each call pays a fresh
-//!   budgeted cascade, so every instrumented layer is on the measured
-//!   path). Their numbers are recorded in EXPERIMENTS.md §B13 as their
-//!   own drift baseline — the acceptance bar for failpoint plumbing is
-//!   <1% drift on re-runs.
+//!   workload through a fresh session and per-goal `implies_with`, so
+//!   the engine build and session cascade sites are on the measured
+//!   path (the standard budget lets saturation answer every goal, so
+//!   the chase never runs). Their numbers are recorded in
+//!   EXPERIMENTS.md §B13 as their own drift baseline — the acceptance
+//!   bar for failpoint plumbing is <1% drift on re-runs.
 
 use nfd::prelude::*;
 use nfd_bench::*;

@@ -57,7 +57,8 @@
 //! in full. What keeps that cheap is the *independence boundary*:
 //! relation pools never interact (a pool depends only on the relation's
 //! table, the policy, and the Σ entries naming that relation, added in Σ
-//! order — see [`Engine::with_tables`]). A mutation therefore re-runs the
+//! order — `RelEngine::build`, the one build sequence a compile and a
+//! rebuild share). A mutation therefore re-runs the
 //! build for **one** relation (`Engine::rebuild_relation`) and leaves
 //! every other relation's pool and closure-cache entries untouched and
 //! warm. The one cross-relation effect of removal is notational:

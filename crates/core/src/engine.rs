@@ -198,10 +198,20 @@ pub(crate) struct RelEngine {
 }
 
 impl RelEngine {
-    fn new(relation: Label, table: Arc<PathTable>, policy: &EmptySetPolicy) -> RelEngine {
+    /// An empty pool for `relation` over its table in `tables`.
+    fn new(
+        relation: Label,
+        tables: &SchemaTables,
+        policy: &EmptySetPolicy,
+    ) -> Result<RelEngine, CoreError> {
+        let table = Arc::clone(
+            tables
+                .get(relation)
+                .ok_or_else(|| CoreError::Nav(format!("unknown relation `{relation}`")))?,
+        );
         let (non_empty, defined) = compile_policy(relation, &table, policy);
         let index = DepIndex::new(table.len(), table.words());
-        RelEngine {
+        Ok(RelEngine {
             relation,
             table,
             deps: Vec::new(),
@@ -209,6 +219,37 @@ impl RelEngine {
             singletons_granted: Vec::new(),
             non_empty,
             defined,
+        })
+    }
+
+    /// Builds `relation`'s saturated pool from scratch: the entries of
+    /// `simple` (Σ in simple form, in Σ order) that name the relation,
+    /// each as `Prov::Given` of its Σ position, then saturation
+    /// interleaved with singleton rounds until stable. A pool depends on
+    /// nothing else, and the build is deterministic, so this one
+    /// sequence serves both [`Engine::compile`] and the delta layer's
+    /// `Engine::rebuild_relation`, which is what makes a rebuilt pool
+    /// bit-identical to a fresh compile's.
+    fn build(
+        relation: Label,
+        tables: &SchemaTables,
+        policy: &EmptySetPolicy,
+        simple: &[Nfd],
+        budget: &Budget,
+    ) -> Result<RelEngine, CoreError> {
+        let mut rel = RelEngine::new(relation, tables, policy)?;
+        for (i, s) in simple.iter().enumerate() {
+            if s.base.relation == relation {
+                let lhs = rel.intern_lhs(s.lhs())?;
+                let rhs = rel.path_id(&s.rhs)?;
+                rel.add(lhs, rhs, Prov::Given(i), budget)?;
+            }
+        }
+        loop {
+            rel.saturate(budget)?;
+            if !rel.singleton_round(budget)? {
+                return Ok(rel);
+            }
         }
     }
 
@@ -633,44 +674,22 @@ impl<'s> Engine<'s> {
             Err(CoreError::Exhausted(nfd_govern::ResourceReport::injected())),
             budget.cancel_token()
         );
-        let mut rels: HashMap<Label, RelEngine> = HashMap::new();
+        // Validation also proves that every NFD names a schema relation,
+        // so each one lands in the pool of the relation it names.
+        let simple = sigma
+            .iter()
+            .map(|nfd| nfd.validate(&schema).map(|()| simple::to_simple(nfd)))
+            .collect::<Result<Vec<Nfd>, CoreError>>()?;
+        let mut rels = HashMap::new();
         for name in schema.relation_names() {
-            let table = tables
-                .get(name)
-                .ok_or_else(|| CoreError::Nav(format!("unknown relation `{name}`")))?;
-            rels.insert(name, RelEngine::new(name, Arc::clone(table), &policy));
-        }
-        for (i, nfd) in sigma.iter().enumerate() {
-            nfd.validate(&schema)?;
-            let s = simple::to_simple(nfd);
-            let rel = rels.get_mut(&s.base.relation).ok_or_else(|| {
-                CoreError::Nav(format!(
-                    "NFD #{i} names relation `{}` which is not in the schema",
-                    s.base.relation
-                ))
-            })?;
-            let lhs = rel.intern_lhs(s.lhs())?;
-            let rhs = rel.path_id(&s.rhs)?;
-            rel.add(lhs, rhs, Prov::Given(i), &budget)?;
-        }
-        // Saturate each relation, interleaving singleton rounds until the
-        // whole system is stable.
-        for rel in rels.values_mut() {
-            loop {
-                rel.saturate(&budget)?;
-                if !rel.singleton_round(&budget)? {
-                    break;
-                }
-            }
+            let rel = RelEngine::build(name, &tables, &policy, &simple, &budget)?;
+            rels.insert(name, Arc::new(rel));
         }
         Ok(Engine {
             schema,
             tables,
             sigma: sigma.to_vec(),
-            rels: rels
-                .into_iter()
-                .map(|(name, rel)| (name, Arc::new(rel)))
-                .collect(),
+            rels,
             policy,
             budget,
             cache: None,
@@ -746,12 +765,9 @@ impl<'s> Engine<'s> {
         budget: Budget,
         pools: Vec<FrozenPool>,
     ) -> Result<Engine<'s>, CoreError> {
-        let mut rels: HashMap<Label, RelEngine> = HashMap::new();
+        let mut rels = HashMap::new();
         for name in schema.relation_names() {
-            let table = tables
-                .get(name)
-                .ok_or_else(|| CoreError::Nav(format!("unknown relation `{name}`")))?;
-            rels.insert(name, RelEngine::new(name, Arc::clone(table), &policy));
+            rels.insert(name, RelEngine::new(name, &tables, &policy)?);
         }
         for pool in pools {
             let rel = rels.get_mut(&pool.relation).ok_or_else(|| {
@@ -861,40 +877,18 @@ impl<'s> Engine<'s> {
         self
     }
 
-    /// Replays the [`Engine::with_tables`] build sequence for one
-    /// relation against the engine's *current* `sigma`, swapping the
-    /// fresh pool in only on success — the commit step of
-    /// [`Engine::add_dep`](crate::delta) / `remove_dep`. The fresh
-    /// [`RelEngine`] sees the identical add order a from-scratch build
-    /// would (its `Prov::Given` entries in Σ order, then saturation
-    /// interleaved with singleton rounds), relation pools never interact,
-    /// and builds are deterministic — so the committed pool, subsumption
-    /// flags and provenance are bit-identical to a full rebuild's. On
-    /// success the attached closure cache is invalidated for this
-    /// relation only (every other relation stays warm); on error `self`
-    /// is unchanged.
+    /// Runs [`Engine::compile`]'s build for one relation
+    /// (`RelEngine::build`) against the engine's *current* `sigma`,
+    /// swapping the fresh pool in only on success — the commit step of
+    /// [`Engine::add_dep`](crate::delta) / `remove_dep`. Relation pools
+    /// never interact and builds are deterministic, so the committed
+    /// pool, subsumption flags and provenance are bit-identical to a full
+    /// rebuild's. On success the attached closure cache is invalidated
+    /// for this relation only (every other relation stays warm); on error
+    /// `self` is unchanged.
     pub(crate) fn rebuild_relation(&mut self, relation: Label) -> Result<(), CoreError> {
-        let table = Arc::clone(
-            self.tables
-                .get(relation)
-                .ok_or_else(|| CoreError::Nav(format!("unknown relation `{relation}`")))?,
-        );
-        let mut rel = RelEngine::new(relation, table, &self.policy);
-        for (i, nfd) in self.sigma.iter().enumerate() {
-            let s = simple::to_simple(nfd);
-            if s.base.relation != relation {
-                continue;
-            }
-            let lhs = rel.intern_lhs(s.lhs())?;
-            let rhs = rel.path_id(&s.rhs)?;
-            rel.add(lhs, rhs, Prov::Given(i), &self.budget)?;
-        }
-        loop {
-            rel.saturate(&self.budget)?;
-            if !rel.singleton_round(&self.budget)? {
-                break;
-            }
-        }
+        let simple: Vec<Nfd> = self.sigma.iter().map(simple::to_simple).collect();
+        let rel = RelEngine::build(relation, &self.tables, &self.policy, &simple, &self.budget)?;
         if let Some(cache) = &self.cache {
             cache.invalidate_relation(relation);
         }

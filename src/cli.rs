@@ -107,11 +107,11 @@ pub fn run(args: &[String], out: &mut String) -> i32 {
 const USAGE: &str = "usage:
   nfdtool check    --schema FILE --deps FILE --instance FILE
   nfdtool implies  --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--retry N [--escalate F]] [--snapshot FILE [--thaw-min-bytes N]] [--add-dep NFD]… [--drop-dep NFD]… NFD
-  nfdtool implies  --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--threads N] [--retry N [--escalate F]] [--snapshot FILE] [--add-dep NFD]… [--drop-dep NFD]… --goals FILE
-  nfdtool prove    --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--snapshot FILE] [--add-dep NFD]… [--drop-dep NFD]… NFD
-  nfdtool closure  --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--snapshot FILE] [--add-dep NFD]… [--drop-dep NFD]… --base PATH [--lhs P1,P2,…]
+  nfdtool implies  --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--threads N] [--retry N [--escalate F]] [--snapshot FILE [--thaw-min-bytes N]] [--add-dep NFD]… [--drop-dep NFD]… --goals FILE
+  nfdtool prove    --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--snapshot FILE [--thaw-min-bytes N]] [--add-dep NFD]… [--drop-dep NFD]… NFD
+  nfdtool closure  --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--snapshot FILE [--thaw-min-bytes N]] [--add-dep NFD]… [--drop-dep NFD]… --base PATH [--lhs P1,P2,…]
   nfdtool witness  --schema FILE --deps FILE --base PATH [--lhs P1,P2,…]
-  nfdtool keys     --schema FILE --deps FILE --relation NAME [--budget N] [--timeout-ms T] [--threads N] [--snapshot FILE] [--add-dep NFD]… [--drop-dep NFD]…
+  nfdtool keys     --schema FILE --deps FILE --relation NAME [--budget N] [--timeout-ms T] [--threads N] [--snapshot FILE [--thaw-min-bytes N]] [--add-dep NFD]… [--drop-dep NFD]…
   nfdtool analyze  --schema FILE --deps FILE
   nfdtool render   --schema FILE --instance FILE
   nfdtool snapshot --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--add-dep NFD]… [--drop-dep NFD]… --out FILE
@@ -133,9 +133,10 @@ const USAGE: &str = "usage:
   The budget also governs the session compile: one below the largest
   saturated pool exits 3 at compile, and one the compile fits also
   passes each query's pool charge, so `implies` never reaches its
-  chase -> logic-eval fallback on a pool limit. (That fallback serves
-  library callers of Session::implies_with and serve tenants whose quota
-  is below their pool.) --retry escalates a compile that runs out too.
+  chase fallback on a pool limit. (A query is saturation, then the
+  chase; the fallback serves library callers of Session::implies_with
+  and serve tenants whose quota is below their pool.) --retry escalates
+  a compile that runs out too.
 
   --threads N shards batch implication (--goals) and the candidate-key
   search across N worker threads sharing one budget; 0 or omitted uses all
@@ -181,8 +182,9 @@ const USAGE: &str = "usage:
   ADDDEP/DROPDEP fork the tenant's compiled session, change the fork
   and swap it in, never blocking readers. Every read answers from the
   resident compiled session, which no query re-saturates: a query is
-  charged for the pools it reads, so a tenant whose quota or --budget
-  is below its largest pool falls back to the chase and logic-eval.
+  saturation over those pools, then the chase, and is charged for the
+  pools it reads, so a tenant whose quota or --budget is below its
+  largest pool falls back to the chase.
   --workers N sets only how many threads each BATCH runs on (0 or
   omitted: all available cores). Exits 0 on a clean SHUTDOWN drain.
 
@@ -428,12 +430,13 @@ fn apply_mutations(session: &mut Session, schema: &Schema, o: &Opts) -> Result<(
 /// `--thaw-min-bytes` moves it (0 disables the gate).
 const DEFAULT_THAW_MIN_BYTES: u64 = 16 * 1024;
 
-/// Attempts the `--snapshot FILE` warm start. `None` means "compile
+/// Attempts the `--snapshot FILE` warm start. `Ok(None)` means "compile
 /// fresh": either the flag was absent, or the image was rejected —
 /// unreadable, corrupt, truncated, version-skewed, or frozen from a
 /// different schema/Σ/policy. Rejection is graceful degradation, not an
 /// error: the typed reason is logged to `out` and the caller proceeds
-/// with an ordinary [`Session::with_budget`] compile.
+/// with an ordinary [`Session::with_budget`] compile. A malformed
+/// `--thaw-min-bytes` is a usage error.
 fn thaw_from_flag<'s>(
     o: &Opts,
     schema: &'s Schema,
@@ -441,20 +444,15 @@ fn thaw_from_flag<'s>(
     policy: &nfd_core::EmptySetPolicy,
     budget: &Budget,
     out: &mut String,
-) -> Option<Session<'s>> {
-    let path = o.snapshot.as_deref()?;
+) -> Result<Option<Session<'s>>, String> {
     let floor = match o.thaw_min_bytes.as_deref() {
         None => DEFAULT_THAW_MIN_BYTES,
-        Some(text) => match text.parse::<u64>() {
-            Ok(n) => n,
-            Err(_) => {
-                let _ = writeln!(
-                    out,
-                    "(--thaw-min-bytes `{text}` is not a non-negative integer; using {DEFAULT_THAW_MIN_BYTES})"
-                );
-                DEFAULT_THAW_MIN_BYTES
-            }
-        },
+        Some(text) => text.parse().map_err(|_| {
+            format!("--thaw-min-bytes must be a non-negative integer, got `{text}`")
+        })?,
+    };
+    let Some(path) = o.snapshot.as_deref() else {
+        return Ok(None);
     };
     let mut attempt = || -> Result<Option<Session<'s>>, nfd_snap::SnapError> {
         let bytes = nfd_snap::read_file(std::path::Path::new(path))?;
@@ -477,7 +475,7 @@ fn thaw_from_flag<'s>(
         )
         .map(Some)
     };
-    match attempt() {
+    Ok(match attempt() {
         Ok(Some(session)) => {
             let _ = writeln!(out, "(warm start: thawed snapshot `{path}`)");
             Some(session)
@@ -487,7 +485,7 @@ fn thaw_from_flag<'s>(
             let _ = writeln!(out, "(snapshot `{path}` rejected: {e}; compiling fresh)");
             None
         }
-    }
+    })
 }
 
 /// Parses `--threads`: `0` (the default) means all available parallelism.
@@ -546,7 +544,7 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
             // to even build escalates here, and the queries then run
             // under the budget that let the build finish. A `--snapshot`
             // warm start replaces the compile when the image is accepted.
-            let thawed = thaw_from_flag(&o, &schema, &sigma, &policy, &budget, out);
+            let thawed = thaw_from_flag(&o, &schema, &sigma, &policy, &budget, out)?;
             let mut build_round: u32 = 0;
             let mut session = match thawed {
                 Some(s) => s,
@@ -687,7 +685,7 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
             let lhs = parse_lhs(&o)?;
             let policy = parse_policy(&o)?;
             let budget = parse_budget(&o)?;
-            let mut session = match thaw_from_flag(&o, &schema, &sigma, &policy, &budget, out) {
+            let mut session = match thaw_from_flag(&o, &schema, &sigma, &policy, &budget, out)? {
                 Some(s) => s,
                 None => Session::with_budget(&schema, &sigma, policy, budget).map_err(core_fail)?,
             };
@@ -740,7 +738,7 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
             let relation = nfd_model::Label::new(rel_text);
             let budget = parse_budget(&o)?;
             let policy = nfd_core::EmptySetPolicy::Forbidden;
-            let mut session = match thaw_from_flag(&o, &schema, &sigma, &policy, &budget, out) {
+            let mut session = match thaw_from_flag(&o, &schema, &sigma, &policy, &budget, out)? {
                 Some(s) => s,
                 None => Session::with_budget(&schema, &sigma, policy, budget).map_err(core_fail)?,
             };

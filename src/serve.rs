@@ -16,9 +16,10 @@
 //!   or per write.
 //! * **One read path.** Every read answers from the tenant's resident
 //!   compiled engine, which is never re-saturated at query time. A
-//!   query budget is charged for the pools it reads (DESIGN.md §6), so
-//!   a tenant whose quota is below its largest pool falls back to the
-//!   chase and logic-eval, whatever the `BATCH` width.
+//!   query is saturation over those pools, then the chase: its budget
+//!   is charged for the pools it reads (DESIGN.md §6), so a tenant whose
+//!   quota is below its largest pool falls back to the chase, whatever
+//!   the `BATCH` width.
 //!   [`RegistryConfig::workers`] sets only that width: how many threads
 //!   one `BATCH` fans out to.
 //! * **Fork-and-swap mutation.** Write verbs (ADDDEP/DROPDEP) never

@@ -12,7 +12,11 @@
 //!    instance for `x0:[X → ·]` and evaluate the translated goal on it.
 //!
 //! [`Decider`] puts the three behind one interface so differential tests
-//! (and curious users) can run them against each other.
+//! (and curious users) can run them against each other. A budgeted
+//! session query ([`Session::implies_with`]) runs only the first two:
+//! saturation, then the chase. LogicEval compiles the same Σ under the
+//! same budget and builds its witness from that engine's closures, so it
+//! cannot answer where saturation was starved.
 //!
 //! [`Session`] is the amortizing front end: it compiles `(Schema, Σ)`
 //! once — path tables, normalized dependency pool, full saturation — and
@@ -145,11 +149,26 @@ impl Decider for Chase {
         goal: &Nfd,
         budget: &Budget,
     ) -> Result<Verdict, DeciderError> {
+        Chase::run(schema, sigma, goal, budget).map(|(verdict, _)| verdict)
+    }
+}
+
+impl Chase {
+    /// Runs the chase and maps the run to its verdict and, when the run
+    /// finished, its step count: the one mapping that [`Chase::decide`]
+    /// and the session cascade share. The cascade keeps the step count
+    /// as the attempt's cost, which meters serve quotas.
+    fn run(
+        schema: &Schema,
+        sigma: &[Nfd],
+        goal: &Nfd,
+        budget: &Budget,
+    ) -> Result<(Verdict, Option<u64>), DeciderError> {
         match nfd_chase::chase_with(schema, sigma, goal, budget) {
-            Ok(run) => Ok(Verdict::from_bool(run.implied)),
+            Ok(run) => Ok((Verdict::from_bool(run.implied), Some(run.steps as u64))),
             Err(nfd_chase::ChaseError::Exhausted(r))
             | Err(nfd_chase::ChaseError::Core(CoreError::Exhausted(r))) => {
-                Ok(Verdict::Exhausted(r))
+                Ok((Verdict::Exhausted(r), None))
             }
             Err(e) => Err(DeciderError {
                 decider: "chase",
@@ -228,8 +247,8 @@ pub enum AttemptOutcome {
 /// One entry of a [`Decision`]'s cascade log.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Attempt {
-    /// The decider's stable name (`"saturation"`, `"chase"`,
-    /// `"logic-eval"`).
+    /// The decider's stable name: `"saturation"` or `"chase"`, or
+    /// `"batch"` for a goal its batch cancelled before running it.
     pub decider: &'static str,
     /// What happened.
     pub outcome: AttemptOutcome,
@@ -833,27 +852,28 @@ impl<'s> Session<'s> {
         self.implies(&goal)
     }
 
-    /// Decides `Σ ⊨ goal` under an explicit [`Budget`], falling back
-    /// through the decision procedures: **saturation** first, then the
-    /// **chase**, then **logic-eval**. The first decider to answer wins;
-    /// one that exhausts its budget or panics (contained here — the
-    /// session boundary is panic-free) yields to the next.
+    /// Decides `Σ ⊨ goal` under an explicit [`Budget`]: **saturation**
+    /// first, then the **chase** as the one fallback. The first decider
+    /// to answer wins; one that exhausts its budget or panics (contained
+    /// here — the session boundary is panic-free) yields to the chase.
     ///
     /// Saturation answers from the session's resident pools, which are
     /// never derived again. The query budget is polled for liveness and
     /// charged for those pools ([`Engine::charge_pool`]): a budget whose
     /// `max_pool_deps` is below the longest pool exhausts saturation
-    /// exactly as re-saturating under it would, and the fallbacks get
-    /// their turn.
+    /// exactly as re-saturating under it would, and the chase, which
+    /// counts chase steps instead of pool entries, gets its turn.
     ///
-    /// The chase and logic-eval are only sound in the no-empty-sets
-    /// regime, so under any other [`EmptySetPolicy`] they are skipped
-    /// rather than risk a wrong verdict.
+    /// The chase is only sound in the no-empty-sets regime, so under any
+    /// other [`EmptySetPolicy`] it is skipped rather than risk a wrong
+    /// verdict.
     ///
-    /// Returns the final [`Verdict`] plus the full cascade log. `Err` is
-    /// reserved for invalid input (a goal that does not validate against
-    /// the schema) and the can't-happen case where every decider failed
-    /// without exhausting.
+    /// Returns the final [`Verdict`] plus the full cascade log: when
+    /// neither decider answers, the verdict is the first exhaustion
+    /// report, which is saturation's. `Err` is reserved for invalid input
+    /// (a goal that does not validate against the schema) and the case
+    /// where both deciders failed without exhausting (injected faults
+    /// and contained panics).
     pub fn implies_with(&self, goal: &Nfd, budget: &Budget) -> Result<Decision, CoreError> {
         goal.validate(self.schema())?;
         self.cascade(goal, budget)
@@ -870,9 +890,8 @@ impl<'s> Session<'s> {
     }
 
     /// The decider cascade for one (already validated) goal: saturation
-    /// over the resident engine, then the chase, then logic-eval.
+    /// over the resident engine, then the chase.
     fn cascade(&self, goal: &Nfd, budget: &Budget) -> Result<Decision, CoreError> {
-        let forbidden = *self.engine.policy() == EmptySetPolicy::Forbidden;
         let mut attempts: Vec<Attempt> = Vec::new();
         // Closure-cache hits and whether a closure was looked up in this
         // cascade (only saturation does either). `Cell`s because the
@@ -884,40 +903,22 @@ impl<'s> Session<'s> {
         let run = |name: &'static str,
                    f: &mut dyn FnMut() -> Result<(Verdict, Option<u64>), String>|
          -> Attempt {
-            match catch_unwind(AssertUnwindSafe(f)) {
-                Ok(Ok((Verdict::Implied, cost))) => Attempt {
-                    decider: name,
-                    outcome: AttemptOutcome::Answered(true),
-                    cost,
-                    round: 0,
-                },
-                Ok(Ok((Verdict::NotImplied, cost))) => Attempt {
-                    decider: name,
-                    outcome: AttemptOutcome::Answered(false),
-                    cost,
-                    round: 0,
-                },
-                Ok(Ok((Verdict::Exhausted(r), cost))) => Attempt {
-                    decider: name,
-                    outcome: AttemptOutcome::Exhausted(r),
-                    cost,
-                    round: 0,
-                },
-                Ok(Err(msg)) => Attempt {
-                    decider: name,
-                    outcome: AttemptOutcome::Failed(msg),
-                    cost: None,
-                    round: 0,
-                },
-                Err(payload) => Attempt {
-                    decider: name,
-                    outcome: AttemptOutcome::Failed(format!(
-                        "panicked: {}",
-                        panic_message(payload)
-                    )),
-                    cost: None,
-                    round: 0,
-                },
+            let (outcome, cost) = match catch_unwind(AssertUnwindSafe(f)) {
+                Ok(Ok((Verdict::Exhausted(r), cost))) => (AttemptOutcome::Exhausted(r), cost),
+                Ok(Ok((verdict, cost))) => {
+                    (AttemptOutcome::Answered(verdict == Verdict::Implied), cost)
+                }
+                Ok(Err(msg)) => (AttemptOutcome::Failed(msg), None),
+                Err(payload) => (
+                    AttemptOutcome::Failed(format!("panicked: {}", panic_message(payload))),
+                    None,
+                ),
+            };
+            Attempt {
+                decider: name,
+                outcome,
+                cost,
+                round: 0,
             }
         };
 
@@ -953,64 +954,27 @@ impl<'s> Session<'s> {
             },
         });
 
-        // 2 & 3. The independent deciders, as fallbacks.
-        if !matches!(
-            attempts.last().map(|a| &a.outcome),
-            Some(AttemptOutcome::Answered(_))
-        ) {
-            if forbidden {
-                attempts.push(run("chase", &mut || {
+        // 2. The chase, as the fallback.
+        if !matches!(attempts[0].outcome, AttemptOutcome::Answered(_)) {
+            attempts.push(if *engine.policy() == EmptySetPolicy::Forbidden {
+                run("chase", &mut || {
                     fail_point!(
                         "session::cascade_chase",
                         Ok((Verdict::Exhausted(ResourceReport::injected()), None)),
                         budget.cancel_token()
                     );
-                    match nfd_chase::chase_with(self.schema(), &self.engine.sigma, goal, budget) {
-                        Ok(run) => Ok((Verdict::from_bool(run.implied), Some(run.steps as u64))),
-                        Err(nfd_chase::ChaseError::Exhausted(r))
-                        | Err(nfd_chase::ChaseError::Core(CoreError::Exhausted(r))) => {
-                            Ok((Verdict::Exhausted(r), None))
-                        }
-                        Err(e) => Err(e.to_string()),
-                    }
-                }));
+                    Chase::run(self.schema(), &engine.sigma, goal, budget).map_err(|e| e.message)
+                })
             } else {
-                attempts.push(Attempt {
+                Attempt {
                     decider: "chase",
                     outcome: AttemptOutcome::Skipped(
                         "only sound under the no-empty-sets policy".into(),
                     ),
                     cost: None,
                     round: 0,
-                });
-            }
-        }
-        if !attempts
-            .iter()
-            .any(|a| matches!(a.outcome, AttemptOutcome::Answered(_)))
-        {
-            if forbidden {
-                attempts.push(run("logic-eval", &mut || {
-                    fail_point!(
-                        "session::cascade_logic_eval",
-                        Ok((Verdict::Exhausted(ResourceReport::injected()), None)),
-                        budget.cancel_token()
-                    );
-                    match LogicEval.decide(self.schema(), &self.engine.sigma, goal, budget) {
-                        Ok(v) => Ok((v, None)),
-                        Err(e) => Err(e.to_string()),
-                    }
-                }));
-            } else {
-                attempts.push(Attempt {
-                    decider: "logic-eval",
-                    outcome: AttemptOutcome::Skipped(
-                        "only sound under the no-empty-sets policy".into(),
-                    ),
-                    cost: None,
-                    round: 0,
-                });
-            }
+                }
+            });
         }
 
         let answered = attempts.iter().find_map(|a| match a.outcome {

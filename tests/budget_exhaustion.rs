@@ -136,8 +136,8 @@ fn cascade_falls_back_when_saturation_is_starved() {
     );
 }
 
-/// Under a non-strict empty-set policy the chase and logic-eval are not
-/// sound, so the cascade must skip them rather than risk a wrong verdict.
+/// Under a non-strict empty-set policy the chase is not sound, so the
+/// cascade must skip it rather than risk a wrong verdict.
 #[test]
 fn fallbacks_are_skipped_under_non_strict_policies() {
     let (schema, sigma) = course();
@@ -349,14 +349,19 @@ fn retry_escalation_heals_a_starved_budget() {
     let goal = Nfd::parse(&schema, "Course:[time -> cnum]").unwrap();
     let truth = session.implies(&goal).unwrap();
 
-    // Budget 1 starves every decider; factor 10 needs only a few rounds
-    // to reach the few hundred pool entries the Course schema wants.
+    // Budget 1 starves both deciders; factor 10 needs only a few rounds
+    // to reach the few hundred pool entries the Course schema wants. The
+    // chase is the one fallback, and the starved query reports
+    // saturation's exhaustion, its first.
     let starved = Budget::limited(1);
-    assert!(session
-        .implies_with(&goal, &starved)
-        .unwrap()
-        .verdict
-        .is_exhausted());
+    let first = session.implies_with(&goal, &starved).unwrap();
+    let deciders: Vec<&str> = first.attempts.iter().map(|a| a.decider).collect();
+    assert_eq!(deciders, ["saturation", "chase"], "{first:?}");
+    assert_eq!(
+        first.verdict,
+        Verdict::Exhausted(ResourceReport::counter(ResourceKind::PoolDeps, 1, 2)),
+        "{first:?}"
+    );
 
     let policy = RetryPolicy::new(6).with_escalation(10.0);
     let decision = session.implies_retry(&goal, &starved, &policy).unwrap();

@@ -93,7 +93,7 @@ fn assert_contracted_error(site: &str, action: FaultAction, e: &CoreError) {
 
 /// Sites the standard workload must reach; a site disappearing from this
 /// census means a refactor silently dropped its chaos coverage.
-const EXPECTED_SITES: [&str; 20] = [
+const EXPECTED_SITES: [&str; 21] = [
     "chase::build",
     "chase::scan",
     "chase::step",
@@ -105,6 +105,7 @@ const EXPECTED_SITES: [&str; 20] = [
     "engine::saturate",
     "engine::singleton",
     "logic::eval",
+    "logic::forall",
     "model::parse_input",
     "model::parse_depth",
     "par::reassemble",
@@ -131,7 +132,7 @@ fn census_reaches_every_layer() {
         session.implies_with(g, &budget).unwrap();
     }
     // A starved query walks the whole cascade (saturation exhausts, the
-    // chase and logic-eval get their turn).
+    // chase gets its turn).
     session
         .implies_with(&goals[0], &Budget::limited(1))
         .unwrap();
@@ -190,30 +191,18 @@ fn census_reaches_every_layer() {
 
 /// Query-phase sites, each with the *companion* faults needed to steer
 /// the cascade into the layer under test (the chase only runs once
-/// saturation yields, logic-eval once both yield). Companions are armed
-/// with plain `ReturnExhausted`, which never changes a produced verdict.
+/// saturation yields). Companions are armed with plain
+/// `ReturnExhausted`, which never changes a produced verdict.
 /// The build sites are absent: queries answer from the resident engine
 /// and never build one (`queries_never_rebuild_the_engine`), so
 /// `build_sites_fail_closed_and_disarm_cleanly` covers them.
-const QUERY_SITES: [(&str, &[&str]); 9] = [
+const QUERY_SITES: [(&str, &[&str]); 6] = [
     ("engine::implies", &[]),
     ("session::cascade_saturation", &[]),
     ("session::cascade_chase", &["session::cascade_saturation"]),
     ("chase::build", &["session::cascade_saturation"]),
     ("chase::step", &["session::cascade_saturation"]),
     ("chase::scan", &["session::cascade_saturation"]),
-    (
-        "session::cascade_logic_eval",
-        &["session::cascade_saturation", "session::cascade_chase"],
-    ),
-    (
-        "logic::eval",
-        &["session::cascade_saturation", "session::cascade_chase"],
-    ),
-    (
-        "logic::forall",
-        &["session::cascade_saturation", "session::cascade_chase"],
-    ),
 ];
 
 const ACTIONS: [FaultAction; 4] = [
@@ -263,6 +252,12 @@ fn every_query_site_survives_every_action() {
                     Err(e) => assert_contracted_error(site, action, &e),
                 }
             }
+            // An entry no query reaches would pass the checks above
+            // vacuously.
+            assert!(
+                faults::hits(site) > 0,
+                "{site} × {action:?}: no query reached the armed site"
+            );
 
             // Disarm; the same session must answer exactly as before, from
             // saturation. A fault on the query path acts on the query's
@@ -398,9 +393,8 @@ fn batch_sites_degrade_gracefully_and_normalization_repairs_cancel() {
 }
 
 /// Queries answer from the resident engine: once a session is built, no
-/// `implies_with` or `implies_batch` call that saturation answers builds
-/// or saturates an engine again. (A starved query's logic-eval fallback
-/// still compiles its own engine for the Appendix-A witness.)
+/// `implies_with` or `implies_batch` call builds or saturates an engine
+/// again, not even a starved one that falls back to the chase.
 #[test]
 fn queries_never_rebuild_the_engine() {
     let _guard = serial();
@@ -421,6 +415,9 @@ fn queries_never_rebuild_the_engine() {
     session
         .implies_batch(&goals, &Budget::standard(), 2)
         .unwrap();
+    let starved = Budget::limited(1);
+    session.implies_with(&goals[0], &starved).unwrap();
+    session.implies_batch(&goals, &starved, 2).unwrap();
     assert_eq!(
         faults::hits("engine::build"),
         built,
@@ -493,11 +490,7 @@ fn retry_recovers_from_transient_injected_exhaustion() {
 
     // Every decider of the first run reports (injected) exhaustion; the
     // faults burn out after one firing each, so the first retry answers.
-    for cascade_site in [
-        "session::cascade_saturation",
-        "session::cascade_chase",
-        "session::cascade_logic_eval",
-    ] {
+    for cascade_site in ["session::cascade_saturation", "session::cascade_chase"] {
         faults::configure_limited(cascade_site, 1, FaultAction::ReturnExhausted);
     }
     let policy = RetryPolicy::new(3);
@@ -705,11 +698,7 @@ fn cli_exit_codes_keep_their_contract_under_faults() {
     // --retry heals a transient injected exhaustion end-to-end: every
     // cascade decider fails once, the retry answers, the exit code and
     // verdict match the baseline.
-    for cascade_site in [
-        "session::cascade_saturation",
-        "session::cascade_chase",
-        "session::cascade_logic_eval",
-    ] {
+    for cascade_site in ["session::cascade_saturation", "session::cascade_chase"] {
         faults::configure_limited(cascade_site, 1, FaultAction::ReturnExhausted);
     }
     let mut retry_args = single.clone();
@@ -724,11 +713,7 @@ fn cli_exit_codes_keep_their_contract_under_faults() {
     );
 
     // Without --retry the same transient fault is terminal (exit 3).
-    for cascade_site in [
-        "session::cascade_saturation",
-        "session::cascade_chase",
-        "session::cascade_logic_eval",
-    ] {
+    for cascade_site in ["session::cascade_saturation", "session::cascade_chase"] {
         faults::configure_limited(cascade_site, 1, FaultAction::ReturnExhausted);
     }
     let mut out = String::new();

@@ -330,6 +330,27 @@ fn error_paths() {
     ]);
     assert_eq!(code, 2, "{out}");
     assert!(out.contains("unknown flag `--turbo`"), "{out}");
+    // A malformed --thaw-min-bytes is a usage error, like every other
+    // numeric flag, not a silent fall back to the default floor.
+    let snap = f.file("s.snap", "");
+    let (code, out) = run(&[
+        "implies",
+        "--schema",
+        &schema,
+        "--deps",
+        &deps,
+        "--snapshot",
+        &snap,
+        "--thaw-min-bytes",
+        "abc",
+        goal,
+    ]);
+    assert_eq!(code, 2, "{out}");
+    assert!(
+        out.contains("--thaw-min-bytes must be a non-negative integer, got `abc`"),
+        "{out}"
+    );
+    assert!(out.contains("usage:"), "{out}");
 }
 
 #[test]

@@ -147,9 +147,9 @@ fn first_exhaustion_stops_the_whole_pool_promptly() {
     let goals: Vec<Nfd> = (0..12)
         .map(|i| Nfd::parse(&schema, &format!("R:[a{i} -> a{}]", i + 40)).unwrap())
         .collect();
-    // A cap of 100 starves all three deciders on this chain (saturation
-    // needs 2016 pool entries, the chase >100 assignments, logic-eval the
-    // same pool); 500 would let the chase answer.
+    // A cap of 100 starves both deciders on this chain (saturation needs
+    // 2016 pool entries, the chase >100 assignments); 500 would let the
+    // chase answer.
     let starved = Budget::limited(100);
     let t = Instant::now();
     let batch = session.implies_batch(&goals, &starved, 8).unwrap();
