@@ -4,23 +4,24 @@
 //!
 //! Two questions:
 //!
-//! * **Escalation vs. one big budget.** A starved budget that heals
-//!   itself by retrying under escalating limits (`implies_retry`, factor
-//!   4) does the early rounds' work only to throw it away. How much
-//!   slower is starting tiny and escalating to a workable budget than
-//!   granting that final budget up front? The `upfront` call is each
-//!   row's baseline, so the speedup reads below 1.
+//! * **Escalation vs. one good budget.** A read polls its budget for
+//!   liveness only, so the one exhaustion a read meets without faults is
+//!   an expired deadline. A query that starts from an already expired
+//!   deadline and heals by retrying (`implies_retry`, factor 4, which
+//!   re-arms the timeout at 1 ms) pays for the failed round and the
+//!   retry. How much slower is that than one `implies_with` under the
+//!   standard budget? The `upfront` call is each row's baseline, so the
+//!   speedup reads below 1.
 //!
 //! * **Feature-off failpoint overhead.** `fail_point!` sites thread the
 //!   hot paths of every crate; with the `failpoints` feature disabled
 //!   (always, for benches) the macro expands to an empty block. The
 //!   `failpoint_free_baseline` rows run the B10/B11-shaped all-pairs
 //!   workload through a fresh session and per-goal `implies_with`, so
-//!   the engine build and session cascade sites are on the measured
-//!   path (the standard budget lets saturation answer every goal, so
-//!   the chase never runs). Their numbers are recorded in
-//!   EXPERIMENTS.md §B13 as their own drift baseline — the acceptance
-//!   bar for failpoint plumbing is <1% drift on re-runs.
+//!   the engine build and session query sites are on the measured path.
+//!   Their numbers are recorded in EXPERIMENTS.md §B13 as their own
+//!   drift baseline — the acceptance bar for failpoint plumbing is <1%
+//!   drift on re-runs.
 
 use nfd::prelude::*;
 use nfd_bench::*;
@@ -29,28 +30,27 @@ use std::hint::black_box;
 
 fn main() {
     let mut bench = Bench::new("B13", "retry_escalation", 10);
-    // Starved-start retries vs. the final budget granted up front, on
-    // one implication query over the flat chain.
+    // Retries from an expired deadline vs. the standard budget up front,
+    // on one implication query over the flat chain.
     for n in [16usize, 24] {
         let schema = flat_schema(n);
         let sigma = flat_chain_sigma(&schema, n);
         let session = Session::new(&schema, &sigma).unwrap();
         let goal = Nfd::parse(&schema, &format!("R:[a0 -> a{}]", n - 1)).unwrap();
-
-        // Calibrate: starting from 1, how many ×4 escalations until the
-        // budget decides, and what budget is that? `implies_retry` must
-        // end on an answer, not exhaustion, for the comparison to be fair.
+        let expired = Budget::standard().with_timeout_ms(0);
         let policy = RetryPolicy::new(12).with_escalation(4.0);
-        let decision = session
-            .implies_retry(&goal, &Budget::limited(1), &policy)
-            .unwrap();
+
+        // Calibrate: `implies_retry` must end on an answer, not
+        // exhaustion, after at least one retry, for the comparison to
+        // measure escalation.
+        let decision = session.implies_retry(&goal, &expired, &policy).unwrap();
         let rounds = decision.attempts.iter().map(|a| a.round).max().unwrap();
         assert!(
             decision.verdict.as_bool().is_some() && rounds >= 1,
             "calibration: escalation must retry at least once and then answer"
         );
-        let final_cap = 4u64.pow(rounds);
 
+        let standard = Budget::standard();
         bench.pair(
             "escalation",
             n,
@@ -58,7 +58,7 @@ fn main() {
                 "upfront",
                 bench.time(|| {
                     session
-                        .implies_with(black_box(&goal), &Budget::limited(final_cap))
+                        .implies_with(black_box(&goal), &standard)
                         .unwrap()
                         .verdict
                         .as_bool()
@@ -68,7 +68,7 @@ fn main() {
                 "escalating",
                 bench.time(|| {
                     session
-                        .implies_retry(black_box(&goal), &Budget::limited(1), &policy)
+                        .implies_retry(black_box(&goal), &expired, &policy)
                         .unwrap()
                         .verdict
                         .as_bool()

@@ -29,10 +29,10 @@
 //! The entry point [`run`] writes to the supplied sink and returns a
 //! process exit code, so the whole CLI is unit-testable.
 
-use crate::session::{AttemptOutcome, RetryPolicy, Session};
+use crate::session::{RetryPolicy, Session};
 use nfd_core::engine::Engine;
 use nfd_core::{analysis, construct, nfd::parse_set, satisfy, CoreError, Nfd, TierPreference};
-use nfd_govern::Budget;
+use nfd_govern::{Budget, Verdict};
 use nfd_model::{render, Instance, Schema};
 use nfd_path::{Path, RootedPath};
 use std::fmt::Write as _;
@@ -126,26 +126,24 @@ const USAGE: &str = "usage:
      nonempty:R:A,R:B  like pessimistic, with the listed set paths declared
                        non-empty (the paper's NON-NULL analogue)
 
-  --budget N caps every work counter (derived dependencies, chase steps &
-  nulls, assignment enumerations, key candidates) at N; --timeout-ms T adds
-  a wall-clock deadline. With neither flag generous defaults apply. An
+  --budget N caps every work counter at N; --timeout-ms T adds a
+  wall-clock deadline. With neither flag generous defaults apply. An
   exhausted budget is an honest \"don't know\", never a wrong verdict.
-  The budget also governs the session compile: one below the largest
-  saturated pool exits 3 at compile, and one the compile fits also
-  passes each query's pool charge, so `implies` never reaches its
-  chase fallback on a pool limit. (A query is saturation, then the
-  chase; the fallback serves library callers of Session::implies_with
-  and serve tenants whose quota is below their pool.) --retry escalates
-  a compile that runs out too.
+  The counters govern the session compile, which derives every
+  saturated pool (one below the largest pool exits 3 at compile), and
+  the key search's candidates. A query answers from those pools and
+  polls the budget for liveness only, so only the deadline can stop it.
+  --retry escalates a compile that runs out too.
 
   --threads N shards batch implication (--goals) and the candidate-key
   search across N worker threads sharing one budget; 0 or omitted uses all
   available parallelism. Results are identical at every thread count.
 
-  --retry N re-runs a goal up to N more times when it exhausts the budget,
-  multiplying every limit (and re-arming any timeout) by the --escalate
-  factor (default 4) before each run — graceful degradation instead of a
-  terminal \"don't know\". The printed attempt log records every run.
+  --retry N re-runs the compile, then a goal, up to N more times when it
+  exhausts the budget, multiplying every limit (and re-arming any
+  timeout) by the --escalate factor (default 4) before each run —
+  graceful degradation instead of a terminal \"don't know\". The output
+  notes how many retries a verdict took.
 
   --add-dep / --drop-dep mutate the dependency set after the session
   compiles (every --add-dep in flag order, then every --drop-dep; a
@@ -175,16 +173,16 @@ const USAGE: &str = "usage:
   PING/SHUTDOWN; see
   the README). --max-resident caps warm sessions (LRU eviction, default
   8); --max-inflight and --queue bound admission (overflow answers BUSY);
-  --quota meters each tenant's work units (EXHAUSTED when drained);
-  --budget caps per-query counters and --timeout-ms (default 30000) is
-  the per-request deadline. Reads (IMPLIES/BATCH/CLOSURE/KEYS) run in
-  parallel on the connection threads, as many as --max-inflight admits;
-  ADDDEP/DROPDEP fork the tenant's compiled session, change the fork
-  and swap it in, never blocking readers. Every read answers from the
-  resident compiled session, which no query re-saturates: a query is
-  saturation over those pools, then the chase, and is charged for the
-  pools it reads, so a tenant whose quota or --budget is below its
-  largest pool falls back to the chase.
+  --quota meters each tenant's work units (EXHAUSTED when drained): a
+  read costs one unit per goal, a mutation its rebuilt pool; --budget
+  caps the counters of the builds (LOAD, RESTORE, ADDDEP, DROPDEP) and
+  the candidates KEYS enumerates, and --timeout-ms (default 30000) is
+  the per-request deadline of IMPLIES and BATCH. Reads (IMPLIES/BATCH/CLOSURE/KEYS) run in parallel on the
+  connection threads, as many as --max-inflight admits; ADDDEP/DROPDEP
+  fork the tenant's compiled session, change the fork and swap it in,
+  never blocking readers. Every read answers from the resident compiled
+  session, which no query re-saturates, and polls only the deadline,
+  so a metered tenant gets the answers an unmetered one does.
   --workers N sets only how many threads each BATCH runs on (0 or
   omitted: all available cores). Exits 0 on a clean SHUTDOWN drain.
 
@@ -631,36 +629,20 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
                         .map_err(core_fail)?,
                     None => session.implies_with(&goal, &budget).map_err(core_fail)?,
                 };
-                match decision.verdict.as_bool() {
-                    Some(yes) => {
-                        let _ = writeln!(out, "{}", if yes { "implied" } else { "not implied" });
-                        // Surface fallbacks: the verdict is just as valid,
-                        // but the user should know saturation gave up.
-                        if let Some(by) = decision.answered_by() {
-                            if by != "saturation" {
-                                let _ = writeln!(out, "(answered by {by} after fallback)");
-                            }
-                        }
-                        let retries = decision.attempts.iter().map(|a| a.round).max().unwrap_or(0);
-                        if retries > 0 {
-                            let _ = writeln!(
-                                out,
-                                "(after {retries} retr{})",
-                                if retries == 1 { "y" } else { "ies" }
-                            );
-                        }
-                        Ok(if yes { 0 } else { 1 })
-                    }
-                    None => {
-                        for a in &decision.attempts {
-                            if let AttemptOutcome::Exhausted(r) = &a.outcome {
-                                let _ = writeln!(out, "{}: exhausted: {r}", a.decider);
-                            }
-                        }
-                        let _ = writeln!(out, "exhausted (no decider finished within budget)");
-                        Ok(3)
-                    }
+                let yes = match &decision.verdict {
+                    Verdict::Exhausted(r) => return Err(CliFail::Exhausted(r.to_string())),
+                    verdict => *verdict == Verdict::Implied,
+                };
+                let _ = writeln!(out, "{}", if yes { "implied" } else { "not implied" });
+                let retries = decision.attempts.iter().map(|a| a.round).max().unwrap_or(0);
+                if retries > 0 {
+                    let _ = writeln!(
+                        out,
+                        "(after {retries} retr{})",
+                        if retries == 1 { "y" } else { "ies" }
+                    );
                 }
+                Ok(if yes { 0 } else { 1 })
             } else {
                 match session.prove(&goal).map_err(core_fail)? {
                     Some(pf) => {
@@ -837,7 +819,7 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
                 registry_cfg.default_quota = Some(n);
             }
             if let Some(n) = parse_u64(o.budget.as_deref(), "--budget")? {
-                registry_cfg.query_budget = Some(n);
+                registry_cfg.build_budget = Some(n);
             }
             if let Some(ms) = parse_u64(o.timeout_ms.as_deref(), "--timeout-ms")? {
                 registry_cfg.request_timeout_ms = ms;

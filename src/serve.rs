@@ -14,12 +14,11 @@
 //!   server's admission gate admits. `LOAD` and `RESTORE` compile or
 //!   thaw on the connection thread too: no thread is spawned per tenant
 //!   or per write.
-//! * **One read path.** Every read answers from the tenant's resident
-//!   compiled engine, which is never re-saturated at query time. A
-//!   query is saturation over those pools, then the chase: its budget
-//!   is charged for the pools it reads (DESIGN.md §6), so a tenant whose
-//!   quota is below its largest pool falls back to the chase, whatever
-//!   the `BATCH` width.
+//! * **One read contract.** Every read answers from the tenant's
+//!   resident compiled engine, which is never re-saturated at query
+//!   time (DESIGN.md §6). Its budget is polled for liveness only: the
+//!   request deadline, never a counter, so a metered tenant gets the
+//!   same answers as an unmetered one, whatever the `BATCH` width.
 //!   [`RegistryConfig::workers`] sets only that width: how many threads
 //!   one `BATCH` fans out to.
 //! * **Fork-and-swap mutation.** Write verbs (ADDDEP/DROPDEP) never
@@ -44,20 +43,20 @@
 //!   same warm caches.
 //! * **Per-tenant quotas.** A tenant's remaining work units (set at
 //!   `LOAD` from [`RegistryConfig::default_quota`], adjusted by
-//!   `QUOTA`) cap the [`Budget`] of every query; a drained quota
-//!   answers `EXHAUSTED` *before* dispatch. Queries are charged their
-//!   actual decider cost (max attempt counter, min 1), so expensive
-//!   tenants drain faster.
+//!   `QUOTA`) are charged after each workload verb; a drained quota
+//!   answers `EXHAUSTED` *before* dispatch. A read costs one unit per
+//!   goal (`BATCH` one per goal, `CLOSURE` and `KEYS` one), a mutation
+//!   its rebuilt pool, a `SNAPSHOT` its image size in KiB.
 //! * **LRU residency.** At most [`RegistryConfig::max_resident`]
 //!   sessions stay warm; loading past the cap drops the
 //!   least-recently-used tenant, whose compiled tables are freed once
 //!   the last read still holding them finishes.
 //!
 //! Per-request deadlines ([`RegistryConfig::request_timeout_ms`]) apply
-//! to the *query* budgets only. The resident engine is compiled under a
-//! counters-only budget: a deadline baked into the session at `LOAD`
-//! would be in the past for every later query, poisoning `CLOSURE` and
-//! `KEYS`, which run on the resident engine.
+//! to the `IMPLIES`/`BATCH` budgets only. The resident engine is
+//! compiled under the counters-only build budget: a deadline baked into
+//! the session at `LOAD` would be in the past for every later query,
+//! poisoning `CLOSURE` and `KEYS`, which run on the resident engine.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -88,10 +87,12 @@ pub struct RegistryConfig {
     pub max_resident: usize,
     /// Work-unit quota a tenant starts with (`None` = unmetered).
     pub default_quota: Option<u64>,
-    /// Per-query budget counters ([`Budget::limited`]); `None` uses
-    /// [`Budget::standard`]. Also governs session compilation and the
-    /// resident engine serving `CLOSURE`/`KEYS`.
-    pub query_budget: Option<u64>,
+    /// Build budget counters ([`Budget::limited`]) for the builds that
+    /// derive pool entries: `LOAD`'s compile, `RESTORE`'s thaw and each
+    /// `ADDDEP`/`DROPDEP` delta; `None` uses [`Budget::standard`]. Reads
+    /// charge no counter of it, though `KEYS` counts its candidates
+    /// against it on the resident engine.
+    pub build_budget: Option<u64>,
     /// Wall-clock deadline per `IMPLIES`/`BATCH` query (ms; 0 = none).
     pub request_timeout_ms: u64,
     /// Threads one `BATCH` fans its goals out to (`0` = all available
@@ -106,7 +107,7 @@ impl Default for RegistryConfig {
         RegistryConfig {
             max_resident: 8,
             default_quota: None,
-            query_budget: None,
+            build_budget: None,
             request_timeout_ms: 30_000,
             workers: 0,
         }
@@ -212,25 +213,20 @@ impl Registry {
     /// serves `CLOSURE`/`KEYS` with: counters only, never a deadline
     /// (see the module docs for why).
     fn build_budget(&self) -> Budget {
-        match self.cfg.query_budget {
+        match self.cfg.build_budget {
             Some(n) => Budget::limited(n),
             None => Budget::standard(),
         }
     }
 
-    /// The budget for one `IMPLIES`/`BATCH` query: configured counters
-    /// tightened to the tenant's remaining quota, plus the per-request
+    /// The budget for one `IMPLIES`/`BATCH` query: the standard budget,
+    /// whose counters a read never charges, plus the per-request
     /// deadline. A deadline this close to the wire is what keeps a
     /// pathological goal from holding an admission slot forever.
-    fn query_budget(&self, remaining_quota: Option<u64>) -> Budget {
-        let budget = match (self.cfg.query_budget, remaining_quota) {
-            (None, None) => Budget::standard(),
-            (cap, quota) => Budget::limited(cap.unwrap_or(u64::MAX).min(quota.unwrap_or(u64::MAX))),
-        };
-        if self.cfg.request_timeout_ms > 0 {
-            budget.with_timeout_ms(self.cfg.request_timeout_ms)
-        } else {
-            budget
+    fn query_budget(&self) -> Budget {
+        match self.cfg.request_timeout_ms {
+            0 => Budget::standard(),
+            ms => Budget::standard().with_timeout_ms(ms),
         }
     }
 
@@ -377,7 +373,7 @@ impl Registry {
 
     /// Admits a workload verb on `name`: refuses a drained quota before
     /// any work, touches the tenant for LRU, and hands out its current
-    /// epoch, remaining quota and write gate.
+    /// epoch and write gate.
     fn checkout(&self, name: &str) -> Result<CheckedOut, Response> {
         let mut tenants = self.lock_tenants();
         let Some(pos) = tenants.iter().position(|t| t.name == name) else {
@@ -392,7 +388,7 @@ impl Registry {
         // Most-recently-used lives at the front.
         tenants[..=pos].rotate_right(1);
         let t = &tenants[0];
-        Ok((Arc::clone(&t.session), t.quota, Arc::clone(&t.write_gate)))
+        Ok((Arc::clone(&t.session), Arc::clone(&t.write_gate)))
     }
 
     fn run_query(&self, name: &str, query: Query) -> Response {
@@ -400,11 +396,11 @@ impl Registry {
             "serve::tenant_query",
             Response::Exhausted("injected fault (failpoint)".to_string())
         );
-        let (session, quota, _) = match self.checkout(name) {
+        let (session, _) = match self.checkout(name) {
             Ok(checked_out) => checked_out,
             Err(response) => return response,
         };
-        let budget = self.query_budget(quota);
+        let budget = self.query_budget();
         self.counters
             .reads_in_flight
             .fetch_add(1, Ordering::Relaxed);
@@ -436,7 +432,7 @@ impl Registry {
             Response::Exhausted("injected fault (failpoint)".to_string())
         );
         let gate = match self.checkout(name) {
-            Ok((_, _, gate)) => gate,
+            Ok((_, gate)) => gate,
             Err(response) => return response,
         };
         let _write = gate.lock().unwrap_or_else(PoisonError::into_inner);
@@ -549,8 +545,8 @@ impl Registry {
 }
 
 /// What [`Registry::checkout`] hands a workload verb: the tenant's
-/// current epoch, its remaining quota and its write gate.
-type CheckedOut = (Arc<Session<'static>>, Option<u64>, Arc<Mutex<()>>);
+/// current epoch and its write gate.
+type CheckedOut = (Arc<Session<'static>>, Arc<Mutex<()>>);
 
 impl Handler for Registry {
     fn handle(&self, cmd: Command) -> Response {
@@ -667,13 +663,10 @@ fn answer(session: &Session<'_>, query: Query, budget: &Budget, workers: usize) 
                 Err(e) => return input_error(e),
             };
             match session.implies_with(&goal, budget) {
-                Ok(decision) => {
-                    let cost = decision_cost(&decision);
-                    Reply {
-                        response: verdict_response(&decision.verdict),
-                        cost,
-                    }
-                }
+                Ok(decision) => Reply {
+                    response: verdict_response(&decision.verdict),
+                    cost: 1,
+                },
                 Err(e) => input_error(e),
             }
         }
@@ -702,15 +695,9 @@ fn answer(session: &Session<'_>, query: Query, budget: &Budget, workers: usize) 
                             Err(_) => "failed",
                         })
                         .collect();
-                    let cost = batch
-                        .decisions
-                        .iter()
-                        .map(|d| d.as_ref().map(decision_cost).unwrap_or(1))
-                        .sum::<u64>()
-                        .max(1);
                     Reply {
                         response: Response::Ok(statuses.join(",")),
-                        cost,
+                        cost: goals.len() as u64,
                     }
                 }
                 Err(e) => input_error(e),
@@ -827,18 +814,6 @@ fn mutation_reply(verb: &str, reports: &[nfd_core::DeltaReport]) -> Reply {
         response: Response::Ok(line.join("; ")),
         cost,
     }
-}
-
-/// Work units one decision costs its tenant: the largest decider
-/// counter in the cascade log, floored at 1 so even cache hits meter.
-fn decision_cost(decision: &crate::session::Decision) -> u64 {
-    decision
-        .attempts
-        .iter()
-        .filter_map(|a| a.cost)
-        .max()
-        .unwrap_or(0)
-        .max(1)
 }
 
 fn input_error(e: CoreError) -> Reply {
@@ -1032,13 +1007,12 @@ mod tests {
             ..RegistryConfig::default()
         });
         assert!(load(&reg, "t").is_ok());
-        // First query runs (cost ≥ 1 drains the single unit), second is
-        // denied before dispatch. The first may itself exhaust its
-        // quota-tightened budget — either way it is never an ERR.
-        assert!(!matches!(
+        // The first query answers and costs the single unit; the second
+        // is denied before dispatch.
+        assert_eq!(
             reg.handle(cmd("IMPLIES t R:[A -> B]")),
-            Response::Err(_)
-        ));
+            Response::Ok("implied".to_string())
+        );
         assert!(matches!(
             reg.handle(cmd("IMPLIES t R:[A -> B]")),
             Response::Exhausted(msg) if msg.contains("quota")

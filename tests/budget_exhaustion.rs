@@ -34,7 +34,7 @@ fn worked_example() -> (Schema, Vec<Nfd>) {
     (schema, sigma)
 }
 
-/// E1–E12: the paper's worked goals. The cascade under an unlimited
+/// E1–E12: the paper's worked goals. A budgeted query under an unlimited
 /// budget must agree with the plain (unbudgeted) session verdict on every
 /// one, and must report which decider answered.
 #[test]
@@ -69,16 +69,17 @@ fn cascade_agrees_with_unbudgeted_verdicts_on_paper_goals() {
             assert_eq!(
                 decision.verdict.as_bool(),
                 Some(truth),
-                "cascade disagrees with unbudgeted verdict on {goal_text}"
+                "budgeted query disagrees with unbudgeted verdict on {goal_text}"
             );
             assert!(decision.answered_by().is_some(), "{goal_text}");
         }
     }
 }
 
-/// Sweeping budget sizes from starvation upward: every answer that does
-/// come back matches the unbudgeted truth; everything else is Exhausted.
-/// No budget size may produce a wrong verdict.
+/// Sweeping counter caps from zero upward: a read polls its budget for
+/// liveness only and answers from the resident pools, so every cap —
+/// even one far below the Course pool — answers, correctly, from one
+/// saturation attempt.
 #[test]
 fn tiny_budgets_never_give_wrong_verdicts() {
     let (schema, sigma) = course();
@@ -92,68 +93,19 @@ fn tiny_budgets_never_give_wrong_verdicts() {
         let truth = session.implies(&goal).unwrap();
         for n in 0..40u64 {
             let decision = session.implies_with(&goal, &Budget::limited(n)).unwrap();
-            match decision.verdict {
-                Verdict::Implied => {
-                    assert!(truth, "budget {n} fabricated `implied` on {goal_text}")
-                }
-                Verdict::NotImplied => {
-                    assert!(!truth, "budget {n} fabricated `not implied` on {goal_text}")
-                }
-                Verdict::Exhausted(_) => {}
-            }
+            assert_eq!(
+                decision.verdict.as_bool(),
+                Some(truth),
+                "cap {n} on {goal_text}: {decision:?}"
+            );
+            let deciders: Vec<&str> = decision.attempts.iter().map(|a| a.decider).collect();
+            assert_eq!(deciders, ["saturation"], "cap {n} on {goal_text}");
         }
         // A generous budget always answers, and correctly.
         let decision = session
             .implies_with(&goal, &Budget::limited(1_000_000))
             .unwrap();
         assert_eq!(decision.verdict.as_bool(), Some(truth), "{goal_text}");
-    }
-}
-
-/// When saturation is starved but the independent deciders are not, the
-/// cascade falls through and still produces the right answer — and the
-/// attempt log records the fallback.
-#[test]
-fn cascade_falls_back_when_saturation_is_starved() {
-    let (schema, sigma) = course();
-    let session = Session::new(&schema, &sigma).unwrap();
-    let goal = Nfd::parse(&schema, "Course:[cnum -> time]").unwrap();
-    let truth = session.implies(&goal).unwrap();
-
-    let mut starved = Budget::unlimited();
-    starved.max_pool_deps = 1; // cannot even hold Σ
-    let decision = session.implies_with(&goal, &starved).unwrap();
-    assert_eq!(decision.verdict.as_bool(), Some(truth));
-    let by = decision.answered_by().unwrap();
-    assert_ne!(by, "saturation", "saturation should have been starved");
-    assert!(
-        matches!(
-            decision.attempts[0].outcome,
-            AttemptOutcome::Exhausted(ref r) if r.kind == ResourceKind::PoolDeps
-        ),
-        "first attempt should record saturation's exhaustion: {:?}",
-        decision.attempts[0]
-    );
-}
-
-/// Under a non-strict empty-set policy the chase is not sound, so the
-/// cascade must skip it rather than risk a wrong verdict.
-#[test]
-fn fallbacks_are_skipped_under_non_strict_policies() {
-    let (schema, sigma) = course();
-    let session = Session::with_policy(&schema, &sigma, EmptySetPolicy::pessimistic()).unwrap();
-    let goal = Nfd::parse(&schema, "Course:[cnum -> time]").unwrap();
-
-    let mut starved = Budget::unlimited();
-    starved.max_pool_deps = 1;
-    let decision = session.implies_with(&goal, &starved).unwrap();
-    assert!(decision.verdict.is_exhausted());
-    for a in &decision.attempts[1..] {
-        assert!(
-            matches!(a.outcome, AttemptOutcome::Skipped(_)),
-            "{:?} should have been skipped under a pessimistic policy",
-            a.decider
-        );
     }
 }
 
@@ -322,26 +274,29 @@ fn zero_timeout_exhausts_immediately_with_a_coherent_report() {
 
 /// Regression: zero-limit counters trip on the *first* unit of work with
 /// `used > limit` in the report, never a wrap-around or a free pass.
+/// Counters govern builds, so the compile is where they trip: on the
+/// first pool entry.
 #[test]
 fn zero_limit_counters_trip_coherently() {
     let (schema, sigma) = course();
-    let session = Session::new(&schema, &sigma).unwrap();
-    let goal = Nfd::parse(&schema, "Course:[cnum -> time]").unwrap();
-
-    let decision = session.implies_with(&goal, &Budget::limited(0)).unwrap();
-    match &decision.verdict {
-        Verdict::Exhausted(r) => {
-            assert_eq!(r.limit, 0);
-            assert!(r.used > r.limit, "used ({}) must exceed limit 0", r.used);
+    match Session::with_budget(
+        &schema,
+        &sigma,
+        EmptySetPolicy::Forbidden,
+        Budget::limited(0),
+    ) {
+        Err(CoreError::Exhausted(r)) => {
+            assert_eq!(r, ResourceReport::counter(ResourceKind::PoolDeps, 0, 1))
         }
-        other => panic!("a zero budget cannot produce a verdict: {other:?}"),
+        Ok(_) => panic!("a zero budget cannot build a pool"),
+        Err(e) => panic!("expected pool exhaustion, got {e}"),
     }
 }
 
-/// `Budget::escalate` is the retry loop's engine: each step multiplies
-/// every finite counter and re-arms the deadline, so a starved budget
-/// eventually decides. The counters must grow strictly even from zero and
-/// under nonsense factors.
+/// `Budget::escalate` is the retry loop's engine: each step re-arms the
+/// deadline from now at the scaled timeout, so an expired deadline
+/// eventually decides — even from a zero timeout, which escalation grows
+/// to 1 ms.
 #[test]
 fn retry_escalation_heals_a_starved_budget() {
     let (schema, sigma) = course();
@@ -349,17 +304,15 @@ fn retry_escalation_heals_a_starved_budget() {
     let goal = Nfd::parse(&schema, "Course:[time -> cnum]").unwrap();
     let truth = session.implies(&goal).unwrap();
 
-    // Budget 1 starves both deciders; factor 10 needs only a few rounds
-    // to reach the few hundred pool entries the Course schema wants. The
-    // chase is the one fallback, and the starved query reports
-    // saturation's exhaustion, its first.
-    let starved = Budget::limited(1);
+    // An expired deadline is the one thing (short of a cancellation or a
+    // fault) that stops a read. A deadline report's `used` is elapsed
+    // milliseconds, so only its kind is compared.
+    let starved = Budget::standard().with_timeout_ms(0);
     let first = session.implies_with(&goal, &starved).unwrap();
     let deciders: Vec<&str> = first.attempts.iter().map(|a| a.decider).collect();
-    assert_eq!(deciders, ["saturation", "chase"], "{first:?}");
-    assert_eq!(
-        first.verdict,
-        Verdict::Exhausted(ResourceReport::counter(ResourceKind::PoolDeps, 1, 2)),
+    assert_eq!(deciders, ["saturation"], "{first:?}");
+    assert!(
+        matches!(&first.verdict, Verdict::Exhausted(r) if r.kind == ResourceKind::Deadline),
         "{first:?}"
     );
 
@@ -382,9 +335,10 @@ fn retry_escalation_heals_a_starved_budget() {
         .any(|a| a.round == 0 && matches!(a.outcome, AttemptOutcome::Exhausted(_))));
 }
 
-/// Batch retry heals a genuinely starved batch: the first goal exhausts,
-/// the rest are batch-cancelled, and the retry pass re-runs them all —
-/// cancelled goals from the base budget, the exhausted one escalated.
+/// Batch retry heals a batch under an expired deadline: the first goal
+/// exhausts, the rest are batch-cancelled, and the retry pass re-runs
+/// them all — cancelled goals from the base budget, the exhausted one
+/// escalated.
 #[test]
 fn batch_retry_heals_a_starved_batch() {
     let (schema, sigma) = course();
@@ -400,9 +354,13 @@ fn batch_retry_heals_a_starved_batch() {
     .collect();
     let truth: Vec<bool> = goals.iter().map(|g| session.implies(g).unwrap()).collect();
 
-    let starved = Budget::limited(1);
+    let starved = Budget::standard().with_timeout_ms(0);
     let plain = session.implies_batch(&goals, &starved, 4).unwrap();
-    assert_eq!(plain.first_exhausted, Some(0), "budget 1 starves the batch");
+    assert_eq!(
+        plain.first_exhausted,
+        Some(0),
+        "an expired deadline stops the batch"
+    );
 
     let policy = RetryPolicy::new(8).with_escalation(10.0);
     let healed = session

@@ -131,11 +131,6 @@ fn census_reaches_every_layer() {
     for g in &goals {
         session.implies_with(g, &budget).unwrap();
     }
-    // A starved query walks the whole cascade (saturation exhausts, the
-    // chase gets its turn).
-    session
-        .implies_with(&goals[0], &Budget::limited(1))
-        .unwrap();
     for threads in [1usize, 4] {
         session.implies_batch(&goals, &budget, threads).unwrap();
     }
@@ -145,8 +140,9 @@ fn census_reaches_every_layer() {
             &[Path::parse("cnum").unwrap()],
         )
         .unwrap();
-    // The fallback deciders under a generous budget, so their deep sites
-    // (tableau violation scan, ∀-evaluation) are reached too.
+    // Every decider, called directly under a generous budget: no query
+    // runs the chase or the evaluator, so this is how their deep sites
+    // (tableau violation scan, ∀-evaluation) are reached.
     for d in nfd::session::all_deciders() {
         d.decide(&schema, &sigma, &goals[0], &budget).unwrap();
     }
@@ -189,21 +185,14 @@ fn census_reaches_every_layer() {
 // Phase 2: site × action sweep.
 // ---------------------------------------------------------------------
 
-/// Query-phase sites, each with the *companion* faults needed to steer
-/// the cascade into the layer under test (the chase only runs once
-/// saturation yields). Companions are armed with plain
-/// `ReturnExhausted`, which never changes a produced verdict.
-/// The build sites are absent: queries answer from the resident engine
-/// and never build one (`queries_never_rebuild_the_engine`), so
-/// `build_sites_fail_closed_and_disarm_cleanly` covers them.
-const QUERY_SITES: [(&str, &[&str]); 6] = [
-    ("engine::implies", &[]),
-    ("session::cascade_saturation", &[]),
-    ("session::cascade_chase", &["session::cascade_saturation"]),
-    ("chase::build", &["session::cascade_saturation"]),
-    ("chase::step", &["session::cascade_saturation"]),
-    ("chase::scan", &["session::cascade_saturation"]),
-];
+/// Query-phase sites: a query is one saturation attempt over the
+/// resident pools, so these two are every site it passes. The build
+/// sites are absent: queries never build an engine
+/// (`queries_never_rebuild_the_engine`), so
+/// `build_sites_fail_closed_and_disarm_cleanly` covers them. The chase
+/// sites are absent too: no query runs the chase, and the census reaches
+/// them through its direct `all_deciders()` calls.
+const QUERY_SITES: [&str; 2] = ["engine::implies", "session::cascade_saturation"];
 
 const ACTIONS: [FaultAction; 4] = [
     FaultAction::ReturnExhausted,
@@ -224,12 +213,9 @@ fn every_query_site_survives_every_action() {
     let lhs = [Path::parse("cnum").unwrap()];
     let closure = session.closure(&base, &lhs).unwrap();
 
-    for (site, companions) in QUERY_SITES {
+    for site in QUERY_SITES {
         for action in ACTIONS {
             faults::reset();
-            for companion in companions {
-                faults::configure(companion, FaultAction::ReturnExhausted);
-            }
             faults::configure(site, action);
 
             for (goal, &want) in goals.iter().zip(&expected) {
@@ -379,7 +365,7 @@ fn batch_sites_degrade_gracefully_and_normalization_repairs_cancel() {
     // The headline invariant: cancellation injected *inside* the pool is
     // indistinguishable from a pool-internal stop, so the normalization
     // pass must repair the batch to equal the sequential reference
-    // exactly — verdicts, cascade logs, cutoff and all.
+    // exactly — verdicts, attempt logs, cutoff and all.
     faults::reset();
     faults::configure("session::batch_goal", FaultAction::Cancel);
     let repaired = session
@@ -394,7 +380,7 @@ fn batch_sites_degrade_gracefully_and_normalization_repairs_cancel() {
 
 /// Queries answer from the resident engine: once a session is built, no
 /// `implies_with` or `implies_batch` call builds or saturates an engine
-/// again, not even a starved one that falls back to the chase.
+/// again, not even one whose counter cap is far below the pool.
 #[test]
 fn queries_never_rebuild_the_engine() {
     let _guard = serial();
@@ -415,9 +401,9 @@ fn queries_never_rebuild_the_engine() {
     session
         .implies_batch(&goals, &Budget::standard(), 2)
         .unwrap();
-    let starved = Budget::limited(1);
-    session.implies_with(&goals[0], &starved).unwrap();
-    session.implies_batch(&goals, &starved, 2).unwrap();
+    let capped = Budget::limited(1);
+    session.implies_with(&goals[0], &capped).unwrap();
+    session.implies_batch(&goals, &capped, 2).unwrap();
     assert_eq!(
         faults::hits("engine::build"),
         built,
@@ -488,11 +474,13 @@ fn retry_recovers_from_transient_injected_exhaustion() {
     let session = Session::new(&schema, &sigma).unwrap();
     let expected = reference_verdicts(&session, &goals);
 
-    // Every decider of the first run reports (injected) exhaustion; the
-    // faults burn out after one firing each, so the first retry answers.
-    for cascade_site in ["session::cascade_saturation", "session::cascade_chase"] {
-        faults::configure_limited(cascade_site, 1, FaultAction::ReturnExhausted);
-    }
+    // The first run reports (injected) exhaustion; the fault burns out
+    // after one firing, so the first retry answers.
+    faults::configure_limited(
+        "session::cascade_saturation",
+        1,
+        FaultAction::ReturnExhausted,
+    );
     let policy = RetryPolicy::new(3);
     let d = session
         .implies_retry(&goals[0], &Budget::standard(), &policy)
@@ -508,6 +496,12 @@ fn retry_recovers_from_transient_injected_exhaustion() {
         rounds.iter().max(),
         Some(&1),
         "exactly one retry, recorded in the log: {rounds:?}"
+    );
+    let deciders: Vec<&str> = d.attempts.iter().map(|a| a.decider).collect();
+    assert_eq!(
+        deciders,
+        ["saturation", "saturation"],
+        "one attempt a round"
     );
     assert!(
         d.attempts
@@ -531,8 +525,8 @@ fn cancellation_is_never_retried() {
     let goals = parse_goals(&schema);
     let session = Session::new(&schema, &sigma).unwrap();
 
-    // `Cancel` at the saturation cascade site cancels the query budget's
-    // token; the cascade honours it, and the retry loop must stop
+    // `Cancel` at the session's query site cancels the query budget's
+    // token; the query honours it, and the retry loop must stop
     // immediately rather than spin against a cancelled token.
     faults::configure("session::cascade_saturation", FaultAction::Cancel);
     let policy = RetryPolicy::new(5);
@@ -695,12 +689,14 @@ fn cli_exit_codes_keep_their_contract_under_faults() {
     }
     faults::reset();
 
-    // --retry heals a transient injected exhaustion end-to-end: every
-    // cascade decider fails once, the retry answers, the exit code and
-    // verdict match the baseline.
-    for cascade_site in ["session::cascade_saturation", "session::cascade_chase"] {
-        faults::configure_limited(cascade_site, 1, FaultAction::ReturnExhausted);
-    }
+    // --retry heals a transient injected exhaustion end-to-end: the
+    // query fails once, the retry answers, the exit code and verdict
+    // match the baseline.
+    faults::configure_limited(
+        "session::cascade_saturation",
+        1,
+        FaultAction::ReturnExhausted,
+    );
     let mut retry_args = single.clone();
     retry_args.splice(1..1, cli_args(&["--retry", "2"]));
     let mut out = String::new();
@@ -712,10 +708,13 @@ fn cli_exit_codes_keep_their_contract_under_faults() {
         "retry surfaced to the user: {out}"
     );
 
-    // Without --retry the same transient fault is terminal (exit 3).
-    for cascade_site in ["session::cascade_saturation", "session::cascade_chase"] {
-        faults::configure_limited(cascade_site, 1, FaultAction::ReturnExhausted);
-    }
+    // Without --retry the same transient fault is terminal (exit 3), and
+    // reported as the one `exhausted:` line a compile exhaustion prints.
+    faults::configure_limited(
+        "session::cascade_saturation",
+        1,
+        FaultAction::ReturnExhausted,
+    );
     let mut out = String::new();
     let code = nfd::cli::run(&single, &mut out);
     faults::reset();
@@ -723,6 +722,7 @@ fn cli_exit_codes_keep_their_contract_under_faults() {
         code, 3,
         "without --retry the injected exhaustion is final: {out}"
     );
+    assert_eq!(out, "exhausted: injected fault (failpoint)\n");
 }
 
 #[test]

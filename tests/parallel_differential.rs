@@ -2,8 +2,8 @@
 //!
 //! `Session::implies_batch` promises results bit-identical to a
 //! sequential `implies_with` loop at every thread count — verdicts,
-//! cascade logs, exhaustion reports and proof output alike, including
-//! under starved budgets. These tests hold it to that promise over
+//! attempt logs, exhaustion reports and proof output alike, including
+//! under tiny counter caps. These tests hold it to that promise over
 //! seeded random `(Schema, Σ, goals)` batches, so any scheduling
 //! dependence shows up as a reproducible seed.
 
@@ -58,10 +58,11 @@ fn batch_equals_sequential_loop_on_random_problems() {
 }
 
 #[test]
-fn starved_batches_agree_at_every_thread_count() {
-    // Small counter budgets starve the cascade at scheduling-independent
-    // points; the whole BatchDecision (verdicts, attempts, reports, the
-    // cutoff index) must not notice the thread count.
+fn counter_capped_batches_agree_at_every_thread_count() {
+    // A read charges no counter, so small counter caps never stop a
+    // batch: every goal is decided, and the whole BatchDecision
+    // (verdicts, attempts, the cutoff index) must not notice the thread
+    // count.
     for seed in 0..25u64 {
         let (schema, sigma, goals) = problem(seed, 12);
         let session = Session::new(&schema, &sigma).expect("generated Σ compiles");
@@ -70,13 +71,17 @@ fn starved_batches_agree_at_every_thread_count() {
             let reference = session
                 .implies_batch(&goals, &budget, 1)
                 .expect("batch runs");
+            assert_eq!(
+                reference.first_exhausted, None,
+                "seed {seed}, cap {cap}: a counter cap stopped the batch"
+            );
             for threads in THREAD_COUNTS {
                 let batch = session
                     .implies_batch(&goals, &budget, threads)
                     .expect("batch runs");
                 assert_eq!(
                     batch, reference,
-                    "seed {seed}, cap {cap}, threads {threads}: starved batch deviates"
+                    "seed {seed}, cap {cap}, threads {threads}: capped batch deviates"
                 );
             }
         }
@@ -84,10 +89,9 @@ fn starved_batches_agree_at_every_thread_count() {
 }
 
 #[test]
-fn exhaustion_never_flips_a_verdict() {
-    // Whatever a starved batch answers must match the generously budgeted
-    // ground truth; running out of resources may only ever produce
-    // `Exhausted`, never a wrong `Implied`/`NotImplied`.
+fn counter_caps_never_exhaust_or_flip_a_verdict() {
+    // A counter-capped batch answers every goal from the resident pools,
+    // and each answer must match the generously budgeted ground truth.
     for seed in 0..15u64 {
         let (schema, sigma, goals) = problem(seed, 10);
         let session = Session::new(&schema, &sigma).expect("generated Σ compiles");
@@ -106,16 +110,18 @@ fn exhaustion_never_flips_a_verdict() {
                 let batch = session
                     .implies_batch(&goals, &Budget::limited(cap), threads)
                     .expect("batch runs");
+                assert_eq!(
+                    batch.first_exhausted, None,
+                    "seed {seed}, cap {cap}, threads {threads}: a counter cap stopped the batch"
+                );
                 for (i, d) in batch.decisions.iter().enumerate() {
                     let d = d.as_ref().expect("no faults injected, no goal fails");
-                    if let Some(answer) = d.verdict.as_bool() {
-                        assert_eq!(
-                            Some(answer),
-                            truth[i],
-                            "seed {seed}, cap {cap}, threads {threads}, goal {i}: \
-                             a starved run answered differently from ground truth"
-                        );
-                    }
+                    assert_eq!(
+                        d.verdict.as_bool(),
+                        truth[i],
+                        "seed {seed}, cap {cap}, threads {threads}, goal {i}: \
+                         a capped run answered differently from ground truth"
+                    );
                 }
             }
         }

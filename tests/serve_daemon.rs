@@ -235,10 +235,56 @@ fn tenant_quotas_meter_exhaust_and_recover() {
     server.join().expect("server");
 }
 
-/// A tenant metered below its largest pool gets the same replies at
-/// every `BATCH` width: every read answers from the resident engine,
-/// and a query is charged for the pool it reads instead of saturating
-/// it again, so `workers` cannot change what the quota buys.
+/// A metered tenant gets the answers an unmetered one does: a read polls
+/// its budget for liveness only and costs one unit per goal, so a quota
+/// far below the Course pool buys `OK implied`, not `EXHAUSTED`, and
+/// drains by goal count. 5 − 3 `IMPLIES` − 1 `CLOSURE` − 2 `BATCH` goals
+/// saturates at 0, and the next read is refused before dispatch.
+#[test]
+fn metered_reads_answer_and_cost_one_unit_a_goal() {
+    let (schema_src, deps_src) = course_sources();
+    let (addr, server) = start(
+        RegistryConfig {
+            default_quota: Some(5),
+            ..RegistryConfig::default()
+        },
+        quick_server_cfg(),
+    );
+    let mut c = Client::connect(addr);
+    assert_eq!(
+        c.ask(&format!("LOAD course {schema_src} | {deps_src}")),
+        "OK loaded deps=7"
+    );
+    for _ in 0..3 {
+        assert_eq!(
+            c.ask("IMPLIES course Course:[time, students:sid -> books]"),
+            "OK implied"
+        );
+    }
+    let closure = c.ask("CLOSURE course Course cnum");
+    assert!(
+        closure.starts_with("OK") && closure.contains("Course:time"),
+        "{closure}"
+    );
+    assert_eq!(
+        c.ask("BATCH course Course:[cnum -> time]; Course:[time -> cnum];"),
+        "OK implied,not-implied"
+    );
+    let denied = c.ask("IMPLIES course Course:[time, students:sid -> books]");
+    assert!(
+        denied.starts_with("EXHAUSTED") && denied.contains("quota"),
+        "{denied}"
+    );
+    let stats = c.ask("STATS");
+    assert!(stats.contains("quota_denials=1"), "{stats}");
+
+    assert_eq!(c.ask("SHUTDOWN"), "OK draining");
+    server.join().expect("server");
+}
+
+/// A metered tenant gets the same replies at every `BATCH` width, and
+/// they are the resident engine's answers: the quota only counts goals,
+/// so `workers` cannot change what it buys.
 #[test]
 fn metered_tenants_get_the_same_replies_at_every_worker_count() {
     let (schema_src, deps_src) = course_sources();
@@ -264,8 +310,19 @@ fn metered_tenants_get_the_same_replies_at_every_worker_count() {
         server.join().expect("server");
         replies
     };
-    for quota in [1, 5, 20] {
-        assert_eq!(replies(quota, 1), replies(quota, 2), "quota {quota}");
+    let drained = "EXHAUSTED tenant `course` quota exhausted";
+    for (quota, want) in [
+        (1, ["OK implied", drained]),
+        (5, ["OK implied", "OK implied,not-implied"]),
+        (20, ["OK implied", "OK implied,not-implied"]),
+    ] {
+        for workers in [1, 2] {
+            assert_eq!(
+                replies(quota, workers),
+                want,
+                "quota {quota}, workers {workers}"
+            );
+        }
     }
 }
 
