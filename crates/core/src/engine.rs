@@ -726,7 +726,7 @@ impl<'s> Engine<'s> {
     /// thaw path of compiled-session snapshots.
     ///
     /// This is a *validated replay*, not a blind install: every frozen
-    /// entry is pushed through the same [`RelEngine::add`] a fresh build
+    /// entry is pushed through the same `RelEngine::add` a fresh build
     /// uses, in pool order. `add` is deterministic and its subsumption
     /// bookkeeping depends only on the entries accepted so far, so an
     /// honest export replays to a bit-identical pool (same entries, same

@@ -380,8 +380,8 @@ pub struct CacheStats {
 /// stamp) is dropped in one O(n) sweep, amortizing eviction to O(1) per
 /// insert without a linked-list LRU.
 ///
-/// Caches at or above [`CACHE_SHARD_THRESHOLD`] capacity are split into
-/// [`CACHE_SHARDS`] independently locked shards (selected by key hash),
+/// Caches at or above `CACHE_SHARD_THRESHOLD` capacity are split into
+/// `CACHE_SHARDS` independently locked shards (selected by key hash),
 /// so a read-parallel pool sharing one cache does not serialize on a
 /// single mutex. Capacity, clocks and halving eviction are per shard;
 /// keys hash uniformly, so the bound still holds globally. Tiny caches

@@ -13,17 +13,17 @@
 //!
 //! * each trigger increments an atomic per-site hit counter (even when no
 //!   action is armed), so a test can run a workload once and *census*
-//!   which sites it reaches — see [`sites_hit`];
-//! * an armed [`FaultAction`] fires on trigger: `Panic` and `Delay` take
+//!   which sites it reaches — see `sites_hit`;
+//! * an armed `FaultAction` fires on trigger: `Panic` and `Delay` take
 //!   effect inside the macro, `ReturnExhausted` and `Cancel` are handed
 //!   back to the site, which early-returns its context's error value or
-//!   cancels the [`CancelToken`]-like object it was given;
+//!   cancels the `CancelToken`-like object it was given;
 //! * actions can be count-limited (`2*panic` fires twice, then the site
 //!   reverts to `Off`), so a test can fault exactly one of many
 //!   concurrent workers.
 //!
-//! Sites are configured programmatically ([`configure`],
-//! [`configure_limited`]) or through the `NFD_FAILPOINTS` environment
+//! Sites are configured programmatically (`configure`,
+//! `configure_limited`) or through the `NFD_FAILPOINTS` environment
 //! variable, read once at first registry access:
 //!
 //! ```text
@@ -32,7 +32,7 @@
 //!
 //! The registry is deliberately global (sites live in code that knows
 //! nothing about which test is running), so tests that arm actions must
-//! serialize with each other and call [`reset`] when done.
+//! serialize with each other and call `reset` when done.
 //!
 //! This crate has no dependencies so every layer of the workspace can
 //! declare sites. Only the `nfd` facade forwards the feature

@@ -186,8 +186,7 @@ pub struct Budget {
     deadline: Option<Instant>,
     /// The duration the deadline was configured from, kept so exhaustion
     /// reports can say *which* timeout tripped ("deadline of 50 ms
-    /// exceeded") and so [`Budget::escalate`] can re-arm a fresh, scaled
-    /// deadline for a retry.
+    /// exceeded").
     timeout: Option<Duration>,
     cancel: CancelToken,
 }
@@ -300,44 +299,6 @@ impl Budget {
             ResourceKind::KeyCandidates => self.max_key_candidates,
             ResourceKind::Deadline | ResourceKind::Cancelled | ResourceKind::Injected => u64::MAX,
         }
-    }
-
-    /// A scaled-up copy of this budget for a retry after exhaustion:
-    /// every finite counter limit is multiplied by `factor` (and grows by
-    /// at least one, so even a zero limit makes progress), and a timeout,
-    /// if one was configured, is re-armed *from now* at `factor` times
-    /// its previous duration — the original absolute deadline has by
-    /// definition already passed when a retry is considered.
-    ///
-    /// Factors below 1 (or non-finite) are treated as 1: escalation never
-    /// shrinks a budget. The cancellation token is shared with the
-    /// original, so a caller's cancel still reaches every retry.
-    pub fn escalate(&self, factor: f64) -> Budget {
-        let factor = if factor.is_finite() && factor > 1.0 {
-            factor
-        } else {
-            1.0
-        };
-        // `as u64` saturates on overflow, so huge limits stay huge
-        // instead of wrapping.
-        let scale = |v: u64| {
-            if v == u64::MAX {
-                v
-            } else {
-                ((v as f64 * factor) as u64).max(v.saturating_add(1))
-            }
-        };
-        let mut next = self.clone();
-        next.max_pool_deps = scale(self.max_pool_deps);
-        next.max_chase_steps = scale(self.max_chase_steps);
-        next.max_chase_nulls = scale(self.max_chase_nulls);
-        next.max_assignments = scale(self.max_assignments);
-        next.max_key_candidates = scale(self.max_key_candidates);
-        if let Some(t) = self.timeout {
-            let ms = t.as_millis().min(u64::MAX as u128) as u64;
-            return next.with_timeout(Duration::from_millis(scale(ms)));
-        }
-        next
     }
 
     /// Checks a counter against its limit: `Err` when `used` exceeds the
@@ -504,28 +465,6 @@ mod tests {
         assert_eq!(report.kind, ResourceKind::PoolDeps);
         assert_eq!(report.limit, 0);
         assert_eq!(report.used, 1);
-    }
-
-    #[test]
-    fn escalate_scales_counters_and_rearms_the_deadline() {
-        let b = Budget::limited(10).with_timeout_ms(40);
-        let up = b.escalate(4.0); // deadline re-armed from now: 160 ms
-        assert_eq!(up.max_pool_deps, 40);
-        assert_eq!(up.max_chase_steps, 40);
-        std::thread::sleep(Duration::from_millis(60));
-        assert!(b.check_live().is_err(), "original 40 ms deadline passed");
-        assert!(
-            up.check_live().is_ok(),
-            "escalated deadline was re-armed and scaled"
-        );
-
-        // Progress from zero, saturation at the top, shared cancel token.
-        assert_eq!(Budget::limited(0).escalate(4.0).max_assignments, 1);
-        assert_eq!(Budget::unlimited().escalate(4.0).max_pool_deps, u64::MAX);
-        let escalated = b.escalate(f64::NAN);
-        assert_eq!(escalated.max_pool_deps, 11, "bad factors grow by one");
-        b.cancel_token().cancel();
-        assert!(escalated.cancel_token().is_cancelled());
     }
 
     #[test]

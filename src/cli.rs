@@ -29,7 +29,7 @@
 //! The entry point [`run`] writes to the supplied sink and returns a
 //! process exit code, so the whole CLI is unit-testable.
 
-use crate::session::{RetryPolicy, Session};
+use crate::session::Session;
 use nfd_core::engine::Engine;
 use nfd_core::{analysis, construct, nfd::parse_set, satisfy, CoreError, Nfd, TierPreference};
 use nfd_govern::{Budget, Verdict};
@@ -106,8 +106,8 @@ pub fn run(args: &[String], out: &mut String) -> i32 {
 
 const USAGE: &str = "usage:
   nfdtool check    --schema FILE --deps FILE --instance FILE
-  nfdtool implies  --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--retry N [--escalate F]] [--snapshot FILE [--thaw-min-bytes N]] [--add-dep NFD]… [--drop-dep NFD]… NFD
-  nfdtool implies  --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--threads N] [--retry N [--escalate F]] [--snapshot FILE [--thaw-min-bytes N]] [--add-dep NFD]… [--drop-dep NFD]… --goals FILE
+  nfdtool implies  --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--snapshot FILE [--thaw-min-bytes N]] [--add-dep NFD]… [--drop-dep NFD]… NFD
+  nfdtool implies  --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--threads N] [--snapshot FILE [--thaw-min-bytes N]] [--add-dep NFD]… [--drop-dep NFD]… --goals FILE
   nfdtool prove    --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--snapshot FILE [--thaw-min-bytes N]] [--add-dep NFD]… [--drop-dep NFD]… NFD
   nfdtool closure  --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--snapshot FILE [--thaw-min-bytes N]] [--add-dep NFD]… [--drop-dep NFD]… --base PATH [--lhs P1,P2,…]
   nfdtool witness  --schema FILE --deps FILE --base PATH [--lhs P1,P2,…]
@@ -127,23 +127,21 @@ const USAGE: &str = "usage:
                        non-empty (the paper's NON-NULL analogue)
 
   --budget N caps every work counter at N; --timeout-ms T adds a
-  wall-clock deadline. With neither flag generous defaults apply. An
-  exhausted budget is an honest \"don't know\", never a wrong verdict.
-  The counters govern the session compile, which derives every
-  saturated pool (one below the largest pool exits 3 at compile), and
-  the key search's candidates. A query answers from those pools and
-  polls the budget for liveness only, so only the deadline can stop it.
-  --retry escalates a compile that runs out too.
+  wall-clock deadline. With neither flag generous defaults apply. The
+  two flags are the whole budget: a command runs once under it and
+  never retries. An exhausted budget is an honest \"don't know\", never
+  a wrong verdict. The counters govern the session compile, which
+  derives every saturated pool (one below the largest pool exits 3 at
+  compile), and the key search's candidates. A query answers from those
+  pools and polls the budget for liveness only, so only the deadline
+  can stop it. To size them, give --budget at least the largest pool
+  and --timeout-ms the longest compile or query you will wait for; on
+  exit 3, run again with a larger value: the compile is deterministic,
+  so a budget that fits derives the same pools and verdict every time.
 
   --threads N shards batch implication (--goals) and the candidate-key
   search across N worker threads sharing one budget; 0 or omitted uses all
   available parallelism. Results are identical at every thread count.
-
-  --retry N re-runs the compile, then a goal, up to N more times when it
-  exhausts the budget, multiplying every limit (and re-arming any
-  timeout) by the --escalate factor (default 4) before each run —
-  graceful degradation instead of a terminal \"don't know\". The output
-  notes how many retries a verdict took.
 
   --add-dep / --drop-dep mutate the dependency set after the session
   compiles (every --add-dep in flag order, then every --drop-dep; a
@@ -201,8 +199,6 @@ struct Opts {
     budget: Option<String>,
     timeout_ms: Option<String>,
     threads: Option<String>,
-    retry: Option<String>,
-    escalate: Option<String>,
     addr: Option<String>,
     max_resident: Option<String>,
     max_inflight: Option<String>,
@@ -240,8 +236,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         budget: None,
         timeout_ms: None,
         threads: None,
-        retry: None,
-        escalate: None,
         addr: None,
         max_resident: None,
         max_inflight: None,
@@ -275,8 +269,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--budget" => o.budget = Some(take(&mut i)?),
             "--timeout-ms" => o.timeout_ms = Some(take(&mut i)?),
             "--threads" => o.threads = Some(take(&mut i)?),
-            "--retry" => o.retry = Some(take(&mut i)?),
-            "--escalate" => o.escalate = Some(take(&mut i)?),
             "--addr" => o.addr = Some(take(&mut i)?),
             "--max-resident" => o.max_resident = Some(take(&mut i)?),
             "--max-inflight" => o.max_inflight = Some(take(&mut i)?),
@@ -364,36 +356,6 @@ fn parse_budget(o: &Opts) -> Result<Budget, String> {
         budget = budget.with_timeout_ms(ms);
     }
     Ok(budget)
-}
-
-/// Parses `--retry N [--escalate F]` into a [`RetryPolicy`]: `N` extra
-/// attempts past the first, each under a budget escalated by `F`
-/// (default 4). `None` when `--retry` was not given.
-fn parse_retry(o: &Opts) -> Result<Option<RetryPolicy>, String> {
-    let retries: u32 = match o.retry.as_deref() {
-        None => {
-            if o.escalate.is_some() {
-                return Err("--escalate requires --retry".into());
-            }
-            return Ok(None);
-        }
-        Some(text) => text
-            .parse()
-            .map_err(|_| format!("--retry must be a non-negative integer, got `{text}`"))?,
-    };
-    let mut policy = RetryPolicy::new(retries.saturating_add(1));
-    if let Some(text) = o.escalate.as_deref() {
-        let factor: f64 = text
-            .parse()
-            .map_err(|_| format!("--escalate must be a number, got `{text}`"))?;
-        if !factor.is_finite() || factor < 1.0 {
-            return Err(format!(
-                "--escalate must be a finite factor >= 1, got `{text}`"
-            ));
-        }
-        policy = policy.with_escalation(factor);
-    }
-    Ok(Some(policy))
 }
 
 /// Applies `--add-dep` / `--drop-dep` mutations to a compiled session:
@@ -531,37 +493,14 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
             let schema = load_schema(&o)?;
             let sigma = load_deps(&o, &schema)?;
             let policy = parse_policy(&o)?;
-            let mut budget = parse_budget(&o)?;
-            let retry = if cmd == "implies" {
-                parse_retry(&o)?
-            } else {
-                None
-            };
+            let budget = parse_budget(&o)?;
             // Session compilation runs under the same budget as the
-            // queries, so `--retry` must cover it too: a budget too tight
-            // to even build escalates here, and the queries then run
-            // under the budget that let the build finish. A `--snapshot`
-            // warm start replaces the compile when the image is accepted.
-            let thawed = thaw_from_flag(&o, &schema, &sigma, &policy, &budget, out)?;
-            let mut build_round: u32 = 0;
-            let mut session = match thawed {
+            // queries. A `--snapshot` warm start replaces the compile
+            // when the image is accepted.
+            let mut session = match thaw_from_flag(&o, &schema, &sigma, &policy, &budget, out)? {
                 Some(s) => s,
-                None => loop {
-                    match Session::with_budget(&schema, &sigma, policy.clone(), budget.clone()) {
-                        Ok(s) => break s,
-                        Err(CoreError::Exhausted(r))
-                            if r.kind != nfd_govern::ResourceKind::Cancelled
-                                && retry
-                                    .as_ref()
-                                    .is_some_and(|p| build_round + 1 < p.max_attempts) =>
-                        {
-                            build_round += 1;
-                            let p = retry.as_ref().expect("guarded by is_some_and");
-                            budget = budget.escalate(p.budget_escalation_factor);
-                        }
-                        Err(e) => return Err(core_fail(e)),
-                    }
-                },
+                None => Session::with_budget(&schema, &sigma, policy, budget.clone())
+                    .map_err(core_fail)?,
             };
             apply_mutations(&mut session, &schema, &o)?;
             // Batch mode: one compiled session answers every goal of the
@@ -574,14 +513,9 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
                     return Err(format!("goals file `{path}` contains no NFDs").into());
                 }
                 let threads = parse_threads(&o)?;
-                let batch = match &retry {
-                    Some(policy) => session
-                        .implies_batch_retry(&goals, &budget, threads, policy)
-                        .map_err(core_fail)?,
-                    None => session
-                        .implies_batch(&goals, &budget, threads)
-                        .map_err(core_fail)?,
-                };
+                let batch = session
+                    .implies_batch(&goals, &budget, threads)
+                    .map_err(core_fail)?;
                 for (goal, slot) in goals.iter().zip(&batch.decisions) {
                     let word = match slot {
                         Ok(d) => match d.verdict.as_bool() {
@@ -592,16 +526,6 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
                         Err(_) => "failed     ",
                     };
                     let _ = writeln!(out, "{word}  {goal}");
-                    if let Ok(d) = slot {
-                        let retries = d.attempts.iter().map(|a| a.round).max().unwrap_or(0);
-                        if retries > 0 {
-                            let _ = writeln!(
-                                out,
-                                "             (after {retries} retr{})",
-                                if retries == 1 { "y" } else { "ies" }
-                            );
-                        }
-                    }
                 }
                 let implied = batch.implied_count();
                 let exhausted = batch.exhausted_count();
@@ -623,25 +547,12 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
                 .ok_or("expected the goal NFD as a positional argument (or --goals FILE)")?;
             let goal = Nfd::parse(&schema, goal_text).map_err(|e| format!("goal: {e}"))?;
             if cmd == "implies" {
-                let decision = match &retry {
-                    Some(policy) => session
-                        .implies_retry(&goal, &budget, policy)
-                        .map_err(core_fail)?,
-                    None => session.implies_with(&goal, &budget).map_err(core_fail)?,
-                };
+                let decision = session.implies_with(&goal, &budget).map_err(core_fail)?;
                 let yes = match &decision.verdict {
                     Verdict::Exhausted(r) => return Err(CliFail::Exhausted(r.to_string())),
                     verdict => *verdict == Verdict::Implied,
                 };
                 let _ = writeln!(out, "{}", if yes { "implied" } else { "not implied" });
-                let retries = decision.attempts.iter().map(|a| a.round).max().unwrap_or(0);
-                if retries > 0 {
-                    let _ = writeln!(
-                        out,
-                        "(after {retries} retr{})",
-                        if retries == 1 { "y" } else { "ies" }
-                    );
-                }
                 Ok(if yes { 0 } else { 1 })
             } else {
                 match session.prove(&goal).map_err(core_fail)? {

@@ -78,8 +78,8 @@ pub use nfd_snap as snap;
 pub mod prelude {
     pub use crate::serve::{Registry, RegistryConfig};
     pub use crate::session::{
-        Attempt, AttemptOutcome, BatchDecision, Chase, Decider, Decision, LogicEval, RetryPolicy,
-        Saturation, Session,
+        Attempt, AttemptOutcome, BatchDecision, Chase, Decider, Decision, LogicEval, Saturation,
+        Session,
     };
     pub use nfd_core::engine::Engine;
     pub use nfd_core::{check, CoreError, EmptySetPolicy, Nfd, SatisfyReport, Violation};

@@ -19,6 +19,14 @@
 //! it stops only on a deadline, a cancellation or an injected fault, and
 //! each of those would stop the other two deciders too.
 //!
+//! Every budgeted entry point runs once, under the budget its caller
+//! gives. A budget is a cap, not a reservation: the pools are a
+//! deterministic function of schema, Σ and policy, so a caller whose
+//! call came back `Exhausted` asks for a larger budget
+//! ([`Budget::limited`], [`Budget::with_timeout_ms`]), and one run under
+//! it reaches the pools and verdict any sequence of smaller attempts
+//! would.
+//!
 //! [`Session`] is the amortizing front end: it compiles `(Schema, Σ)`
 //! once — path tables, normalized dependency pool, full saturation — and
 //! then serves unlimited [`implies`](Session::implies) /
@@ -224,7 +232,8 @@ pub enum AttemptOutcome {
     Exhausted(ResourceReport),
 }
 
-/// One entry of a [`Decision`]'s attempt log.
+/// The one entry of a [`Decision`]'s attempt log: every budgeted read
+/// runs once, under the budget its caller gave.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Attempt {
     /// The decider's stable name: `"saturation"`, or `"batch"` for a goal
@@ -232,24 +241,19 @@ pub struct Attempt {
     pub decider: &'static str,
     /// What happened.
     pub outcome: AttemptOutcome,
-    /// Which retry round produced this attempt: 0 for the initial run,
-    /// `n` for the `n`-th [`RetryPolicy`] retry. Always 0 outside the
-    /// retrying entry points, so the log stays an honest record of
-    /// exactly how many times the query ran.
-    pub round: u32,
 }
 
 /// The result of a budgeted implication query: the verdict plus the log
-/// of its attempts, one per round.
+/// of its one attempt.
 #[derive(Clone, Debug)]
 pub struct Decision {
     /// The verdict: saturation's answer, or the report of what stopped
-    /// the last round.
+    /// the attempt.
     pub verdict: Verdict,
-    /// The attempt log, in execution order.
+    /// The attempt log: one entry.
     pub attempts: Vec<Attempt>,
     /// How many closure-cache hits the session's shared [`ClosureCache`]
-    /// served while producing this decision (summed over retry rounds).
+    /// served while producing this decision.
     /// Cost metadata only: hits depend on what ran before — including
     /// sibling goals racing in a batch — so equality ignores this field,
     /// keeping batch results bit-identical at every thread count.
@@ -356,57 +360,10 @@ fn batch_cancelled_decision() -> Decision {
         attempts: vec![Attempt {
             decider: "batch",
             outcome: AttemptOutcome::Exhausted(report),
-            round: 0,
         }],
         cache_hits: 0,
         tier: None,
         caches_invalidated: false,
-    }
-}
-
-/// How the retrying entry points ([`Session::implies_retry`],
-/// [`Session::implies_batch_retry`]) respond to an `Exhausted` verdict:
-/// re-run under an escalated budget, up to a total attempt cap, so
-/// exhaustion degrades gracefully instead of terminally. Cancellation is
-/// never retried — a caller's stop request is final.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts, including the initial one (values below 1 are
-    /// treated as 1, i.e. no retries).
-    pub max_attempts: u32,
-    /// Multiplier applied to every finite counter limit — and to the
-    /// timeout, re-armed from the moment of the retry — before each new
-    /// attempt; see [`Budget::escalate`]. Factors ≤ 1 still grow each
-    /// limit by one, so retries always make progress.
-    pub budget_escalation_factor: f64,
-}
-
-impl RetryPolicy {
-    /// A policy with `max_attempts` total attempts and 4× escalation.
-    pub fn new(max_attempts: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: max_attempts.max(1),
-            budget_escalation_factor: 4.0,
-        }
-    }
-
-    /// Replaces the escalation factor.
-    pub fn with_escalation(mut self, factor: f64) -> RetryPolicy {
-        self.budget_escalation_factor = factor;
-        self
-    }
-
-    /// Is this verdict worth a retry under an escalated budget? True for
-    /// every exhaustion except an explicit cancellation.
-    fn should_retry(&self, verdict: &Verdict) -> bool {
-        matches!(verdict, Verdict::Exhausted(r) if r.kind != ResourceKind::Cancelled)
-    }
-}
-
-impl Default for RetryPolicy {
-    /// Three total attempts at 4× escalation.
-    fn default() -> RetryPolicy {
-        RetryPolicy::new(3)
     }
 }
 
@@ -548,9 +505,11 @@ impl<'s> Session<'s> {
     /// no budget of their own ([`Session::implies`],
     /// [`Session::closure`], [`Session::candidate_keys`]) poll it for
     /// liveness, and the candidate-key sweep counts its candidates
-    /// against it; [`Session::implies_with`] and its batch and retry
-    /// forms poll the budget they are given for liveness only. Running
-    /// out surfaces as [`CoreError::Exhausted`], never a wrong answer.
+    /// against it; [`Session::implies_with`] and its batch form poll the
+    /// budget they are given for liveness only. Running out surfaces as
+    /// [`CoreError::Exhausted`], never a wrong answer, and nothing here
+    /// retries: a build is a deterministic function of schema, Σ and
+    /// policy, so a caller who wants it to fit asks for a larger budget.
     pub fn with_budget(
         schema: &'s Schema,
         sigma: &[Nfd],
@@ -636,7 +595,7 @@ impl<'s> Session<'s> {
     /// The caller supplies the live `(schema, sigma, policy, budget)`
     /// exactly as for [`Session::with_budget`]; the snapshot must match
     /// them or thawing fails with a typed
-    /// [`SnapError::Mismatch`] — the schema/Σ/policy texts are compared
+    /// [`nfd_snap::SnapError::Mismatch`] — the schema/Σ/policy texts are compared
     /// against the embedded ones, the path tables are recompiled and
     /// required to be bit-identical to the embedded matrices, the pools
     /// replay through the engine's own validated `add` path, and cache
@@ -881,7 +840,6 @@ impl<'s> Session<'s> {
             attempts: vec![Attempt {
                 decider: "saturation",
                 outcome,
-                round: 0,
             }],
             cache_hits: u64::from(trace.is_some_and(|t| t.cache_hit)),
             tier: trace.and_then(|t| t.chained.then_some(Tier::Indexed)),
@@ -1039,143 +997,6 @@ impl<'s> Session<'s> {
         threads: usize,
     ) -> Result<BatchDecision, CoreError> {
         self.implies_batch(goals, budget, threads)
-    }
-
-    /// [`Session::implies_with`], retried under escalating budgets when
-    /// the verdict comes back `Exhausted`: each retry re-arms any timeout
-    /// scaled by the policy's escalation factor ([`Budget::escalate`]),
-    /// up to `max_attempts` total runs, which heals an expired deadline
-    /// or a transient injected fault. Cancellation is honoured
-    /// immediately and never retried.
-    ///
-    /// The returned [`Decision`] concatenates the attempt logs of every
-    /// run, with [`Attempt::round`] recording which run produced each
-    /// entry — the report stays an honest account of all work done, not
-    /// just the last attempt.
-    pub fn implies_retry(
-        &self,
-        goal: &Nfd,
-        budget: &Budget,
-        policy: &RetryPolicy,
-    ) -> Result<Decision, CoreError> {
-        let mut budget = budget.clone();
-        let mut log: Vec<Attempt> = Vec::new();
-        let mut hits: u64 = 0;
-        let mut invalidated = false;
-        let max_attempts = policy.max_attempts.max(1);
-        let mut round: u32 = 0;
-        loop {
-            let mut decision = self.implies_with(goal, &budget)?;
-            for attempt in &mut decision.attempts {
-                attempt.round = round;
-            }
-            log.append(&mut decision.attempts);
-            hits += decision.cache_hits;
-            invalidated |= decision.caches_invalidated;
-            round += 1;
-            if !policy.should_retry(&decision.verdict)
-                || round >= max_attempts
-                || budget.cancel_token().is_cancelled()
-            {
-                return Ok(Decision {
-                    verdict: decision.verdict,
-                    attempts: log,
-                    cache_hits: hits,
-                    tier: decision.tier,
-                    caches_invalidated: invalidated,
-                });
-            }
-            budget = budget.escalate(policy.budget_escalation_factor);
-        }
-    }
-
-    /// [`Session::implies_batch`] with per-goal retry: after the parallel
-    /// batch completes, every goal that came back `Exhausted` — including
-    /// goals the batch cancelled after its first exhaustion — is re-run
-    /// sequentially via [`Session::implies_retry`].
-    ///
-    /// Goals the batch cancelled before (observably) running them retry
-    /// from the caller's base budget with the full policy; goals that
-    /// genuinely exhausted start one escalation up with one fewer
-    /// attempt, since the batch itself was their first try. Merged
-    /// attempt logs keep every attempt, with [`Attempt::round`] counting
-    /// from the in-batch run. `first_exhausted` is recomputed over the
-    /// final decisions: the first goal still exhausted after retries, if
-    /// any.
-    ///
-    /// If the caller's token is cancelled, pending retries are skipped —
-    /// the batch result is returned as-is.
-    pub fn implies_batch_retry(
-        &self,
-        goals: &[Nfd],
-        budget: &Budget,
-        threads: usize,
-        policy: &RetryPolicy,
-    ) -> Result<BatchDecision, CoreError> {
-        let mut batch = self.implies_batch(goals, budget, threads)?;
-        let max_attempts = policy.max_attempts.max(1);
-        if max_attempts <= 1 {
-            return Ok(batch);
-        }
-        for (i, slot) in batch.decisions.iter_mut().enumerate() {
-            let (retryable, from_scratch) = match &*slot {
-                Ok(first) => {
-                    let from_scratch = first.verdict.is_exhausted()
-                        && first.attempts.iter().all(|a| a.decider == "batch");
-                    (
-                        from_scratch || policy.should_retry(&first.verdict),
-                        from_scratch,
-                    )
-                }
-                // A worker-level exhaustion (no decision produced at all)
-                // is as retryable as an exhausted verdict; internal
-                // failures are not exhaustion and are left in place.
-                Err(CoreError::Exhausted(r)) => (r.kind != ResourceKind::Cancelled, false),
-                Err(_) => (false, false),
-            };
-            if !retryable {
-                continue;
-            }
-            if budget.cancel_token().is_cancelled() {
-                break;
-            }
-            let (start_budget, sub_policy) = if from_scratch {
-                (budget.clone(), policy.clone())
-            } else {
-                (
-                    budget.escalate(policy.budget_escalation_factor),
-                    RetryPolicy {
-                        max_attempts: max_attempts - 1,
-                        ..policy.clone()
-                    },
-                )
-            };
-            let mut retried = self.implies_retry(&goals[i], &start_budget, &sub_policy)?;
-            for attempt in &mut retried.attempts {
-                attempt.round += 1;
-            }
-            let (mut attempts, prior_hits, prior_invalidated) = match slot {
-                Ok(first) => (
-                    std::mem::take(&mut first.attempts),
-                    first.cache_hits,
-                    first.caches_invalidated,
-                ),
-                Err(_) => (Vec::new(), 0, false),
-            };
-            attempts.extend(retried.attempts);
-            *slot = Ok(Decision {
-                verdict: retried.verdict,
-                attempts,
-                cache_hits: prior_hits + retried.cache_hits,
-                tier: retried.tier,
-                caches_invalidated: prior_invalidated || retried.caches_invalidated,
-            });
-        }
-        batch.first_exhausted = batch
-            .decisions
-            .iter()
-            .position(|d| matches!(d, Ok(d) if d.verdict.is_exhausted()));
-        Ok(batch)
     }
 
     /// The dependency closure `(base, X, Σ)*` (Definition 3.1).

@@ -5,7 +5,6 @@
 use nfd::core::nfd::parse_set;
 use nfd::core::CoreError;
 use nfd::prelude::*;
-use nfd::session::AttemptOutcome;
 use std::time::{Duration, Instant};
 
 fn course() -> (Schema, Vec<Nfd>) {
@@ -293,54 +292,31 @@ fn zero_limit_counters_trip_coherently() {
     }
 }
 
-/// `Budget::escalate` is the retry loop's engine: each step re-arms the
-/// deadline from now at the scaled timeout, so an expired deadline
-/// eventually decides — even from a zero timeout, which escalation grows
-/// to 1 ms.
+/// An expired deadline is the one thing, short of a cancellation or a
+/// fault, that stops a read, and it stops it in one attempt: a read runs
+/// once under the budget its caller gives and never retries. A deadline
+/// report's `used` is elapsed milliseconds, so only its kind is compared.
 #[test]
-fn retry_escalation_heals_a_starved_budget() {
+fn an_expired_deadline_stops_a_read_after_one_attempt() {
     let (schema, sigma) = course();
     let session = Session::new(&schema, &sigma).unwrap();
     let goal = Nfd::parse(&schema, "Course:[time -> cnum]").unwrap();
-    let truth = session.implies(&goal).unwrap();
 
-    // An expired deadline is the one thing (short of a cancellation or a
-    // fault) that stops a read. A deadline report's `used` is elapsed
-    // milliseconds, so only its kind is compared.
     let starved = Budget::standard().with_timeout_ms(0);
-    let first = session.implies_with(&goal, &starved).unwrap();
-    let deciders: Vec<&str> = first.attempts.iter().map(|a| a.decider).collect();
-    assert_eq!(deciders, ["saturation"], "{first:?}");
+    let decision = session.implies_with(&goal, &starved).unwrap();
+    let deciders: Vec<&str> = decision.attempts.iter().map(|a| a.decider).collect();
+    assert_eq!(deciders, ["saturation"], "{decision:?}");
     assert!(
-        matches!(&first.verdict, Verdict::Exhausted(r) if r.kind == ResourceKind::Deadline),
-        "{first:?}"
+        matches!(&decision.verdict, Verdict::Exhausted(r) if r.kind == ResourceKind::Deadline),
+        "{decision:?}"
     );
-
-    let policy = RetryPolicy::new(6).with_escalation(10.0);
-    let decision = session.implies_retry(&goal, &starved, &policy).unwrap();
-    assert_eq!(
-        decision.verdict.as_bool(),
-        Some(truth),
-        "escalation must eventually answer: {decision:?}"
-    );
-    let max_round = decision.attempts.iter().map(|a| a.round).max().unwrap();
-    assert!(
-        (1..6).contains(&max_round),
-        "needed at least one but not all retries, got {max_round}"
-    );
-    // Earlier rounds honestly recorded their exhaustion.
-    assert!(decision
-        .attempts
-        .iter()
-        .any(|a| a.round == 0 && matches!(a.outcome, AttemptOutcome::Exhausted(_))));
 }
 
-/// Batch retry heals a batch under an expired deadline: the first goal
-/// exhausts, the rest are batch-cancelled, and the retry pass re-runs
-/// them all — cancelled goals from the base budget, the exhausted one
-/// escalated.
+/// An expired deadline stops a batch at its first goal, and every later
+/// goal carries the batch's cancellation: nothing in the batch answers,
+/// and nothing re-runs.
 #[test]
-fn batch_retry_heals_a_starved_batch() {
+fn an_expired_deadline_exhausts_every_batch_goal() {
     let (schema, sigma) = course();
     let session = Session::new(&schema, &sigma).unwrap();
     let goals: Vec<Nfd> = [
@@ -352,40 +328,25 @@ fn batch_retry_heals_a_starved_batch() {
     .iter()
     .map(|t| Nfd::parse(&schema, t).unwrap())
     .collect();
-    let truth: Vec<bool> = goals.iter().map(|g| session.implies(g).unwrap()).collect();
 
     let starved = Budget::standard().with_timeout_ms(0);
-    let plain = session.implies_batch(&goals, &starved, 4).unwrap();
+    let batch = session.implies_batch(&goals, &starved, 4).unwrap();
     assert_eq!(
-        plain.first_exhausted,
+        batch.first_exhausted,
         Some(0),
         "an expired deadline stops the batch"
     );
-
-    let policy = RetryPolicy::new(8).with_escalation(10.0);
-    let healed = session
-        .implies_batch_retry(&goals, &starved, 4, &policy)
-        .unwrap();
-    assert_eq!(healed.first_exhausted, None, "every goal healed");
-    assert_eq!(healed.failed_count(), 0);
-    for (i, slot) in healed.decisions.iter().enumerate() {
-        let d = slot.as_ref().unwrap();
-        assert_eq!(
-            d.verdict.as_bool(),
-            Some(truth[i]),
-            "goal {i}: retried batch must match ground truth"
-        );
-        assert!(
-            d.attempts.iter().any(|a| a.round >= 1),
-            "goal {i}: the log records its retries"
-        );
+    assert_eq!(batch.exhausted_count(), goals.len(), "{batch:?}");
+    assert_eq!(batch.failed_count(), 0);
+    for (i, slot) in batch.decisions.iter().enumerate() {
+        assert_eq!(slot.as_ref().unwrap().attempts.len(), 1, "goal {i}");
     }
 }
 
-/// A cancelled budget is never retried: escalation must not re-arm a
-/// budget whose token the caller has revoked.
+/// A cancelled budget stops a read at once, with one attempt: the
+/// caller's stop request is final.
 #[test]
-fn retry_honours_cancellation() {
+fn a_cancelled_budget_stops_a_read_at_once() {
     let (schema, sigma) = course();
     let session = Session::new(&schema, &sigma).unwrap();
     let goal = Nfd::parse(&schema, "Course:[cnum -> time]").unwrap();
@@ -393,14 +354,12 @@ fn retry_honours_cancellation() {
     token.cancel();
     let budget = Budget::standard().with_cancel(token);
 
-    let policy = RetryPolicy::new(5).with_escalation(10.0);
     let start = Instant::now();
-    let decision = session.implies_retry(&goal, &budget, &policy).unwrap();
+    let decision = session.implies_with(&goal, &budget).unwrap();
     assert!(start.elapsed() < Duration::from_secs(5));
-    assert!(decision.verdict.is_exhausted());
-    assert_eq!(
-        decision.attempts.iter().map(|a| a.round).max(),
-        Some(0),
-        "no retry rounds against a cancelled token"
+    assert!(
+        matches!(&decision.verdict, Verdict::Exhausted(r) if r.kind == ResourceKind::Cancelled),
+        "{decision:?}"
     );
+    assert_eq!(decision.attempts.len(), 1, "{decision:?}");
 }

@@ -462,60 +462,8 @@ fn build_sites_fail_closed_and_disarm_cleanly() {
 }
 
 // ---------------------------------------------------------------------
-// Retry / budget escalation under injected faults.
+// Cancellation under injected faults.
 // ---------------------------------------------------------------------
-
-#[test]
-fn retry_recovers_from_transient_injected_exhaustion() {
-    let _guard = serial();
-    faults::reset();
-    let (schema, sigma) = fixture();
-    let goals = parse_goals(&schema);
-    let session = Session::new(&schema, &sigma).unwrap();
-    let expected = reference_verdicts(&session, &goals);
-
-    // The first run reports (injected) exhaustion; the fault burns out
-    // after one firing, so the first retry answers.
-    faults::configure_limited(
-        "session::cascade_saturation",
-        1,
-        FaultAction::ReturnExhausted,
-    );
-    let policy = RetryPolicy::new(3);
-    let d = session
-        .implies_retry(&goals[0], &Budget::standard(), &policy)
-        .unwrap();
-    faults::reset();
-    assert_eq!(
-        d.verdict.as_bool(),
-        Some(expected[0]),
-        "retry must recover the fault-free verdict"
-    );
-    let rounds: Vec<u32> = d.attempts.iter().map(|a| a.round).collect();
-    assert_eq!(
-        rounds.iter().max(),
-        Some(&1),
-        "exactly one retry, recorded in the log: {rounds:?}"
-    );
-    let deciders: Vec<&str> = d.attempts.iter().map(|a| a.decider).collect();
-    assert_eq!(
-        deciders,
-        ["saturation", "saturation"],
-        "one attempt a round"
-    );
-    assert!(
-        d.attempts
-            .iter()
-            .any(|a| a.round == 0 && matches!(a.outcome, AttemptOutcome::Exhausted(_))),
-        "round 0 keeps its honest exhaustion entries"
-    );
-    assert!(
-        d.attempts
-            .iter()
-            .any(|a| a.round == 1 && matches!(a.outcome, AttemptOutcome::Answered(_))),
-        "round 1 answered"
-    );
-}
 
 #[test]
 fn cancellation_is_never_retried() {
@@ -526,12 +474,10 @@ fn cancellation_is_never_retried() {
     let session = Session::new(&schema, &sigma).unwrap();
 
     // `Cancel` at the session's query site cancels the query budget's
-    // token; the query honours it, and the retry loop must stop
-    // immediately rather than spin against a cancelled token.
+    // token; the query honours it and stops after its one attempt.
     faults::configure("session::cascade_saturation", FaultAction::Cancel);
-    let policy = RetryPolicy::new(5);
     let d = session
-        .implies_retry(&goals[0], &Budget::standard(), &policy)
+        .implies_with(&goals[0], &Budget::standard())
         .unwrap();
     faults::reset();
     assert!(
@@ -539,51 +485,7 @@ fn cancellation_is_never_retried() {
         "a cancelled run stays cancelled: {:?}",
         d.verdict
     );
-    assert_eq!(
-        d.attempts.iter().map(|a| a.round).max(),
-        Some(0),
-        "no retry rounds after cancellation"
-    );
-}
-
-#[test]
-fn batch_retry_heals_an_injected_exhaustion_and_logs_rounds() {
-    let _guard = serial();
-    faults::reset();
-    let (schema, sigma) = fixture();
-    let goals = parse_goals(&schema);
-    let session = Session::new(&schema, &sigma).unwrap();
-    let expected = reference_verdicts(&session, &goals);
-
-    // Exactly one worker reports injected exhaustion before producing a
-    // decision; its siblings are unaffected, and the retry pass must heal
-    // the faulted goal under an escalated budget (the fault has burned
-    // out by then).
-    faults::configure_limited("session::batch_goal", 1, FaultAction::ReturnExhausted);
-    let policy = RetryPolicy::new(3);
-    let batch = session
-        .implies_batch_retry(&goals, &Budget::standard(), 4, &policy)
-        .unwrap();
-    faults::reset();
-
-    assert_eq!(batch.first_exhausted, None, "every goal healed");
-    assert_eq!(batch.failed_count(), 0);
-    for (i, slot) in batch.decisions.iter().enumerate() {
-        let d = slot.as_ref().expect("no internal failures injected");
-        assert_eq!(
-            d.verdict.as_bool(),
-            Some(expected[i]),
-            "goal {i} recovered the reference verdict"
-        );
-    }
-    assert!(
-        batch
-            .decisions
-            .iter()
-            .flat_map(|d| &d.as_ref().unwrap().attempts)
-            .any(|a| a.round >= 1),
-        "the merged logs record the retry rounds"
-    );
+    assert_eq!(d.attempts.len(), 1, "one attempt: {:?}", d.attempts);
 }
 
 // ---------------------------------------------------------------------
@@ -689,27 +591,9 @@ fn cli_exit_codes_keep_their_contract_under_faults() {
     }
     faults::reset();
 
-    // --retry heals a transient injected exhaustion end-to-end: the
-    // query fails once, the retry answers, the exit code and verdict
-    // match the baseline.
-    faults::configure_limited(
-        "session::cascade_saturation",
-        1,
-        FaultAction::ReturnExhausted,
-    );
-    let mut retry_args = single.clone();
-    retry_args.splice(1..1, cli_args(&["--retry", "2"]));
-    let mut out = String::new();
-    let code = nfd::cli::run(&retry_args, &mut out);
-    faults::reset();
-    assert_eq!(code, 0, "--retry must recover the verdict: {out}");
-    assert!(
-        out.contains("after 1 retry"),
-        "retry surfaced to the user: {out}"
-    );
-
-    // Without --retry the same transient fault is terminal (exit 3), and
-    // reported as the one `exhausted:` line a compile exhaustion prints.
+    // A one-shot injected exhaustion is terminal (exit 3): a command runs
+    // once, and the fault is reported as the one `exhausted:` line a
+    // compile exhaustion prints.
     faults::configure_limited(
         "session::cascade_saturation",
         1,
@@ -718,10 +602,7 @@ fn cli_exit_codes_keep_their_contract_under_faults() {
     let mut out = String::new();
     let code = nfd::cli::run(&single, &mut out);
     faults::reset();
-    assert_eq!(
-        code, 3,
-        "without --retry the injected exhaustion is final: {out}"
-    );
+    assert_eq!(code, 3, "the injected exhaustion is final: {out}");
     assert_eq!(out, "exhausted: injected fault (failpoint)\n");
 }
 

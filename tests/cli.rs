@@ -455,16 +455,15 @@ fn budget_flags_cover_other_subcommands() {
 }
 
 #[test]
-fn retry_escalation_heals_a_starved_budget_end_to_end() {
-    let f = Fixture::new("retry");
+fn one_budget_answers_in_one_run_and_retry_flags_are_unknown() {
+    let f = Fixture::new("onebudget");
     let schema = f.file("s.nfds", COURSE_SCHEMA);
     let deps = f.file("d.nfdd", COURSE_DEPS);
     let goals = f.file("g.goals", "Course:[cnum -> time]; Course:[cnum -> books];");
 
-    // `--budget 1` is too small even to *build* the session, so plain
-    // implies exits 3 (asserted in budget_flags_and_exhausted_exit_code).
-    // With --retry the build and the queries escalate until they fit:
-    // the starved run becomes an answer, not an honest shrug.
+    // `--budget 1` is too small even to build the session (exit 3, see
+    // budget_flags_and_exhausted_exit_code). The limit six ×10
+    // escalations would reach from 1 builds and answers in one run.
     let (code, out) = run(&[
         "implies",
         "--schema",
@@ -472,66 +471,31 @@ fn retry_escalation_heals_a_starved_budget_end_to_end() {
         "--deps",
         &deps,
         "--budget",
-        "1",
-        "--retry",
-        "6",
-        "--escalate",
-        "10",
+        "1000000",
         "Course:[cnum -> time]",
     ]);
     assert_eq!(code, 0, "{out}");
-    assert!(out.contains("implied"), "{out}");
+    assert_eq!(out, "implied\n");
 
-    // Batch mode heals the same way, and the verdicts stay per-goal.
     let (code, out) = run(&[
-        "implies",
-        "--schema",
-        &schema,
-        "--deps",
-        &deps,
-        "--goals",
-        &goals,
-        "--budget",
-        "1",
-        "--retry",
-        "6",
-        "--escalate",
-        "10",
+        "implies", "--schema", &schema, "--deps", &deps, "--goals", &goals, "--budget", "1000000",
     ]);
     assert_eq!(code, 0, "{out}");
     assert!(out.contains("2 of 2 goals implied"), "{out}");
 
-    // A retry cap too small to ever fit still reports exhaustion.
-    let (code, out) = run(&[
-        "implies",
-        "--schema",
-        &schema,
-        "--deps",
-        &deps,
-        "--budget",
-        "1",
-        "--retry",
-        "1",
-        "--escalate",
-        "1",
-        "Course:[cnum -> time]",
-    ]);
-    assert_eq!(code, 3, "{out}");
-    assert!(out.contains("exhausted"), "{out}");
-
-    // --escalate without --retry is a usage error.
-    let (code, out) = run(&[
-        "implies",
-        "--schema",
-        &schema,
-        "--deps",
-        &deps,
-        "--escalate",
-        "4",
-        "Course:[cnum -> time]",
-    ]);
-    assert_eq!(code, 2, "{out}");
-    assert!(out.contains("--escalate requires --retry"), "{out}");
+    // The retry flags are gone from every subcommand.
+    for (cmd, flag, rest) in [
+        ("implies", "--retry", &["2", "Course:[cnum -> time]"][..]),
+        ("implies", "--escalate", &["2", "Course:[cnum -> time]"][..]),
+        ("closure", "--escalate", &["9", "--base", "Course"][..]),
+    ] {
+        let mut args = vec![cmd, "--schema", &schema, "--deps", &deps, flag];
+        args.extend_from_slice(rest);
+        let (code, out) = run(&args);
+        assert_eq!(code, 2, "{cmd} {flag}: {out}");
+        assert!(out.contains(&format!("unknown flag `{flag}`")), "{out}");
+        assert!(out.contains("usage:"), "{out}");
+    }
 }
 
 #[test]

@@ -247,13 +247,10 @@ fn session_keys_on_the_worked_example() {
 
 /// [`Session::reconfigure`] discards the closure cache and keys memo,
 /// and signals it through `Decision.caches_invalidated` —
-/// which must latch on the rebuilt session exactly once, including when
-/// the first decision after the rebuild goes through the retrying entry
-/// point.
+/// which must latch on the rebuilt session exactly once.
 #[test]
 fn reconfigure_invalidation_latches_exactly_once() {
     use nfd::govern::Budget;
-    use nfd::session::RetryPolicy;
 
     let schema = Schema::parse("R : { <A: int, B: {<C: int>}, D: int> };").unwrap();
     let sigma = parse_set(&schema, "R:[A -> B:C]; R:[B:C -> D];").unwrap();
@@ -284,38 +281,27 @@ fn reconfigure_invalidation_latches_exactly_once() {
             .caches_invalidated,
         "the original session's latch is untouched by reconfigure"
     );
-
-    // Same contract when the first post-reconfigure decision runs (and
-    // retries) through implies_retry: one latched decision, then clear.
-    let restrict = pessimistic.reconfigure(EmptySetPolicy::Forbidden).unwrap();
-    let policy = RetryPolicy::new(3);
-    let retried = restrict.implies_retry(&goal, &budget, &policy).unwrap();
-    assert!(retried.caches_invalidated, "retry path surfaces the latch");
-    let after = restrict.implies_retry(&goal, &budget, &policy).unwrap();
-    assert!(!after.caches_invalidated, "and drains it exactly once too");
 }
 
 /// The E12 schema flips its verdict between the strict and pessimistic
 /// regimes — which makes it the sharpest probe for a stale closure
 /// cache: if `reconfigure` leaked the old policy's cached closures,
-/// `implies_retry` on the rebuilt session would serve the *old* verdict
+/// `implies_with` on the rebuilt session would serve the *old* verdict
 /// from a cache hit. It must instead recompute under the new policy,
 /// from a cold cache.
 #[test]
-fn implies_retry_after_reconfigure_never_serves_a_stale_closure() {
+fn implies_with_after_reconfigure_never_serves_a_stale_closure() {
     use nfd::govern::{Budget, Verdict};
-    use nfd::session::RetryPolicy;
 
     let schema = Schema::parse("R : { <A: int, B: {<C: int>}, D: int> };").unwrap();
     let sigma = parse_set(&schema, "R:[A -> B:C]; R:[B:C -> D];").unwrap();
     let goal = Nfd::parse(&schema, "R:[A -> D]").unwrap();
     let budget = Budget::standard();
-    let policy = RetryPolicy::new(2);
 
     // Warm the strict session's closure cache on exactly this goal.
     let strict = Session::new(&schema, &sigma).unwrap();
     for _ in 0..3 {
-        let warm = strict.implies_retry(&goal, &budget, &policy).unwrap();
+        let warm = strict.implies_with(&goal, &budget).unwrap();
         assert_eq!(warm.verdict, Verdict::Implied, "strict regime: implied");
     }
     assert!(
@@ -327,7 +313,7 @@ fn implies_retry_after_reconfigure_never_serves_a_stale_closure() {
     // Rebuild under the pessimistic policy: the same goal must flip to
     // not-implied, and must not be answered from the old cache.
     let pessimistic = strict.reconfigure(EmptySetPolicy::pessimistic()).unwrap();
-    let flipped = pessimistic.implies_retry(&goal, &budget, &policy).unwrap();
+    let flipped = pessimistic.implies_with(&goal, &budget).unwrap();
     assert_eq!(
         flipped.verdict,
         Verdict::NotImplied,
@@ -341,7 +327,7 @@ fn implies_retry_after_reconfigure_never_serves_a_stale_closure() {
     // And back again: a second reconfigure restores the strict verdict,
     // proving the pessimistic cache did not leak either.
     let strict_again = pessimistic.reconfigure(EmptySetPolicy::Forbidden).unwrap();
-    let restored = strict_again.implies_retry(&goal, &budget, &policy).unwrap();
+    let restored = strict_again.implies_with(&goal, &budget).unwrap();
     assert_eq!(restored.verdict, Verdict::Implied);
     assert_eq!(restored.cache_hits, 0, "cold again after the round trip");
 }
