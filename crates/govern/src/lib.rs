@@ -30,52 +30,25 @@ use std::time::{Duration, Instant};
 ///
 /// Clones observe the same flag; any holder may [`CancelToken::cancel`]
 /// and every budgeted loop polling [`Budget::check_live`] stops promptly.
-///
-/// Tokens form a tree: [`CancelToken::child`] derives a token that also
-/// observes its parent's cancellation but can be cancelled independently
-/// without touching the parent. The parallel batch executor uses this to
-/// give a worker pool its own stop signal layered over the caller's.
+/// A batch shares its caller's token with every goal, so one cancel
+/// reaches each goal at its next poll.
 #[derive(Clone, Debug, Default)]
-pub struct CancelToken(Arc<CancelFlag>);
-
-#[derive(Debug, Default)]
-struct CancelFlag {
-    flag: AtomicBool,
-    parent: Option<CancelToken>,
-}
+pub struct CancelToken(Arc<AtomicBool>);
 
 impl CancelToken {
-    /// A fresh, un-cancelled token with no parent.
+    /// A fresh, un-cancelled token.
     pub fn new() -> CancelToken {
         CancelToken::default()
     }
 
-    /// A token that is cancelled when either it or `self` is cancelled.
-    /// Cancelling the child never affects the parent.
-    pub fn child(&self) -> CancelToken {
-        CancelToken(Arc::new(CancelFlag {
-            flag: AtomicBool::new(false),
-            parent: Some(self.clone()),
-        }))
-    }
-
-    /// Requests cancellation; all clones (and children) observe it.
+    /// Requests cancellation; all clones observe it.
     pub fn cancel(&self) {
-        self.0.flag.store(true, Ordering::Relaxed);
+        self.0.store(true, Ordering::Relaxed);
     }
 
-    /// Has cancellation been requested, here or on an ancestor?
+    /// Has cancellation been requested?
     pub fn is_cancelled(&self) -> bool {
-        let mut cur = self;
-        loop {
-            if cur.0.flag.load(Ordering::Relaxed) {
-                return true;
-            }
-            match &cur.0.parent {
-                Some(parent) => cur = parent,
-                None => return false,
-            }
-        }
+        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -379,27 +352,6 @@ mod tests {
         assert!(!clone.is_cancelled());
         t.cancel();
         assert!(clone.is_cancelled());
-    }
-
-    #[test]
-    fn child_tokens_observe_parent_but_not_vice_versa() {
-        let parent = CancelToken::new();
-        let child = parent.child();
-        let grandchild = child.child();
-        assert!(!child.is_cancelled());
-
-        // Cancelling a child leaves the parent (and siblings) alone.
-        child.cancel();
-        assert!(child.is_cancelled());
-        assert!(grandchild.is_cancelled());
-        assert!(!parent.is_cancelled());
-        assert!(!parent.child().is_cancelled());
-
-        // Cancelling the parent reaches every descendant.
-        let other = parent.child();
-        parent.cancel();
-        assert!(other.is_cancelled());
-        assert!(parent.is_cancelled());
     }
 
     #[test]

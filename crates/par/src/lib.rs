@@ -10,9 +10,6 @@
 //!   returns results **in index order**, so callers observe the same
 //!   output as a sequential loop regardless of thread count or worker
 //!   interleaving;
-//! * [`map_indexed_while`] — the cancellable variant: a shared predicate
-//!   is polled before each item is dispatched, and items never started
-//!   come back as `None` (the caller decides how to report them);
 //! * [`resolve_threads`] / [`available`] — thread-count policy in one
 //!   place (`0` means "all the hardware allows").
 //!
@@ -20,7 +17,10 @@
 //! (dynamic scheduling), so one pathologically slow item cannot strand a
 //! statically-assigned chunk behind it. Worker panics are re-raised on
 //! the calling thread via [`std::panic::resume_unwind`] — the pool adds
-//! no panicking sites of its own (see `tests/unwrap_guard.rs`).
+//! no panicking sites of its own (see `tests/unwrap_guard.rs`). The pool
+//! has no stop signal of its own: every item runs, and a caller whose
+//! items can be stopped (a budgeted batch read) stops each one through
+//! that item's own budget.
 
 #![warn(missing_docs)]
 
@@ -63,67 +63,17 @@ where
     if threads <= 1 {
         return (0..n).map(f).collect();
     }
-    let parts = run_pool(n, threads, |i, local: &mut Vec<(usize, T)>| {
-        local.push((i, f(i)));
-        true
-    });
-    reassemble_total(n, parts)
-}
-
-/// [`map_indexed`] with a cooperative stop signal: before dispatching each
-/// item, the pool polls `keep_going`; once it returns `false`, no further
-/// items are started (in-flight items run to completion, which for the
-/// budgeted decision procedures means until their own next budget poll).
-/// Items never started come back as `None`, in index order.
-///
-/// The single-threaded path is the same dispatch loop run inline, so a
-/// caller that stops after item `k` sees `Some` for `0..=k` and `None`
-/// after — identical at every thread count when `keep_going` depends only
-/// on completed items.
-pub fn map_indexed_while<T, F, K>(n: usize, threads: usize, keep_going: K, f: F) -> Vec<Option<T>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    K: Fn() -> bool + Sync,
-{
-    let threads = resolve_threads(threads, n);
-    if threads <= 1 {
-        let mut out: Vec<Option<T>> = Vec::with_capacity(n);
-        for i in 0..n {
-            if keep_going() {
-                out.push(Some(f(i)));
-            } else {
-                out.push(None);
-            }
-        }
-        return out;
-    }
-    let parts = run_pool(n, threads, |i, local: &mut Vec<(usize, T)>| {
-        if !keep_going() {
-            return false;
-        }
-        local.push((i, f(i)));
-        true
-    });
-    // The partial map reassembles inline (same site as the total path:
-    // both are the merge step after every worker has been joined).
-    fail_point!("par::reassemble");
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for (i, v) in parts.into_iter().flatten() {
-        out[i] = Some(v);
-    }
-    out
+    reassemble(n, run_pool(n, threads, &f))
 }
 
 /// Spawns `threads` scoped workers pulling indices `0..n` from a shared
-/// atomic counter. Each worker accumulates into its own local vector
-/// (returned per worker); `step` returns `false` to stop that worker.
-/// Worker panics are re-raised on the caller once all workers have
-/// stopped.
-fn run_pool<T, S>(n: usize, threads: usize, step: S) -> Vec<Vec<(usize, T)>>
+/// atomic counter. Each worker collects its `(index, f(index))` pairs
+/// into its own local vector (returned per worker). Worker panics are
+/// re-raised on the caller once all workers have stopped.
+fn run_pool<T, F>(n: usize, threads: usize, f: &F) -> Vec<Vec<(usize, T)>>
 where
     T: Send,
-    S: Fn(usize, &mut Vec<(usize, T)>) -> bool + Sync,
+    F: Fn(usize) -> T + Sync,
 {
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
@@ -138,9 +88,10 @@ where
                     let mut local: Vec<(usize, T)> = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n || !step(i, &mut local) {
+                        if i >= n {
                             break;
                         }
+                        local.push((i, f(i)));
                     }
                     local
                 })
@@ -165,9 +116,8 @@ where
 
 /// Merges per-worker `(index, value)` runs back into index order. Every
 /// index in `0..n` is present exactly once by construction (the atomic
-/// counter hands each index to exactly one worker, and `step` never
-/// declines in the total map).
-fn reassemble_total<T>(n: usize, parts: Vec<Vec<(usize, T)>>) -> Vec<T> {
+/// counter hands each index to exactly one worker).
+fn reassemble<T>(n: usize, parts: Vec<Vec<(usize, T)>>) -> Vec<T> {
     fail_point!("par::reassemble");
     let mut pairs: Vec<(usize, T)> = Vec::with_capacity(n);
     for part in parts {
@@ -180,7 +130,6 @@ fn reassemble_total<T>(n: usize, parts: Vec<Vec<(usize, T)>>) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn resolve_threads_policy() {
@@ -203,53 +152,6 @@ mod tests {
     fn map_indexed_handles_empty_and_single() {
         assert_eq!(map_indexed(0, 8, |i| i), Vec::<usize>::new());
         assert_eq!(map_indexed(1, 8, |i| i + 41), vec![41]);
-    }
-
-    #[test]
-    fn map_indexed_while_stops_dispatching() {
-        // Stop after the flag flips at item 5: with one thread the cut is
-        // exact; with many threads at most the in-flight tail completes.
-        let stop = AtomicBool::new(false);
-        let out = map_indexed_while(
-            100,
-            1,
-            || !stop.load(Ordering::Relaxed),
-            |i| {
-                if i == 5 {
-                    stop.store(true, Ordering::Relaxed);
-                }
-                i
-            },
-        );
-        assert_eq!(out.iter().filter(|o| o.is_some()).count(), 6);
-        assert_eq!(out[5], Some(5));
-        assert!(out[6..].iter().all(|o| o.is_none()));
-    }
-
-    #[test]
-    fn map_indexed_while_parallel_never_loses_completed_items() {
-        let stop = AtomicBool::new(false);
-        for threads in [2, 4, 8] {
-            stop.store(false, Ordering::Relaxed);
-            let out = map_indexed_while(
-                64,
-                threads,
-                || !stop.load(Ordering::Relaxed),
-                |i| {
-                    if i == 10 {
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                    i * 3
-                },
-            );
-            // Every Some is correct and item 10 (the stopper) completed.
-            for (i, o) in out.iter().enumerate() {
-                if let Some(v) = o {
-                    assert_eq!(*v, i * 3);
-                }
-            }
-            assert_eq!(out[10], Some(30), "threads = {threads}");
-        }
     }
 
     #[test]

@@ -74,12 +74,21 @@ pub use nfd_relational as relational;
 pub use nfd_serve as net;
 pub use nfd_snap as snap;
 
+/// TUTORIAL.md's code blocks, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../TUTORIAL.md")]
+pub struct TutorialDoctests;
+
+/// README.md's code blocks, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 /// The most commonly used items, for `use nfd::prelude::*`.
 pub mod prelude {
     pub use crate::serve::{Registry, RegistryConfig};
     pub use crate::session::{
-        Attempt, AttemptOutcome, BatchDecision, Chase, Decider, Decision, LogicEval, Saturation,
-        Session,
+        Attempt, BatchDecision, Chase, Decider, Decision, LogicEval, Saturation, Session,
     };
     pub use nfd_core::engine::Engine;
     pub use nfd_core::{check, CoreError, EmptySetPolicy, Nfd, SatisfyReport, Violation};

@@ -44,13 +44,13 @@ use nfd_core::{
     DEFAULT_CLOSURE_CACHE_CAPACITY,
 };
 use nfd_faults::fail_point;
-use nfd_govern::{Budget, ResourceKind, ResourceReport, Verdict};
+use nfd_govern::{Budget, Verdict};
 use nfd_logic::{eval_budgeted, translate_nfd, EvalError};
 use nfd_model::{Instance, Label, Schema};
 use nfd_path::table::SchemaTables;
 use nfd_path::{Path, RootedPath};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// An error from a [`Decider`] — a human-readable description carrying
@@ -222,35 +222,23 @@ pub fn all_deciders() -> Vec<Box<dyn Decider>> {
     vec![Box::new(Saturation), Box::new(Chase), Box::new(LogicEval)]
 }
 
-/// How one [`Session::implies_with`] attempt ended.
-#[derive(Clone, Debug, PartialEq)]
-pub enum AttemptOutcome {
-    /// The decider produced a verdict: `true` = implied.
-    Answered(bool),
-    /// The budget stopped the decider before it finished: a deadline, a
-    /// cancellation or an injected fault.
-    Exhausted(ResourceReport),
-}
-
-/// The one entry of a [`Decision`]'s attempt log: every budgeted read
-/// runs once, under the budget its caller gave.
+/// The one entry of a [`Decision`]'s attempt log. Every read is one
+/// saturation closure, so `decider` is always `"saturation"`; the log
+/// stays only for the benchmark, which reads it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Attempt {
-    /// The decider's stable name: `"saturation"`, or `"batch"` for a goal
-    /// its batch cancelled before running it.
+    /// The decider's stable name.
     pub decider: &'static str,
-    /// What happened.
-    pub outcome: AttemptOutcome,
 }
 
-/// The result of a budgeted implication query: the verdict plus the log
-/// of its one attempt.
+/// The result of a budgeted implication query: the verdict of its one
+/// saturation read.
 #[derive(Clone, Debug)]
 pub struct Decision {
     /// The verdict: saturation's answer, or the report of what stopped
-    /// the attempt.
+    /// the read (a deadline, a cancellation or an injected fault).
     pub verdict: Verdict,
-    /// The attempt log: one entry.
+    /// The attempt log: always one `saturation` entry.
     pub attempts: Vec<Attempt>,
     /// How many closure-cache hits the session's shared [`ClosureCache`]
     /// served while producing this decision.
@@ -265,20 +253,13 @@ pub struct Decision {
     /// stays only for the benchmark, which counts decisions per
     /// [`Tier`]; like `cache_hits`, equality ignores it.
     pub tier: Option<Tier>,
-    /// True on the first decision a session produces after
-    /// [`Session::reconfigure`] discarded the closure cache and the
-    /// candidate-keys memo — the signal that explains the latency cliff
-    /// of re-warming them. Timing metadata (exactly one decision after
-    /// the rebuild observes it, in racing batches an arbitrary one), so
-    /// equality ignores it.
-    pub caches_invalidated: bool,
 }
 
 impl PartialEq for Decision {
     fn eq(&self, other: &Decision) -> bool {
-        // `cache_hits`, `tier` and `caches_invalidated` are deliberately
-        // excluded: they are timing/ordering metadata, not part of the
-        // decision's semantic content.
+        // `cache_hits` and `tier` are deliberately excluded: they are
+        // timing/ordering metadata, not part of the decision's semantic
+        // content.
         self.verdict == other.verdict && self.attempts == other.attempts
     }
 }
@@ -286,36 +267,30 @@ impl PartialEq for Decision {
 impl Decision {
     /// The name of the decider that produced the verdict, if any did.
     pub fn answered_by(&self) -> Option<&'static str> {
-        self.attempts.iter().find_map(|a| match a.outcome {
-            AttemptOutcome::Answered(_) => Some(a.decider),
-            _ => None,
-        })
+        match self.verdict {
+            Verdict::Exhausted(_) => None,
+            _ => self.attempts.first().map(|a| a.decider),
+        }
     }
 }
 
 /// The result of [`Session::implies_batch`]: one result per goal, in
-/// input order, plus where the batch stopped if it ran out of budget.
+/// input order, plus the first goal a deadline, a cancellation or a
+/// fault stopped.
 ///
-/// Each slot mirrors what a sequential [`Session::implies_with`] call on
-/// that goal would return: `Ok(Decision)` normally, `Err` for a
-/// goal-local failure — in practice always [`CoreError::Internal`], the
-/// containment of a panic inside that goal's query. A goal-local
-/// failure does **not** abort the batch or disturb its siblings; the
-/// remaining goals are still decided and the session stays usable.
-///
-/// The vector has the shape of a sequential loop's (see `implies_batch`
-/// for the argument): goals up to and including the first genuine
-/// exhaustion carry exactly the decision a sequential loop would have
-/// produced, and every later goal carries the canonical "cancelled by
-/// the batch" decision. A batch that no deadline, cancellation or fault
+/// Each slot is that goal's own read, what [`Session::implies_with`]
+/// returns for it: `Ok(Decision)` normally, `Err` for a goal-local
+/// failure — in practice always [`CoreError::Internal`], the containment
+/// of a panic inside that goal's read. A goal-local failure does **not**
+/// abort the batch or disturb its siblings; the remaining goals are
+/// still decided and the session stays usable. A batch that nothing
 /// stops is therefore identical at every thread count.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BatchDecision {
     /// One result per input goal, in input order.
     pub decisions: Vec<Result<Decision, CoreError>>,
-    /// The index of the first goal whose decision genuinely exhausted the
-    /// budget (every later goal was cancelled), or `None` if the whole
-    /// batch was decided.
+    /// The index of the first goal whose verdict is `Exhausted`, or
+    /// `None` if every goal was decided.
     pub first_exhausted: Option<usize>,
 }
 
@@ -328,8 +303,7 @@ impl BatchDecision {
             .count()
     }
 
-    /// How many goals ended `Exhausted` (including goals cancelled after
-    /// the first exhaustion).
+    /// How many goals ended `Exhausted`.
     pub fn exhausted_count(&self) -> usize {
         self.decisions
             .iter()
@@ -348,22 +322,6 @@ impl BatchDecision {
         self.decisions
             .iter()
             .all(|d| matches!(d, Ok(d) if d.verdict == Verdict::Implied))
-    }
-}
-
-/// The canonical decision recorded for goals the batch never (observably)
-/// ran because an earlier goal exhausted the shared budget.
-fn batch_cancelled_decision() -> Decision {
-    let report = ResourceReport::counter(ResourceKind::Cancelled, 0, 0);
-    Decision {
-        verdict: Verdict::Exhausted(report.clone()),
-        attempts: vec![Attempt {
-            decider: "batch",
-            outcome: AttemptOutcome::Exhausted(report),
-        }],
-        cache_hits: 0,
-        tier: None,
-        caches_invalidated: false,
     }
 }
 
@@ -422,10 +380,6 @@ pub struct Session<'s> {
     /// Only successful sweeps are memoized: exhaustion must re-run.
     keys_memo: Mutex<Vec<KeysMemoEntry>>,
     keys_memo_hits: AtomicU64,
-    /// Latched true by [`Session::reconfigure`] on the session it
-    /// returns; the first decision produced drains it into
-    /// [`Decision::caches_invalidated`].
-    caches_invalidated: AtomicBool,
 }
 
 /// One memoized candidate-key sweep: `(relation, max_size)` → keys.
@@ -557,7 +511,6 @@ impl<'s> Session<'s> {
             cache,
             keys_memo: Mutex::new(Vec::new()),
             keys_memo_hits: AtomicU64::new(0),
-            caches_invalidated: AtomicBool::new(false),
         }
     }
 
@@ -673,9 +626,7 @@ impl<'s> Session<'s> {
     pub fn reconfigure(&self, policy: EmptySetPolicy) -> Result<Session<'s>, CoreError> {
         // A fresh cache and memo: closures are policy-dependent, and the
         // cache key deliberately leaves the policy implicit in the cache's
-        // scope (see the `cache` field docs). Every relation starts cold;
-        // the returned session's first decision carries
-        // `caches_invalidated` to explain the re-warming cliff.
+        // scope (see the `cache` field docs). Every relation starts cold.
         let cache = Arc::new(ClosureCache::with_capacity(DEFAULT_CLOSURE_CACHE_CAPACITY));
         let engine = Engine::compile(
             self.engine.schema_ref().clone(),
@@ -684,9 +635,7 @@ impl<'s> Session<'s> {
             policy,
             self.engine.budget().clone(),
         )?;
-        let session = Session::around(engine, cache);
-        session.caches_invalidated.store(true, Ordering::Relaxed);
-        Ok(session)
+        Ok(Session::around(engine, cache))
     }
 
     /// Adds `deps` to the session's Σ in order, maintaining the resident
@@ -695,8 +644,7 @@ impl<'s> Session<'s> {
     /// compile over the extended Σ), and invalidation is scoped — the
     /// closure cache and candidate-key memo drop their entries for the
     /// touched relations only, while
-    /// every other relation's stay warm. The `caches_invalidated` latch
-    /// is extended so the next decision reports the re-warming cliff.
+    /// every other relation's stay warm.
     ///
     /// Deps apply one at a time; on the first failure (validation, budget
     /// exhaustion, injected fault) the already-applied prefix remains in
@@ -731,7 +679,6 @@ impl<'s> Session<'s> {
             };
             memo.retain(|((rel, _), _)| *rel != report.relation);
             drop(memo);
-            self.caches_invalidated.store(true, Ordering::Relaxed);
             reports.push(report);
         }
         Ok(reports)
@@ -822,7 +769,10 @@ impl<'s> Session<'s> {
         let (verdict, trace) = contained("saturation", || {
             fail_point!(
                 "session::cascade_saturation",
-                Ok((Verdict::Exhausted(ResourceReport::injected()), None)),
+                Ok((
+                    Verdict::Exhausted(nfd_govern::ResourceReport::injected()),
+                    None
+                )),
                 budget.cancel_token()
             );
             match self.engine.implies_queried(goal, budget) {
@@ -831,21 +781,13 @@ impl<'s> Session<'s> {
                 Err(e) => Err(e),
             }
         })?;
-        let outcome = match &verdict {
-            Verdict::Exhausted(r) => AttemptOutcome::Exhausted(r.clone()),
-            answer => AttemptOutcome::Answered(*answer == Verdict::Implied),
-        };
         Ok(Decision {
             verdict,
             attempts: vec![Attempt {
                 decider: "saturation",
-                outcome,
             }],
             cache_hits: u64::from(trace.is_some_and(|t| t.cache_hit)),
             tier: trace.and_then(|t| t.chained.then_some(Tier::Indexed)),
-            // Exactly one decision drains the latch — the swap is atomic,
-            // so racing batch goals cannot double-report.
-            caches_invalidated: self.caches_invalidated.swap(false, Ordering::Relaxed),
         })
     }
 
@@ -853,31 +795,18 @@ impl<'s> Session<'s> {
     /// sharded across `threads` workers (`0` = all available
     /// parallelism).
     ///
-    /// Every worker answers each goal exactly as [`Session::implies_with`]
-    /// does, from the session's resident engine. The budget's deadline
-    /// and token govern every worker; the pool additionally derives a
-    /// [child cancellation token](nfd_govern::CancelToken::child) from the
-    /// caller's, so the first goal to *genuinely* exhaust the budget
-    /// stops the whole pool within one poll window without disturbing the
-    /// caller's token.
-    ///
-    /// No counter is charged, so a counter cap never stops a batch, and a
-    /// batch that nothing stops is identical at every thread count (and
-    /// to a sequential `implies_with` loop). When a deadline, a
-    /// cancellation or an injected fault does stop one:
-    ///
-    /// * goals strictly before the first genuine exhaustion keep the
-    ///   decision a sequential loop gives them; any result contaminated
-    ///   by the pool's own stop signal (an attempt cancelled while the
-    ///   caller's token was untouched) is discarded and re-run
-    ///   sequentially under the caller's budget;
-    /// * the first genuinely exhausted goal keeps its decision, and every
-    ///   goal after it gets the canonical "cancelled by the batch"
-    ///   decision — even if a worker happened to finish it first, because
-    ///   a sequential run would never have started it.
-    ///
-    /// Which goal a deadline or an external cancellation reaches first is
-    /// timing-dependent, exactly as it is for sequential queries.
+    /// Every goal is answered exactly as [`Session::implies_with`]
+    /// answers it, from the session's resident engine, so the batch is
+    /// its goals' reads: identical at every thread count and to a
+    /// sequential `implies_with` loop. The caller's budget is the one
+    /// stop signal. No counter is charged, so a counter cap never stops
+    /// a batch; an expired deadline or a cancelled token reaches every
+    /// goal at its first liveness poll. A goal that a deadline, a
+    /// cancellation or an injected fault stops reports `Exhausted` in
+    /// its own slot, its siblings keep their own answers, and
+    /// `first_exhausted` names the first such slot. Which goals a
+    /// deadline or an external cancellation reaches is timing-dependent,
+    /// exactly as it is for sequential queries.
     pub fn implies_batch(
         &self,
         goals: &[Nfd],
@@ -889,99 +818,17 @@ impl<'s> Session<'s> {
         for goal in goals {
             goal.validate(self.schema())?;
         }
-
-        // Pool-scoped stop signal layered over the caller's token: first
-        // genuine exhaustion (or a fatal error) cancels the pool but not
-        // the caller.
-        let pool_token = budget.cancel_token().child();
-        let worker_budget = budget.clone().with_cancel(pool_token.clone());
-
-        let pool = || {
-            nfd_par::map_indexed_while(
-                goals.len(),
-                threads,
-                || !pool_token.is_cancelled(),
-                |i| {
-                    // Panics inside one goal's query are contained
-                    // *here*, per goal: the slot carries `Internal`, the
-                    // siblings keep running, and the pool stays usable.
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        fail_point!(
-                            "session::batch_goal",
-                            Err(CoreError::Exhausted(ResourceReport::injected())),
-                            worker_budget.cancel_token()
-                        );
-                        self.decide(&goals[i], &worker_budget)
-                    }))
-                    .unwrap_or_else(|p| {
-                        Err(CoreError::Internal(format!(
-                            "batch worker panicked: {}",
-                            panic_message(p)
-                        )))
-                    });
-                    // Fail fast: a genuine exhaustion (not our own pool
-                    // stop propagating) ends the batch. This is purely a
-                    // promptness signal — the normalization pass below
-                    // re-derives the cutoff deterministically. Goal-local
-                    // internal failures do NOT stop the pool.
-                    let stop = match &result {
-                        Ok(d) => match &d.verdict {
-                            Verdict::Exhausted(r) => {
-                                r.kind != ResourceKind::Cancelled
-                                    || budget.cancel_token().is_cancelled()
-                            }
-                            _ => false,
-                        },
-                        Err(_) => false,
-                    };
-                    if stop {
-                        pool_token.cancel();
-                    }
-                    result
-                },
-            )
-        };
-        // A second containment layer for the pool machinery itself
-        // (spawn/reassembly): a panic there aborts the whole batch as one
+        // `decide` contains a panic inside one goal's read to that goal's
+        // slot. This layer contains the pool machinery (spawn,
+        // reassembly): a panic there aborts the whole batch as one
         // `Internal` error, after every worker has been joined.
-        let raw: Vec<Option<Result<Decision, CoreError>>> = catch_unwind(AssertUnwindSafe(pool))
-            .map_err(|p| {
-                CoreError::Internal(format!("batch pool panicked: {}", panic_message(p)))
-            })?;
-
-        // Normalize to the sequential result, walking in input order. A
-        // decision is tainted if the pool's own stop signal cancelled it;
-        // tainted or never-started goals before the cutoff re-run
-        // sequentially under the caller's budget.
-        let user_cancelled = budget.cancel_token().is_cancelled();
-        let tainted = |d: &Decision| {
-            !user_cancelled
-                && matches!(&d.verdict, Verdict::Exhausted(r) if r.kind == ResourceKind::Cancelled)
-        };
-        let mut decisions: Vec<Result<Decision, CoreError>> = Vec::with_capacity(goals.len());
-        let mut first_exhausted: Option<usize> = None;
-        for (i, slot) in raw.into_iter().enumerate() {
-            if first_exhausted.is_some() {
-                decisions.push(Ok(batch_cancelled_decision()));
-                continue;
-            }
-            let decision = match slot {
-                Some(Ok(d)) if !tainted(&d) => Ok(d),
-                // A goal-local failure (contained panic) keeps its slot;
-                // the rest of the batch proceeds normally.
-                Some(Err(e)) => Err(e),
-                // Tainted by the pool stop, or never dispatched: re-run
-                // under the caller's budget, exactly as a sequential
-                // sweep would have run it.
-                _ => self.decide(&goals[i], budget),
-            };
-            // Post-normalization, an Exhausted verdict is genuine: a
-            // cancellation report here means the caller's own token.
-            if matches!(&decision, Ok(d) if d.verdict.is_exhausted()) {
-                first_exhausted = Some(i);
-            }
-            decisions.push(decision);
-        }
+        let decisions = catch_unwind(AssertUnwindSafe(|| {
+            nfd_par::map_indexed(goals.len(), threads, |i| self.decide(&goals[i], budget))
+        }))
+        .map_err(|p| CoreError::Internal(format!("batch pool panicked: {}", panic_message(p))))?;
+        let first_exhausted = decisions
+            .iter()
+            .position(|d| matches!(d, Ok(d) if d.verdict.is_exhausted()));
         Ok(BatchDecision {
             decisions,
             first_exhausted,

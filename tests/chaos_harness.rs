@@ -14,10 +14,7 @@
 //! * **errors keep their contracted shapes** — only `Exhausted` and
 //!   `Internal`, never a new variant, never a poisoned lock;
 //! * **the session outlives the fault** — once the site is disarmed the
-//!   same session answers exactly as before;
-//! * **cancellation injected inside the batch pool is repaired** — the
-//!   normalization pass re-runs tainted goals, so the batch still equals
-//!   the sequential reference bit for bit.
+//!   same session answers exactly as before.
 //!
 //! The failpoint registry is process-global, so every test here
 //! serializes on one lock and `reset()`s between cases; CI additionally
@@ -302,7 +299,7 @@ fn closure_contains_faults_and_recovers_on_a_fresh_session() {
 }
 
 #[test]
-fn batch_sites_degrade_gracefully_and_normalization_repairs_cancel() {
+fn batch_sites_degrade_gracefully() {
     let _guard = serial();
     faults::reset();
     let (schema, sigma) = fixture();
@@ -314,7 +311,6 @@ fn batch_sites_degrade_gracefully_and_normalization_repairs_cancel() {
         .unwrap();
 
     let batch_sites = [
-        "session::batch_goal",
         "par::worker",
         "par::reassemble",
         "session::cascade_saturation",
@@ -361,21 +357,54 @@ fn batch_sites_degrade_gracefully_and_normalization_repairs_cancel() {
             assert_eq!(after, reference, "{site} × {action:?}: batch changed");
         }
     }
+}
 
-    // The headline invariant: cancellation injected *inside* the pool is
-    // indistinguishable from a pool-internal stop, so the normalization
-    // pass must repair the batch to equal the sequential reference
-    // exactly — verdicts, attempt logs, cutoff and all.
+/// A batch is its goals' reads: a one-shot fault stops only the goal it
+/// fires in. That goal reports `Exhausted(Injected)` and is
+/// `first_exhausted`; every other goal keeps its own answer, which
+/// nothing re-runs or overwrites.
+#[test]
+fn a_one_shot_fault_costs_only_its_own_batch_goal() {
+    let _guard = serial();
     faults::reset();
-    faults::configure("session::batch_goal", FaultAction::Cancel);
-    let repaired = session
-        .implies_batch(&goals, &Budget::standard(), 4)
-        .unwrap();
-    faults::reset();
-    assert_eq!(
-        repaired, reference,
-        "injected pool cancellation must be repaired by normalization"
-    );
+    let (schema, sigma) = fixture();
+    let goals = parse_goals(&schema);
+    let session = Session::new(&schema, &sigma).unwrap();
+    let expected = reference_verdicts(&session, &goals);
+
+    for threads in [1usize, 2, 8] {
+        faults::reset();
+        faults::configure_limited(
+            "session::cascade_saturation",
+            1,
+            FaultAction::ReturnExhausted,
+        );
+        let batch = session
+            .implies_batch(&goals, &Budget::standard(), threads)
+            .unwrap();
+        faults::reset();
+        assert_eq!(batch.exhausted_count(), 1, "threads = {threads}: {batch:?}");
+        assert_eq!(batch.failed_count(), 0, "threads = {threads}");
+        let faulted = batch
+            .first_exhausted
+            .expect("the faulted goal is first_exhausted");
+        for (i, slot) in batch.decisions.iter().enumerate() {
+            let d = slot.as_ref().unwrap();
+            if i == faulted {
+                assert!(
+                    matches!(&d.verdict, Verdict::Exhausted(r) if r.kind == ResourceKind::Injected),
+                    "threads = {threads}: goal {i} is the faulted one: {:?}",
+                    d.verdict
+                );
+            } else {
+                assert_eq!(
+                    d.verdict.as_bool(),
+                    Some(expected[i]),
+                    "threads = {threads}: goal {i} lost its own answer"
+                );
+            }
+        }
+    }
 }
 
 /// Queries answer from the resident engine: once a session is built, no
@@ -563,7 +592,6 @@ fn cli_exit_codes_keep_their_contract_under_faults() {
         "engine::saturate",
         "engine::implies",
         "session::cascade_saturation",
-        "session::batch_goal",
         "par::worker",
     ];
     for site in sites {

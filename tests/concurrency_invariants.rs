@@ -1,9 +1,9 @@
 //! Concurrency invariants of the shared [`Session`] and the batch
 //! executor: many threads hammering one compiled session must observe
-//! identical answers regardless of scheduling, and cancellation — whether
-//! from the batch's own first exhaustion or an external token — must
-//! preempt the budgeted loops promptly (they poll every ~4096 work units,
-//! so a cancelled run does a small fraction of the full work).
+//! identical answers regardless of scheduling, and an expired deadline or
+//! an external cancellation must preempt the budgeted loops promptly
+//! (they poll every ~4096 work units, so a cancelled run does a small
+//! fraction of the full work).
 
 mod common;
 
@@ -133,12 +133,11 @@ fn concurrent_batches_and_key_searches_agree() {
 }
 
 #[test]
-fn first_exhaustion_stops_the_whole_pool_promptly() {
+fn an_expired_deadline_stops_the_whole_batch_promptly() {
     // Reference: the full saturation of the chain is the work a runaway
     // batch would do. A budget that exhausts almost immediately must end
-    // the whole batch in a small fraction of that time: the first
-    // exhaustion cancels the pool, and every budgeted loop polls the
-    // token at least once per ~4096 work units.
+    // the whole batch in a small fraction of that time: every goal's read
+    // polls the caller's deadline before it chains.
     let (schema, sigma) = chain_problem(64);
     let full = Instant::now();
     let session = Session::new(&schema, &sigma).unwrap();
@@ -243,8 +242,8 @@ fn already_cancelled_budget_refuses_all_work_consistently() {
     }
 }
 
-/// Graceful degradation: one worker panicking mid-`implies_batch`
-/// (injected through the `session::batch_goal` failpoint) must be
+/// Graceful degradation: one goal's read panicking mid-`implies_batch`
+/// (injected through the `session::cascade_saturation` failpoint) must be
 /// contained to its own goal — surfaced as `Err(Internal)` in that slot —
 /// while every sibling still matches the fault-free reference, and the
 /// same `Session` serves the next batch as if nothing happened.
@@ -276,9 +275,9 @@ fn one_panicking_worker_degrades_only_its_own_goal() {
     let reference = session.implies_batch(&goals, &budget, 4).unwrap();
     assert!(reference.decisions.iter().all(|d| d.is_ok()));
 
-    // Exactly one firing: whichever worker reaches the site first panics;
-    // its siblings must not notice.
-    faults::configure_limited("session::batch_goal", 1, faults::FaultAction::Panic);
+    // Exactly one firing: whichever goal's read reaches the site first
+    // panics; its siblings must not notice.
+    faults::configure_limited("session::cascade_saturation", 1, faults::FaultAction::Panic);
     let degraded = session.implies_batch(&goals, &budget, 4).unwrap();
     faults::reset();
 

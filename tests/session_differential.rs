@@ -245,44 +245,6 @@ fn session_keys_on_the_worked_example() {
     );
 }
 
-/// [`Session::reconfigure`] discards the closure cache and keys memo,
-/// and signals it through `Decision.caches_invalidated` —
-/// which must latch on the rebuilt session exactly once.
-#[test]
-fn reconfigure_invalidation_latches_exactly_once() {
-    use nfd::govern::Budget;
-
-    let schema = Schema::parse("R : { <A: int, B: {<C: int>}, D: int> };").unwrap();
-    let sigma = parse_set(&schema, "R:[A -> B:C]; R:[B:C -> D];").unwrap();
-    let goal = Nfd::parse(&schema, "R:[A -> D]").unwrap();
-    let budget = Budget::standard();
-
-    let strict = Session::new(&schema, &sigma).unwrap();
-    assert!(
-        !strict
-            .implies_with(&goal, &budget)
-            .unwrap()
-            .caches_invalidated,
-        "a freshly compiled session never claims invalidation"
-    );
-
-    let pessimistic = strict.reconfigure(EmptySetPolicy::pessimistic()).unwrap();
-    let first = pessimistic.implies_with(&goal, &budget).unwrap();
-    assert!(
-        first.caches_invalidated,
-        "the first decision drains the latch"
-    );
-    let second = pessimistic.implies_with(&goal, &budget).unwrap();
-    assert!(!second.caches_invalidated, "the latch fires exactly once");
-    assert!(
-        !strict
-            .implies_with(&goal, &budget)
-            .unwrap()
-            .caches_invalidated,
-        "the original session's latch is untouched by reconfigure"
-    );
-}
-
 /// The E12 schema flips its verdict between the strict and pessimistic
 /// regimes — which makes it the sharpest probe for a stale closure
 /// cache: if `reconfigure` leaked the old policy's cached closures,
