@@ -10,7 +10,7 @@
 //! > After any sequence of mutations, every relation's pool — contents,
 //! > entry order, subsumption flags, `max` bounds and provenance — is
 //! > **bit-for-bit identical** to the pool a from-scratch
-//! > [`Engine::with_tables`] build over the mutated Σ would produce.
+//! > [`Engine::compile`] over the mutated Σ would produce.
 //!
 //! The contract is what makes maintenance *testable*: the mutation census
 //! (`tests/delta_differential.rs`) walks hundreds of add/remove steps and

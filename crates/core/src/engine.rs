@@ -49,7 +49,7 @@ use crate::kernel::{self, ChainScratch, ClosureCache, DepIndex};
 use crate::nfd::Nfd;
 use crate::simple;
 use nfd_faults::fail_point;
-use nfd_govern::{Budget, ResourceKind};
+use nfd_govern::{Budget, CancelToken, ResourceKind};
 use nfd_model::{Label, Schema};
 use nfd_path::table::{PathId, PathSet, PathTable, SchemaTables};
 use nfd_path::{Path, RootedPath};
@@ -644,24 +644,14 @@ impl<'s> Engine<'s> {
         budget: Budget,
     ) -> Result<Engine<'s>, CoreError> {
         let tables = SchemaTables::new(schema).map_err(|e| CoreError::Nav(e.to_string()))?;
-        Engine::with_tables(schema, tables, sigma, policy, budget)
-    }
-
-    /// Builds an engine over pre-compiled path tables, sharing them with
-    /// the caller instead of recompiling — the amortization hook used by
-    /// query sessions. The tables must have been compiled from `schema`.
-    pub fn with_tables(
-        schema: &'s Schema,
-        tables: SchemaTables,
-        sigma: &[Nfd],
-        policy: EmptySetPolicy,
-        budget: Budget,
-    ) -> Result<Engine<'s>, CoreError> {
         Engine::compile(SchemaRef::Borrowed(schema), tables, sigma, policy, budget)
     }
 
-    /// [`Engine::with_tables`] over either kind of [`SchemaRef`] — with
-    /// a shared schema the engine is `'static`.
+    /// The one build entry: validates and normalizes Σ and saturates
+    /// every relation's pool over pre-compiled path tables, sharing them
+    /// with the caller instead of recompiling — the amortization hook
+    /// used by query sessions. The tables must have been compiled from
+    /// `schema`; with a shared schema the engine is `'static`.
     pub fn compile(
         schema: SchemaRef<'s>,
         tables: SchemaTables,
@@ -721,7 +711,7 @@ impl<'s> Engine<'s> {
         out
     }
 
-    /// Rebuilds an engine from pools exported by
+    /// The one thaw entry: rebuilds an engine from pools exported by
     /// [`Engine::export_pools`], skipping the saturation fixpoint — the
     /// thaw path of compiled-session snapshots.
     ///
@@ -738,25 +728,6 @@ impl<'s> Engine<'s> {
     /// compile. The budget is charged exactly as a fresh build's pool
     /// growth would be, so thawing under a tighter budget reports
     /// honest exhaustion.
-    pub fn from_frozen(
-        schema: &'s Schema,
-        tables: SchemaTables,
-        sigma: &[Nfd],
-        policy: EmptySetPolicy,
-        budget: Budget,
-        pools: Vec<FrozenPool>,
-    ) -> Result<Engine<'s>, CoreError> {
-        Engine::replay(
-            SchemaRef::Borrowed(schema),
-            tables,
-            sigma,
-            policy,
-            budget,
-            pools,
-        )
-    }
-
-    /// [`Engine::from_frozen`] over either kind of [`SchemaRef`].
     pub fn replay(
         schema: SchemaRef<'s>,
         tables: SchemaTables,
@@ -855,6 +826,9 @@ impl<'s> Engine<'s> {
     /// relabel copies a shared pool before rewriting it — so neither
     /// engine can observe the other's mutations. The fork has no closure
     /// cache attached; attach its own, since a cache is scoped to one Σ.
+    /// It keeps the build budget's counters and deadline but gets a
+    /// cancellation token of its own, so cancelling a write on the fork
+    /// never reaches the engine it was forked from.
     pub fn fork(&self) -> Engine<'s> {
         Engine {
             schema: self.schema.clone(),
@@ -862,7 +836,7 @@ impl<'s> Engine<'s> {
             sigma: self.sigma.clone(),
             rels: self.rels.clone(),
             policy: self.policy.clone(),
-            budget: self.budget.clone(),
+            budget: self.budget.clone().with_cancel(CancelToken::new()),
             cache: None,
         }
     }
@@ -1534,12 +1508,12 @@ mod tests {
     /// Engines built over shared pre-compiled tables answer exactly like
     /// freshly built ones.
     #[test]
-    fn with_tables_matches_fresh_build() {
+    fn compile_over_shared_tables_matches_fresh_build() {
         let (schema, sigma) = worked_example();
         let tables = SchemaTables::new(&schema).unwrap();
         let fresh = Engine::new(&schema, &sigma).unwrap();
-        let shared = Engine::with_tables(
-            &schema,
+        let shared = Engine::compile(
+            SchemaRef::Borrowed(&schema),
             tables,
             &sigma,
             EmptySetPolicy::Forbidden,

@@ -108,7 +108,7 @@ mod registry {
             // no faults at all. A library must not panic on a bad
             // environment string, so the failure is a logged no-op.
             if let Ok(spec) = std::env::var("NFD_FAILPOINTS") {
-                match parse_spec_strict(&spec) {
+                match parse_env_spec(&spec) {
                     Ok(entries) => {
                         for (name, action, remaining) in entries {
                             map.insert(name, Arc::new(Site::new(action, remaining)));
@@ -168,6 +168,24 @@ mod registry {
             .zip(spec.split(';').map(str::trim).filter(|e| !e.is_empty()))
             .map(|(parsed, raw)| parsed.ok_or_else(|| format!("malformed failpoint entry `{raw}`")))
             .collect()
+    }
+
+    /// The `NFD_FAILPOINTS` form of [`parse_spec_strict`]: every entry
+    /// must also name a site in [`crate::SITES`]. A misspelt site would
+    /// otherwise run the chaos plan without its fault, which is as wrong
+    /// as a partial plan. Programmatic [`configure`] takes any name.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn parse_env_spec(
+        spec: &str,
+    ) -> Result<Vec<(String, FaultAction, Option<u64>)>, String> {
+        let entries = parse_spec_strict(spec)?;
+        match entries
+            .iter()
+            .find(|(name, ..)| !crate::SITES.contains(&name.as_str()))
+        {
+            Some((name, ..)) => Err(format!("unknown failpoint site `{name}`")),
+            None => Ok(entries),
+        }
     }
 
     /// Parses a single action keyword: `off`, `panic`, `return-exhausted`,
@@ -285,6 +303,41 @@ mod registry {
         }
     }
 }
+
+/// Every site a [`fail_point!`] in the workspace declares: the catalogs
+/// of DESIGN.md §8, §11 and §13. The `NFD_FAILPOINTS` reader arms only
+/// these names, and `tests/unwrap_guard.rs` holds this list equal to the
+/// `fail_point!` literals in the sources, so adding or deleting a site
+/// means editing it here.
+pub const SITES: [&str; 27] = [
+    "chase::build",
+    "chase::scan",
+    "chase::step",
+    "delta::insert",
+    "delta::retract",
+    "engine::build",
+    "engine::closure",
+    "engine::implies",
+    "engine::saturate",
+    "engine::singleton",
+    "logic::eval",
+    "logic::forall",
+    "model::parse_depth",
+    "model::parse_input",
+    "par::reassemble",
+    "par::worker",
+    "serve::accept",
+    "serve::dispatch",
+    "serve::epoch_swap",
+    "serve::parse",
+    "serve::respond",
+    "serve::shared_cache",
+    "serve::tenant_query",
+    "snap::read",
+    "snap::rename",
+    "snap::verify",
+    "snap::write",
+];
 
 #[cfg(feature = "failpoints")]
 pub use registry::{
@@ -445,6 +498,19 @@ mod tests {
         assert!(apply_env_str("x=delay(abc)").is_err());
         assert!(apply_env_str("=panic").is_err());
         assert_eq!(apply_env_str(" ; ; "), Ok(0), "empty entries are fine");
+    }
+
+    #[test]
+    fn env_specs_name_declared_sites_only() {
+        let parsed = registry::parse_env_spec("engine::implies=1*panic; snap::read=off").unwrap();
+        assert_eq!(parsed.len(), 2);
+        let err = registry::parse_env_spec("engine::implies=panic;engine::implys=panic")
+            .expect_err("misspelt site");
+        assert!(
+            err.contains("unknown failpoint site `engine::implys`"),
+            "{err}"
+        );
+        assert!(registry::parse_env_spec("t::made_up=off").is_err());
     }
 
     #[test]

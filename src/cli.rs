@@ -19,8 +19,9 @@
 //! nfdtool serve    --addr HOST:PORT               # multi-tenant registry daemon
 //! ```
 //!
-//! The `implies`, `prove`, `closure` and `keys` subcommands are served by
-//! one compiled [`Session`]; batch mode (`--goals`) amortizes that
+//! Every subcommand that compiles Σ (`implies`, `prove`, `closure`,
+//! `keys`, `witness`, `analyze`, `snapshot`) opens one [`Session`]
+//! through [`Session::open`]; batch mode (`--goals`) amortizes that
 //! compilation over every goal in the file, and `--snapshot FILE` warm
 //! starts the session from a [`crate::snap`] image written by
 //! `nfdtool snapshot` (falling back to a fresh compile when the image is
@@ -30,13 +31,14 @@
 //! process exit code, so the whole CLI is unit-testable.
 
 use crate::session::Session;
-use nfd_core::engine::Engine;
-use nfd_core::{analysis, construct, nfd::parse_set, satisfy, CoreError, Nfd, TierPreference};
+use nfd_core::{analysis, construct, nfd::parse_set, satisfy, CoreError, EmptySetPolicy, Nfd};
+use nfd_core::{ClosureCache, SchemaRef, DEFAULT_CLOSURE_CACHE_CAPACITY};
 use nfd_govern::{Budget, Verdict};
 use nfd_model::{render, Instance, Schema};
 use nfd_path::{Path, RootedPath};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// A dispatch failure, distinguishing bad input from exhausted budgets so
 /// callers (and scripts) can tell them apart by exit code.
@@ -106,16 +108,22 @@ pub fn run(args: &[String], out: &mut String) -> i32 {
 
 const USAGE: &str = "usage:
   nfdtool check    --schema FILE --deps FILE --instance FILE
-  nfdtool implies  --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--snapshot FILE [--thaw-min-bytes N]] [--add-dep NFD]… [--drop-dep NFD]… NFD
-  nfdtool implies  --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--threads N] [--snapshot FILE [--thaw-min-bytes N]] [--add-dep NFD]… [--drop-dep NFD]… --goals FILE
-  nfdtool prove    --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--snapshot FILE [--thaw-min-bytes N]] [--add-dep NFD]… [--drop-dep NFD]… NFD
-  nfdtool closure  --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--snapshot FILE [--thaw-min-bytes N]] [--add-dep NFD]… [--drop-dep NFD]… --base PATH [--lhs P1,P2,…]
-  nfdtool witness  --schema FILE --deps FILE --base PATH [--lhs P1,P2,…]
-  nfdtool keys     --schema FILE --deps FILE --relation NAME [--budget N] [--timeout-ms T] [--threads N] [--snapshot FILE [--thaw-min-bytes N]] [--add-dep NFD]… [--drop-dep NFD]…
-  nfdtool analyze  --schema FILE --deps FILE
+  nfdtool implies  --schema FILE --deps FILE [SESSION FLAGS] NFD
+  nfdtool implies  --schema FILE --deps FILE [SESSION FLAGS] [--threads N] --goals FILE
+  nfdtool prove    --schema FILE --deps FILE [SESSION FLAGS] NFD
+  nfdtool closure  --schema FILE --deps FILE [SESSION FLAGS] --base PATH [--lhs P1,P2,…]
+  nfdtool witness  --schema FILE --deps FILE [SESSION FLAGS] --base PATH [--lhs P1,P2,…]
+  nfdtool keys     --schema FILE --deps FILE [SESSION FLAGS] [--threads N] --relation NAME
+  nfdtool analyze  --schema FILE --deps FILE [SESSION FLAGS]
   nfdtool render   --schema FILE --instance FILE
-  nfdtool snapshot --schema FILE --deps FILE [--policy P] [--budget N] [--timeout-ms T] [--add-dep NFD]… [--drop-dep NFD]… --out FILE
+  nfdtool snapshot --schema FILE --deps FILE [SESSION FLAGS] --out FILE
   nfdtool serve    --addr HOST:PORT [--max-resident N] [--max-inflight N] [--queue N] [--quota N] [--budget N] [--timeout-ms T] [--workers N]
+
+  SESSION FLAGS, taken by every subcommand that compiles the --deps file:
+     [--policy P] [--budget N] [--timeout-ms T] [--snapshot FILE]
+     [--add-dep NFD]… [--drop-dep NFD]…
+  witness and analyze take only --policy strict: the Appendix A
+  construction and the minimal cover assume no empty sets.
 
   --goals FILE decides every NFD of the (semicolon-separated) file against
   one compiled session; exit 0 iff all goals are implied.
@@ -150,20 +158,19 @@ const USAGE: &str = "usage:
   recompiling from the mutated --deps file — so queries after the flags
   see exactly the mutated Σ.
 
-  snapshot compiles the session and writes it — interned path tables,
+  snapshot opens the session and writes it — interned path tables,
   the saturated Σ pool with full provenance, the empty-set policy and
   the warm closure cache — to --out as a length-prefixed, per-section
   CRC-checksummed binary image, atomically (temp file, flush, rename).
-  The other session subcommands accept --snapshot FILE to warm-start
-  from such an image: a valid image matching the --schema/--deps/--policy
-  on the command line skips the saturation fixpoint entirely, while a
-  corrupt, truncated or mismatched one is rejected with a typed reason
-  and the tool transparently compiles fresh. Degraded startup is a
-  logged event, never a failure and never a wrong answer; --add-dep /
-  --drop-dep mutations apply after the thaw exactly as after a compile.
-  Images smaller than --thaw-min-bytes (default 16384) compile fresh
-  without decoding: tiny sessions compile faster than they thaw (B17),
-  so the warm start only engages where it wins. 0 disables the floor.
+  Every session subcommand accepts --snapshot FILE to warm-start from
+  such an image: any valid image matching the --schema/--deps/--policy
+  on the command line thaws, whatever its size, skipping the saturation
+  fixpoint, while a corrupt, truncated or mismatched one is rejected
+  with a typed reason and the tool transparently compiles fresh.
+  Degraded startup is a logged event, never a failure and never a wrong
+  answer; --add-dep / --drop-dep mutations apply after the thaw exactly
+  as after a compile, so snapshot --snapshot OLD --out NEW re-freezes
+  OLD with the mutations applied.
 
   serve runs the crash-contained multi-tenant registry daemon: named
   schemas stay resident as compiled sessions behind a line protocol
@@ -213,9 +220,6 @@ struct Opts {
     /// `--snapshot FILE`: warm-start the session from a frozen image,
     /// falling back to a fresh compile when the image is rejected.
     snapshot: Option<String>,
-    /// `--thaw-min-bytes N`: image-size floor below which `--snapshot`
-    /// compiles fresh instead of thawing (`0` disables the gate).
-    thaw_min_bytes: Option<String>,
     /// `--workers N`: `serve`'s `BATCH` thread count.
     workers: Option<String>,
     /// `--out FILE`: where the `snapshot` subcommand writes its image.
@@ -244,7 +248,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         add_dep: Vec::new(),
         drop_dep: Vec::new(),
         snapshot: None,
-        thaw_min_bytes: None,
         workers: None,
         out: None,
         positional: Vec::new(),
@@ -277,7 +280,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--add-dep" => o.add_dep.push(take(&mut i)?),
             "--drop-dep" => o.drop_dep.push(take(&mut i)?),
             "--snapshot" => o.snapshot = Some(take(&mut i)?),
-            "--thaw-min-bytes" => o.thaw_min_bytes = Some(take(&mut i)?),
             "--workers" => o.workers = Some(take(&mut i)?),
             "--out" => o.out = Some(take(&mut i)?),
             flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
@@ -318,17 +320,17 @@ fn parse_lhs(o: &Opts) -> Result<Vec<Path>, String> {
     }
 }
 
-fn parse_policy(o: &Opts) -> Result<nfd_core::EmptySetPolicy, String> {
+fn parse_policy(o: &Opts) -> Result<EmptySetPolicy, String> {
     match o.policy.as_deref() {
-        None | Some("strict") => Ok(nfd_core::EmptySetPolicy::Forbidden),
-        Some("pessimistic") => Ok(nfd_core::EmptySetPolicy::pessimistic()),
+        None | Some("strict") => Ok(EmptySetPolicy::Forbidden),
+        Some("pessimistic") => Ok(EmptySetPolicy::pessimistic()),
         Some(spec) if spec.starts_with("nonempty:") => {
             let paths: Result<Vec<RootedPath>, String> = spec["nonempty:".len()..]
                 .split(',')
                 .filter(|s| !s.trim().is_empty())
                 .map(|s| RootedPath::parse(s.trim()).map_err(|e| format!("--policy: {e}")))
                 .collect();
-            Ok(nfd_core::EmptySetPolicy::non_empty(paths?))
+            Ok(EmptySetPolicy::non_empty(paths?))
         }
         Some(other) => Err(format!(
             "--policy must be `strict`, `pessimistic` or `nonempty:R:A,…`, got `{other}`"
@@ -358,14 +360,48 @@ fn parse_budget(o: &Opts) -> Result<Budget, String> {
     Ok(budget)
 }
 
-/// Applies `--add-dep` / `--drop-dep` mutations to a compiled session:
-/// every `--add-dep` first (in flag order), then every `--drop-dep`.
-/// Each mutation re-saturates only the relation it names (the rest of
-/// the session stays warm) and is atomic — a failure leaves the session
-/// reflecting the mutations applied so far, and aborts the command.
-fn apply_mutations(session: &mut Session, schema: &Schema, o: &Opts) -> Result<(), CliFail> {
-    if o.add_dep.is_empty() && o.drop_dep.is_empty() {
-        return Ok(());
+/// Opens the session every Σ-compiling subcommand runs on: loads
+/// `--deps`, reads `--policy`, `--budget`/`--timeout-ms` and
+/// `--snapshot`, opens through [`Session::open`], then applies the
+/// `--add-dep` / `--drop-dep` mutations.
+///
+/// A `--snapshot` image that cannot be read, decoded or thawed against
+/// this schema, Σ and policy is graceful degradation, not an error: the
+/// typed reason is logged to `out` and the session compiles fresh.
+///
+/// Mutations run every `--add-dep` first (in flag order), then every
+/// `--drop-dep`. Each re-saturates only the relation it names (the rest
+/// of the session stays warm) and is atomic — a failure leaves the
+/// session reflecting the mutations applied so far, and aborts the
+/// command.
+fn open_session<'s>(
+    o: &Opts,
+    schema: &'s Schema,
+    out: &mut String,
+) -> Result<Session<'s>, CliFail> {
+    let sigma = load_deps(o, schema)?;
+    let policy = parse_policy(o)?;
+    let budget = parse_budget(o)?;
+    let image = o.snapshot.as_deref().map(|path| {
+        let bytes = nfd_snap::read_file(std::path::Path::new(path));
+        (path, bytes.and_then(|bytes| nfd_snap::decode(&bytes)))
+    });
+    let (mut session, rejected) = Session::open(
+        SchemaRef::Borrowed(schema),
+        &sigma,
+        policy,
+        budget,
+        Arc::new(ClosureCache::with_capacity(DEFAULT_CLOSURE_CACHE_CAPACITY)),
+        image
+            .as_ref()
+            .and_then(|(_, decoded)| decoded.as_ref().ok()),
+    )
+    .map_err(core_fail)?;
+    if let Some((path, decoded)) = &image {
+        let _ = match decoded.as_ref().err().or(rejected.as_ref()) {
+            Some(e) => writeln!(out, "(snapshot `{path}` rejected: {e}; compiling fresh)"),
+            None => writeln!(out, "(warm start: thawed snapshot `{path}`)"),
+        };
     }
     let parse = |texts: &[String], flag: &str| -> Result<Vec<Nfd>, CliFail> {
         texts
@@ -377,75 +413,7 @@ fn apply_mutations(session: &mut Session, schema: &Schema, o: &Opts) -> Result<(
     let drops = parse(&o.drop_dep, "--drop-dep")?;
     session.add_deps(&adds).map_err(core_fail)?;
     session.remove_deps(&drops).map_err(core_fail)?;
-    Ok(())
-}
-
-/// Image-size floor (bytes) below which `--snapshot` compiles fresh by
-/// default. B17 measured the crossover honestly: a 7-NFD Course image
-/// (1.6 KiB) thaws at 0.4–0.5× a fresh compile — decode + checksum +
-/// replay validation costs more than the saturation it skips — while a
-/// wide 64-NFD image (774 KiB) thaws at 3–4×. Small images up to about
-/// 9.5 KiB can thaw slower than they compile and every one from 13 KiB
-/// up thaws faster, so the gate sits just above the losing sizes;
-/// `--thaw-min-bytes` moves it (0 disables the gate).
-const DEFAULT_THAW_MIN_BYTES: u64 = 16 * 1024;
-
-/// Attempts the `--snapshot FILE` warm start. `Ok(None)` means "compile
-/// fresh": either the flag was absent, or the image was rejected —
-/// unreadable, corrupt, truncated, version-skewed, or frozen from a
-/// different schema/Σ/policy. Rejection is graceful degradation, not an
-/// error: the typed reason is logged to `out` and the caller proceeds
-/// with an ordinary [`Session::with_budget`] compile. A malformed
-/// `--thaw-min-bytes` is a usage error.
-fn thaw_from_flag<'s>(
-    o: &Opts,
-    schema: &'s Schema,
-    sigma: &[Nfd],
-    policy: &nfd_core::EmptySetPolicy,
-    budget: &Budget,
-    out: &mut String,
-) -> Result<Option<Session<'s>>, String> {
-    let floor = match o.thaw_min_bytes.as_deref() {
-        None => DEFAULT_THAW_MIN_BYTES,
-        Some(text) => text.parse().map_err(|_| {
-            format!("--thaw-min-bytes must be a non-negative integer, got `{text}`")
-        })?,
-    };
-    let Some(path) = o.snapshot.as_deref() else {
-        return Ok(None);
-    };
-    let mut attempt = || -> Result<Option<Session<'s>>, nfd_snap::SnapError> {
-        let bytes = nfd_snap::read_file(std::path::Path::new(path))?;
-        if (bytes.len() as u64) < floor {
-            let _ = writeln!(
-                out,
-                "(snapshot `{path}` is {} bytes, under the {floor}-byte warm-start floor; tiny sessions compile faster than they thaw — compiling fresh)",
-                bytes.len()
-            );
-            return Ok(None);
-        }
-        let snapshot = nfd_snap::decode(&bytes)?;
-        Session::thaw(
-            schema,
-            sigma,
-            policy.clone(),
-            budget.clone(),
-            TierPreference::Auto,
-            &snapshot,
-        )
-        .map(Some)
-    };
-    Ok(match attempt() {
-        Ok(Some(session)) => {
-            let _ = writeln!(out, "(warm start: thawed snapshot `{path}`)");
-            Some(session)
-        }
-        Ok(None) => None,
-        Err(e) => {
-            let _ = writeln!(out, "(snapshot `{path}` rejected: {e}; compiling fresh)");
-            None
-        }
-    })
+    Ok(session)
 }
 
 /// Parses `--threads`: `0` (the default) means all available parallelism.
@@ -491,18 +459,9 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
         }
         "implies" | "prove" => {
             let schema = load_schema(&o)?;
-            let sigma = load_deps(&o, &schema)?;
-            let policy = parse_policy(&o)?;
-            let budget = parse_budget(&o)?;
-            // Session compilation runs under the same budget as the
-            // queries. A `--snapshot` warm start replaces the compile
-            // when the image is accepted.
-            let mut session = match thaw_from_flag(&o, &schema, &sigma, &policy, &budget, out)? {
-                Some(s) => s,
-                None => Session::with_budget(&schema, &sigma, policy, budget.clone())
-                    .map_err(core_fail)?,
-            };
-            apply_mutations(&mut session, &schema, &o)?;
+            let session = open_session(&o, &schema, out)?;
+            // The queries poll the budget the session compiled under.
+            let budget = session.engine().budget();
             // Batch mode: one compiled session answers every goal of the
             // file — the compilation cost is paid once, not per goal.
             if cmd == "implies" && o.goals.is_some() {
@@ -514,7 +473,7 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
                 }
                 let threads = parse_threads(&o)?;
                 let batch = session
-                    .implies_batch(&goals, &budget, threads)
+                    .implies_batch(&goals, budget, threads)
                     .map_err(core_fail)?;
                 for (goal, slot) in goals.iter().zip(&batch.decisions) {
                     let word = match slot {
@@ -547,7 +506,7 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
                 .ok_or("expected the goal NFD as a positional argument (or --goals FILE)")?;
             let goal = Nfd::parse(&schema, goal_text).map_err(|e| format!("goal: {e}"))?;
             if cmd == "implies" {
-                let decision = session.implies_with(&goal, &budget).map_err(core_fail)?;
+                let decision = session.implies_with(&goal, budget).map_err(core_fail)?;
                 let yes = match &decision.verdict {
                     Verdict::Exhausted(r) => return Err(CliFail::Exhausted(r.to_string())),
                     verdict => *verdict == Verdict::Implied,
@@ -572,17 +531,10 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
         }
         "closure" => {
             let schema = load_schema(&o)?;
-            let sigma = load_deps(&o, &schema)?;
+            let session = open_session(&o, &schema, out)?;
             let base_text = o.base.as_deref().ok_or("--base is required")?;
             let base = RootedPath::parse(base_text).map_err(|e| format!("--base: {e}"))?;
             let lhs = parse_lhs(&o)?;
-            let policy = parse_policy(&o)?;
-            let budget = parse_budget(&o)?;
-            let mut session = match thaw_from_flag(&o, &schema, &sigma, &policy, &budget, out)? {
-                Some(s) => s,
-                None => Session::with_budget(&schema, &sigma, policy, budget).map_err(core_fail)?,
-            };
-            apply_mutations(&mut session, &schema, &o)?;
             let cl = session.closure(&base, &lhs).map_err(core_fail)?;
             for p in &cl {
                 let _ = writeln!(out, "{p}");
@@ -590,15 +542,19 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
             let _ = writeln!(out, "({} paths)", cl.len());
             Ok(0)
         }
+        // The Appendix A construction and the minimal cover assume no
+        // empty sets.
+        "witness" | "analyze" if parse_policy(&o)? != EmptySetPolicy::Forbidden => {
+            Err(format!("{cmd} assumes no empty sets; --policy must be `strict`").into())
+        }
         "witness" => {
             let schema = load_schema(&o)?;
-            let sigma = load_deps(&o, &schema)?;
+            let session = open_session(&o, &schema, out)?;
             let base_text = o.base.as_deref().ok_or("--base is required")?;
             let base = RootedPath::parse(base_text).map_err(|e| format!("--base: {e}"))?;
             let lhs = parse_lhs(&o)?;
-            let engine = Engine::new(&schema, &sigma).map_err(|e| e.to_string())?;
             let built =
-                construct::counterexample(&engine, &base, &lhs).map_err(|e| e.to_string())?;
+                construct::counterexample(session.engine(), &base, &lhs).map_err(core_fail)?;
             let _ = writeln!(
                 out,
                 "# Appendix-A instance: satisfies the dependency set and violates"
@@ -626,16 +582,9 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
         }
         "keys" => {
             let schema = load_schema(&o)?;
-            let sigma = load_deps(&o, &schema)?;
+            let session = open_session(&o, &schema, out)?;
             let rel_text = o.relation.as_deref().ok_or("--relation is required")?;
             let relation = nfd_model::Label::new(rel_text);
-            let budget = parse_budget(&o)?;
-            let policy = nfd_core::EmptySetPolicy::Forbidden;
-            let mut session = match thaw_from_flag(&o, &schema, &sigma, &policy, &budget, out)? {
-                Some(s) => s,
-                None => Session::with_budget(&schema, &sigma, policy, budget).map_err(core_fail)?,
-            };
-            apply_mutations(&mut session, &schema, &o)?;
             let threads = parse_threads(&o)?;
             let keys = session
                 .candidate_keys_threaded(relation, 4, threads)
@@ -652,9 +601,10 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
         }
         "analyze" => {
             let schema = load_schema(&o)?;
-            let sigma = load_deps(&o, &schema)?;
-            let engine = Engine::new(&schema, &sigma).map_err(|e| e.to_string())?;
-            let singles = analysis::forced_singletons(&engine).map_err(|e| e.to_string())?;
+            let session = open_session(&o, &schema, out)?;
+            let engine = session.engine();
+            let sigma = session.sigma();
+            let singles = analysis::forced_singletons(engine).map_err(core_fail)?;
             let _ = writeln!(out, "forced singleton sets:");
             if singles.is_empty() {
                 let _ = writeln!(out, "  (none)");
@@ -662,7 +612,7 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
             for s in singles {
                 let _ = writeln!(out, "  {s}");
             }
-            let eod = analysis::equal_or_disjoint_sets(&engine).map_err(|e| e.to_string())?;
+            let eod = analysis::equal_or_disjoint_sets(engine).map_err(core_fail)?;
             let _ = writeln!(out, "equal-or-disjoint sets:");
             if eod.is_empty() {
                 let _ = writeln!(out, "  (none)");
@@ -670,7 +620,7 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
             for s in eod {
                 let _ = writeln!(out, "  {s}");
             }
-            let min = analysis::minimize(&schema, &sigma).map_err(|e| e.to_string())?;
+            let min = analysis::minimize(&schema, sigma).map_err(core_fail)?;
             let _ = writeln!(
                 out,
                 "minimal cover ({} of {} kept):",
@@ -690,13 +640,8 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
         }
         "snapshot" => {
             let schema = load_schema(&o)?;
-            let sigma = load_deps(&o, &schema)?;
-            let policy = parse_policy(&o)?;
-            let budget = parse_budget(&o)?;
+            let session = open_session(&o, &schema, out)?;
             let out_path = o.out.as_deref().ok_or("--out is required")?;
-            let mut session =
-                Session::with_budget(&schema, &sigma, policy, budget).map_err(core_fail)?;
-            apply_mutations(&mut session, &schema, &o)?;
             let image = session.freeze();
             let bytes = nfd_snap::encode(&image);
             nfd_snap::write_atomic(std::path::Path::new(out_path), &bytes)

@@ -8,7 +8,7 @@
 //!
 //! * **Tenants are shared sessions, not threads.** A tenant's current
 //!   epoch is an `Arc<Session<'static>>` over a schema the session owns
-//!   ([`Session::owned`]). A read clones that `Arc` under the registry
+//!   ([`Session::open`]). A read clones that `Arc` under the registry
 //!   lock and is answered on the connection thread that received it, so
 //!   reads on one hot tenant run in parallel, as many at once as the
 //!   server's admission gate admits. `LOAD` and `RESTORE` compile or
@@ -64,7 +64,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use nfd_core::{
-    ClosureCache, CoreError, DeltaReport, EmptySetPolicy, Nfd, DEFAULT_CLOSURE_CACHE_CAPACITY,
+    ClosureCache, CoreError, DeltaReport, EmptySetPolicy, Nfd, SchemaRef,
+    DEFAULT_CLOSURE_CACHE_CAPACITY,
 };
 use nfd_faults::fail_point;
 use nfd_govern::{Budget, Verdict};
@@ -292,8 +293,8 @@ impl Registry {
             Ok(sigma) => sigma,
             Err(e) => return Response::Err(format!("deps: {e}")),
         };
-        match Session::owned(
-            schema,
+        match Session::open(
+            SchemaRef::Shared(schema),
             &sigma,
             EmptySetPolicy::Forbidden,
             self.build_budget(),
@@ -348,10 +349,17 @@ impl Registry {
             Err(e) => return reject(format!("restore: deps: {e}")),
         };
         let image = (!salvaged.degraded).then_some(snap);
-        match Session::owned(schema, &sigma, policy, self.build_budget(), cache, image) {
-            Ok((session, thawed)) => {
+        match Session::open(
+            SchemaRef::Shared(schema),
+            &sigma,
+            policy,
+            self.build_budget(),
+            cache,
+            image,
+        ) {
+            Ok((session, rejected)) => {
                 self.adopt(name, session);
-                if thawed {
+                if image.is_some() && rejected.is_none() {
                     self.counters.restores_ok.fetch_add(1, Ordering::Relaxed);
                     Response::Ok(format!("restored deps={} (thawed)", sigma.len()))
                 } else {

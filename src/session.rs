@@ -43,7 +43,6 @@ use nfd_core::{
     Nfd, QueryTrace, SatisfyReport, SchemaRef, Tier, TierPreference,
     DEFAULT_CLOSURE_CACHE_CAPACITY,
 };
-use nfd_faults::fail_point;
 use nfd_govern::{Budget, Verdict};
 use nfd_logic::{eval_budgeted, translate_nfd, EvalError};
 use nfd_model::{Instance, Label, Schema};
@@ -367,7 +366,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// ```
 pub struct Session<'s> {
     /// The resident engine, which also holds the schema (borrowed for
-    /// `'s`, or shared-owned by a [`Session::owned`] session).
+    /// `'s`, or shared-owned, see [`Session::open`]).
     engine: Engine<'s>,
     /// Shared closure cache, consulted by the session engine. Scoped to
     /// one `(Σ, policy)` compilation — [`Session::reconfigure`] makes a
@@ -389,16 +388,18 @@ type KeysMemoEntry = ((Label, usize), Vec<Vec<Path>>);
 /// full key list for one size cap, so a handful suffices).
 const KEYS_MEMO_CAPACITY: usize = 16;
 
-impl Session<'static> {
-    /// A session that owns its schema through an `Arc`, so it is
-    /// `'static` and can be kept behind an `Arc` and read from any
-    /// thread — the form `nfdtool serve` keeps resident — with no leaked
-    /// schema and no self-reference.
+impl<'s> Session<'s> {
+    /// Opens a session: the one entry that both `nfdtool` and the
+    /// `serve` registry take. A [`SchemaRef::Shared`] schema makes the
+    /// session `'static`, the form `nfdtool serve` keeps resident behind
+    /// an `Arc`; a [`SchemaRef::Borrowed`] one ties it to the caller.
     ///
     /// With `snapshot` it thaws under exactly the validation of
-    /// [`Session::thaw`], compiling `sigma` fresh if the thaw is
-    /// rejected; without one it compiles as [`Session::with_budget`]
-    /// does. The flag is true when the session came from the snapshot.
+    /// [`Session::thaw`], and compiles `sigma` fresh if the thaw is
+    /// rejected, returning the rejection as the second value; without
+    /// one it compiles as [`Session::with_budget`] does. Thawed and
+    /// compiled sessions are bit-identical, so the image changes only
+    /// what opening costs, never an answer.
     ///
     /// `cache` may be shared with other sessions compiled from the same
     /// `(schema, Σ, policy)` under the same build budget: engine builds
@@ -408,35 +409,34 @@ impl Session<'static> {
     /// note on [`nfd_core::ClosureCache`]). A thaw imports the snapshot's
     /// validated cache entries into it, which is sound because they were
     /// computed over the same `(schema, Σ, policy)` the thaw verifies
-    /// against. A session whose Σ is mutated afterwards must not share
-    /// its cache.
-    pub fn owned(
-        schema: Arc<Schema>,
+    /// against; a rejected thaw imports nothing. A session whose Σ is
+    /// mutated afterwards must not share its cache.
+    pub fn open(
+        schema: SchemaRef<'s>,
         sigma: &[Nfd],
         policy: EmptySetPolicy,
         budget: Budget,
         cache: Arc<ClosureCache>,
         snapshot: Option<&nfd_snap::Snapshot>,
-    ) -> Result<(Session<'static>, bool), CoreError> {
-        if let Some(image) = snapshot {
-            let thawed = Session::thawed(
-                SchemaRef::Shared(Arc::clone(&schema)),
+    ) -> Result<(Session<'s>, Option<nfd_snap::SnapError>), CoreError> {
+        let rejected = match snapshot {
+            None => None,
+            Some(image) => match Session::thawed(
+                schema.clone(),
                 sigma,
                 policy.clone(),
                 budget.clone(),
                 image,
                 Arc::clone(&cache),
-            );
-            if let Ok(session) = thawed {
-                return Ok((session, true));
-            }
-        }
-        let session = Session::compiled(SchemaRef::Shared(schema), sigma, policy, budget, cache)?;
-        Ok((session, false))
+            ) {
+                Ok(session) => return Ok((session, None)),
+                Err(e) => Some(e),
+            },
+        };
+        let session = Session::compiled(schema, sigma, policy, budget, cache)?;
+        Ok((session, rejected))
     }
-}
 
-impl<'s> Session<'s> {
     /// Compiles a session under [`EmptySetPolicy::Forbidden`] (the
     /// paper's Theorem 3.1 regime).
     pub fn new(schema: &'s Schema, sigma: &[Nfd]) -> Result<Session<'s>, CoreError> {
@@ -553,10 +553,10 @@ impl<'s> Session<'s> {
     /// required to be bit-identical to the embedded matrices, the pools
     /// replay through the engine's own validated `add` path, and cache
     /// entries are range-checked before import. A rejected thaw leaves
-    /// nothing behind: callers fall back to a fresh compile
-    /// ([`Session::with_budget`]) and the degradation is an event to
-    /// report, not a failure. Thawed sessions are bit-identical to
-    /// freshly compiled ones (proved by `tests/snapshot_differential.rs`).
+    /// nothing behind: [`Session::open`] falls back to a fresh compile
+    /// and hands the rejection back as an event to report, not a
+    /// failure. Thawed sessions are bit-identical to freshly compiled
+    /// ones (proved by `tests/snapshot_differential.rs`).
     ///
     /// The [`TierPreference`] is ignored; the parameter stays only for the
     /// benchmark, which still passes it.
@@ -690,7 +690,7 @@ impl<'s> Session<'s> {
     }
 
     /// The session's closure cache handle — lets an embedder observe the
-    /// cache a [`Session::owned`] pool shares, or hand it to the next
+    /// cache a [`Session::open`] pool shares, or hand it to the next
     /// compatible session.
     pub fn closure_cache(&self) -> &Arc<ClosureCache> {
         &self.cache
@@ -767,14 +767,6 @@ impl<'s> Session<'s> {
     /// [`Session::implies_with`] for one already validated goal.
     fn decide(&self, goal: &Nfd, budget: &Budget) -> Result<Decision, CoreError> {
         let (verdict, trace) = contained("saturation", || {
-            fail_point!(
-                "session::cascade_saturation",
-                Ok((
-                    Verdict::Exhausted(nfd_govern::ResourceReport::injected()),
-                    None
-                )),
-                budget.cancel_token()
-            );
             match self.engine.implies_queried(goal, budget) {
                 Ok((b, trace)) => Ok((Verdict::from_bool(b), Some(trace))),
                 Err(CoreError::Exhausted(r)) => Ok((Verdict::Exhausted(r), None)),

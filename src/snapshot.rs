@@ -14,7 +14,7 @@
 //!    bit-identical to the embedded matrices — any skew (a schema edit,
 //!    an interning change) is a typed [`SnapError::Mismatch`];
 //! 3. the pools replay through the engine's own `add` path
-//!    ([`nfd_core::engine::Engine::from_frozen`]), which re-derives
+//!    ([`nfd_core::engine::Engine::replay`]), which re-derives
 //!    subsumption flags and policy gates and rejects any entry the
 //!    original build would have rejected;
 //! 4. cache entries are range-checked against the tables before import.
@@ -231,7 +231,7 @@ fn label_index(schema: &Schema) -> HashMap<String, Label> {
 
 /// Converts the snapshot's pools back to the engine's frozen form,
 /// resolving relation names and rebuilding the LHS bitsets. Id-range and
-/// width validation happens inside `Engine::from_frozen`; this layer
+/// width validation happens inside `Engine::replay`; this layer
 /// rejects unknown relations.
 pub(crate) fn frozen_pools(
     snapshot: &Snapshot,

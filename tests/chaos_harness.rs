@@ -90,7 +90,7 @@ fn assert_contracted_error(site: &str, action: FaultAction, e: &CoreError) {
 
 /// Sites the standard workload must reach; a site disappearing from this
 /// census means a refactor silently dropped its chaos coverage.
-const EXPECTED_SITES: [&str; 21] = [
+const EXPECTED_SITES: [&str; 20] = [
     "chase::build",
     "chase::scan",
     "chase::step",
@@ -107,7 +107,6 @@ const EXPECTED_SITES: [&str; 21] = [
     "model::parse_depth",
     "par::reassemble",
     "par::worker",
-    "session::cascade_saturation",
     "snap::read",
     "snap::rename",
     "snap::verify",
@@ -183,13 +182,13 @@ fn census_reaches_every_layer() {
 // ---------------------------------------------------------------------
 
 /// Query-phase sites: a query is one saturation attempt over the
-/// resident pools, so these two are every site it passes. The build
+/// resident pools, so this is every site it passes. The build
 /// sites are absent: queries never build an engine
 /// (`queries_never_rebuild_the_engine`), so
 /// `build_sites_fail_closed_and_disarm_cleanly` covers them. The chase
 /// sites are absent too: no query runs the chase, and the census reaches
 /// them through its direct `all_deciders()` calls.
-const QUERY_SITES: [&str; 2] = ["engine::implies", "session::cascade_saturation"];
+const QUERY_SITES: [&str; 1] = ["engine::implies"];
 
 const ACTIONS: [FaultAction; 4] = [
     FaultAction::ReturnExhausted,
@@ -310,11 +309,7 @@ fn batch_sites_degrade_gracefully() {
         .implies_batch(&goals, &Budget::standard(), 4)
         .unwrap();
 
-    let batch_sites = [
-        "par::worker",
-        "par::reassemble",
-        "session::cascade_saturation",
-    ];
+    let batch_sites = ["par::worker", "par::reassemble", "engine::implies"];
     for site in batch_sites {
         for action in ACTIONS {
             faults::reset();
@@ -374,11 +369,7 @@ fn a_one_shot_fault_costs_only_its_own_batch_goal() {
 
     for threads in [1usize, 2, 8] {
         faults::reset();
-        faults::configure_limited(
-            "session::cascade_saturation",
-            1,
-            FaultAction::ReturnExhausted,
-        );
+        faults::configure_limited("engine::implies", 1, FaultAction::ReturnExhausted);
         let batch = session
             .implies_batch(&goals, &Budget::standard(), threads)
             .unwrap();
@@ -502,9 +493,9 @@ fn cancellation_is_never_retried() {
     let goals = parse_goals(&schema);
     let session = Session::new(&schema, &sigma).unwrap();
 
-    // `Cancel` at the session's query site cancels the query budget's
-    // token; the query honours it and stops after its one attempt.
-    faults::configure("session::cascade_saturation", FaultAction::Cancel);
+    // `Cancel` at the query site cancels the query budget's token; the
+    // query honours it and stops after its one attempt.
+    faults::configure("engine::implies", FaultAction::Cancel);
     let d = session
         .implies_with(&goals[0], &Budget::standard())
         .unwrap();
@@ -591,7 +582,6 @@ fn cli_exit_codes_keep_their_contract_under_faults() {
         "engine::build",
         "engine::saturate",
         "engine::implies",
-        "session::cascade_saturation",
         "par::worker",
     ];
     for site in sites {
@@ -622,11 +612,7 @@ fn cli_exit_codes_keep_their_contract_under_faults() {
     // A one-shot injected exhaustion is terminal (exit 3): a command runs
     // once, and the fault is reported as the one `exhausted:` line a
     // compile exhaustion prints.
-    faults::configure_limited(
-        "session::cascade_saturation",
-        1,
-        FaultAction::ReturnExhausted,
-    );
+    faults::configure_limited("engine::implies", 1, FaultAction::ReturnExhausted);
     let mut out = String::new();
     let code = nfd::cli::run(&single, &mut out);
     faults::reset();
@@ -683,6 +669,23 @@ fn nfd_failpoints_env_var_arms_the_binary() {
         String::from_utf8_lossy(&partial.stderr)
     );
     assert_eq!(run(Some("garbage;;also=nonsense")).status.code(), Some(0));
+    // A spec naming a site no `fail_point!` declares takes the same
+    // path: a misspelt site would otherwise run the plan without its
+    // fault, silently.
+    let misspelt = run(Some(
+        "engine::build=return-exhausted;engine::implys=return-exhausted",
+    ));
+    assert_eq!(
+        misspelt.status.code(),
+        Some(0),
+        "an unknown site arms nothing"
+    );
+    assert!(
+        String::from_utf8_lossy(&misspelt.stderr)
+            .contains("unknown failpoint site `engine::implys`"),
+        "the no-op is logged: {}",
+        String::from_utf8_lossy(&misspelt.stderr)
+    );
     // Trailing separators are not malformed.
     assert_eq!(
         run(Some("engine::build=return-exhausted;")).status.code(),
@@ -901,10 +904,6 @@ fn cli_warm_start_degrades_gracefully_under_snap_faults() {
         deps.to_str().unwrap(),
         "--snapshot",
         snap_path.to_str().unwrap(),
-        // The fixture image is tiny; disable the size floor so the
-        // faulted *thaw* path is what this test drives.
-        "--thaw-min-bytes",
-        "0",
         "Course:[cnum -> time]",
     ]);
     let mut out = String::new();

@@ -243,7 +243,7 @@ fn already_cancelled_budget_refuses_all_work_consistently() {
 }
 
 /// Graceful degradation: one goal's read panicking mid-`implies_batch`
-/// (injected through the `session::cascade_saturation` failpoint) must be
+/// (injected through the `engine::implies` failpoint) must be
 /// contained to its own goal — surfaced as `Err(Internal)` in that slot —
 /// while every sibling still matches the fault-free reference, and the
 /// same `Session` serves the next batch as if nothing happened.
@@ -277,7 +277,7 @@ fn one_panicking_worker_degrades_only_its_own_goal() {
 
     // Exactly one firing: whichever goal's read reaches the site first
     // panics; its siblings must not notice.
-    faults::configure_limited("session::cascade_saturation", 1, faults::FaultAction::Panic);
+    faults::configure_limited("engine::implies", 1, faults::FaultAction::Panic);
     let degraded = session.implies_batch(&goals, &budget, 4).unwrap();
     faults::reset();
 

@@ -101,3 +101,20 @@ fn pool_size_reports_and_is_stable_across_queries() {
     }
     assert_eq!(engine.pool_size(), before);
 }
+
+/// A fork's cancellation stays on the fork: it gets a token of its own,
+/// so the engine it was forked from keeps answering.
+#[test]
+fn cancelling_a_fork_leaves_its_parent_live() {
+    let schema = Schema::parse("R : {<A: int, B: int, C: int>};").unwrap();
+    let sigma = parse_set(&schema, "R:[A -> B]; R:[B -> C];").unwrap();
+    let engine = Engine::new(&schema, &sigma).unwrap();
+    let fork = engine.fork();
+    fork.budget().cancel_token().cancel();
+    let goal = Nfd::parse(&schema, "R:[A -> C]").unwrap();
+    match fork.implies(&goal) {
+        Err(CoreError::Exhausted(r)) => assert_eq!(r.kind, ResourceKind::Cancelled),
+        other => panic!("a cancelled fork answered {other:?}"),
+    }
+    assert!(engine.implies(&goal).unwrap());
+}

@@ -537,3 +537,39 @@ fn shared_cache_fault_contains_the_load() {
     assert_eq!(stats.contained_panics, 1, "exactly the injected panic");
     faults::reset();
 }
+
+/// A write that is cancelled on its fork leaves the serving epoch live.
+/// `Cancel` at a delta site cancels the token of the budget the write
+/// runs under; the fork owns that token, so the epoch readers still hold
+/// keeps answering, and the next write forks a live epoch again. Run for
+/// the insert (`ADDDEP`) and the retraction (`DROPDEP`) path.
+#[test]
+fn cancelled_write_leaves_the_serving_epoch_live() {
+    let _guard = serial();
+    faults::reset();
+    let (addr, server) = start(RegistryConfig::default(), quick_cfg());
+    let mut c = Client::connect(addr);
+    assert_eq!(
+        c.ask("LOAD t R : {<A: int, B: int, C: int>}; | R:[A -> B]; R:[B -> C];"),
+        "OK loaded deps=2"
+    );
+    for (site, write) in [
+        ("delta::insert", "ADDDEP t R:[C -> A]"),
+        ("delta::retract", "DROPDEP t R:[B -> C]"),
+    ] {
+        faults::configure_limited(site, 1, FaultAction::Cancel);
+        assert_eq!(c.ask(write), "EXHAUSTED cancelled by caller", "{site}");
+        faults::reset();
+        assert_eq!(c.ask("CLOSURE t R A"), "OK R:A R:B R:C", "{site}");
+        assert_eq!(c.ask("IMPLIES t R:[A -> C]"), "OK implied", "{site}");
+    }
+    // Disarmed, both writes land on the live epoch.
+    assert!(c.ask("ADDDEP t R:[C -> A]").starts_with("OK added"));
+    assert_eq!(c.ask("CLOSURE t R C"), "OK R:A R:B R:C");
+    assert!(c.ask("DROPDEP t R:[B -> C]").starts_with("OK dropped"));
+    assert_eq!(c.ask("CLOSURE t R A"), "OK R:A R:B");
+
+    assert_eq!(c.ask("SHUTDOWN"), "OK draining");
+    server.join().expect("server");
+    faults::reset();
+}

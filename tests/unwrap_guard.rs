@@ -124,6 +124,66 @@ fn guard_actually_detects_sites() {
     assert!(clean.is_empty(), "{clean:?}");
 }
 
+/// Every `.rs` file under `dir`, recursively.
+fn rust_sources(dir: &Path, files: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rust_sources(&path, files);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            files.push(path);
+        }
+    }
+}
+
+/// The site names of the `fail_point!("…"` calls in `code`, comment
+/// lines skipped. A call whose first argument is not a string literal
+/// cannot be checked against the catalog, so it fails the scan.
+fn fail_point_literals(file: &Path, code: &str) -> Vec<String> {
+    let code: String = code
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("//"))
+        .collect::<Vec<_>>()
+        .join("\n");
+    code.split("fail_point!(")
+        .skip(1)
+        .map(|rest| {
+            let literal = rest.trim_start().strip_prefix('"').unwrap_or_else(|| {
+                panic!(
+                    "{}: a fail_point! site name is not a literal",
+                    file.display()
+                )
+            });
+            literal[..literal.find('"').unwrap()].to_string()
+        })
+        .collect()
+}
+
+/// `nfd_faults::SITES`, which the `NFD_FAILPOINTS` reader arms from, is
+/// exactly the set of sites the non-test sources under `src/` and
+/// `crates/` declare: a deleted site leaves no arming name behind, and a
+/// new one cannot be missing from the catalog.
+#[test]
+fn failpoint_catalog_matches_the_sources() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_sources(&root.join("src"), &mut files);
+    rust_sources(&root.join("crates"), &mut files);
+    let mut declared = std::collections::BTreeSet::new();
+    for file in files {
+        let code = std::fs::read_to_string(&file).unwrap();
+        if code.contains("fail_point!(") {
+            declared.extend(fail_point_literals(&file, non_test_prefix(&code)));
+        }
+    }
+    let catalog: std::collections::BTreeSet<String> =
+        nfd::faults::SITES.iter().map(|s| s.to_string()).collect();
+    assert_eq!(
+        declared, catalog,
+        "nfd_faults::SITES drifted from the sources"
+    );
+}
+
 /// The `failpoints` feature must never be on by default: release builds
 /// carry no registry and no injected-fault code paths. This greps every
 /// workspace manifest for a `default = […]` feature list naming it, and
