@@ -1,42 +1,66 @@
-//! Bench `parallel_scaling` (EXPERIMENTS.md §B12): throughput of
-//! `Session::implies_batch` at 1/2/4/8 worker threads on the B10
-//! workload (the flat transitive chain with every single-attribute
-//! implication question as the goal batch). Each row compares a thread
-//! count against one thread.
+//! Bench `parallel_scaling` (EXPERIMENTS.md §B12): the candidate-key
+//! search, the worker pool's one query-side caller, at 2/4/8 threads
+//! against one. Each row compares a thread count against one thread on
+//! one shape: the paper's Course schema, a flat chain, and the wide-Σ
+//! family of B14.
 //!
-//! The batch contract is results bit-identical to a sequential
-//! `implies_with` loop at every thread count, so before timing anything
-//! this harness asserts exactly that — a benchmark of a pool that
-//! answers differently would be meaningless. Speedup is bounded by the
-//! cores the machine exposes (the record's `host_parallelism`); on a
-//! single-core box all thread counts degenerate to sequential execution
-//! and the interesting number is the pool overhead.
+//! The search splits each size level into one task per leading
+//! attribute, thousands of closures each on the wide shapes, so its
+//! tasks are coarse enough for a pool to pay off there, where a batch's
+//! goals, one closure each, are not (DESIGN.md §7). Keys are identical
+//! at every thread count, so before timing anything this harness asserts
+//! exactly that. Speedup is bounded by the cores the machine exposes
+//! (the record's `host_parallelism`); on a single-core box every thread
+//! count degenerates to the sequential sweep and the rows measure the
+//! pool's overhead.
 
 use nfd::prelude::*;
-use nfd::session::Decision;
 use nfd_bench::*;
+use nfd_core::analysis::candidate_keys_threaded;
 use std::hint::black_box;
+
+/// Largest key the search looks for, as `nfdtool keys` does.
+const MAX_KEY_SIZE: usize = 4;
 
 fn main() {
     let mut bench = Bench::new("B12", "parallel_scaling", 10);
-    for n in [16usize, 24] {
-        let schema = flat_schema(n);
-        let sigma = flat_chain_sigma(&schema, n);
-        let goals = all_pairs_goals(&schema, n);
-        let session = Session::new(&schema, &sigma).unwrap();
-        let budget = Budget::standard();
+    let shapes: Vec<(&'static str, usize, Schema, Vec<Nfd>)> = {
+        let (course_schema, course_sigma) = course();
+        let mut shapes = vec![("keys_course", 4, course_schema, course_sigma)];
+        let sizes: &[(&'static str, usize, usize)] = bench.sizes(
+            &[("keys_wide_n32", 16, 32)],
+            &[
+                ("keys_flat_chain", 24, 0),
+                ("keys_wide_n32", 16, 32),
+                ("keys_wide_n64", 20, 64),
+                ("keys_wide_n64", 24, 64),
+                ("keys_wide_n128", 24, 128),
+            ],
+        );
+        for &(workload, attrs, n) in sizes {
+            let schema = flat_schema(attrs);
+            let sigma = if n == 0 {
+                flat_chain_sigma(&schema, attrs)
+            } else {
+                wide_sigma(&schema, attrs, n)
+            };
+            shapes.push((workload, attrs, schema, sigma));
+        }
+        shapes
+    };
 
-        // The contract the numbers rest on: every thread count reproduces
-        // the sequential loop exactly.
-        let sequential: Vec<Result<Decision, CoreError>> = goals
-            .iter()
-            .map(|g| Ok(session.implies_with(g, &budget).unwrap()))
-            .collect();
-        for threads in [1usize, 2, 4, 8] {
-            let batch = session.implies_batch(&goals, &budget, threads).unwrap();
+    for (workload, attrs, schema, sigma) in &shapes {
+        let engine = Engine::new(schema, sigma).unwrap();
+        let relation = schema.relation_names().next().unwrap();
+
+        // The contract the numbers rest on: every thread count finds the
+        // sequential sweep's keys.
+        let sequential = candidate_keys_threaded(&engine, relation, MAX_KEY_SIZE, 1).unwrap();
+        for threads in [2usize, 4, 8] {
+            let keys = candidate_keys_threaded(&engine, relation, MAX_KEY_SIZE, threads).unwrap();
             assert_eq!(
-                batch.decisions, sequential,
-                "threads = {threads}: batch deviates from the sequential loop"
+                keys, sequential,
+                "{workload}/{attrs}, threads = {threads}: keys deviate from the sequential sweep"
             );
         }
 
@@ -49,16 +73,15 @@ fn main() {
         .into_iter()
         .map(|(threads, name)| {
             let ns = bench.time(|| {
-                session
-                    .implies_batch(black_box(&goals), &budget, threads)
+                candidate_keys_threaded(black_box(&engine), relation, MAX_KEY_SIZE, threads)
                     .unwrap()
-                    .implied_count()
+                    .len()
             });
             (name, ns)
         })
         .collect();
         for &threads in &times[1..] {
-            bench.pair("batch_threads", n, times[0], threads);
+            bench.pair(workload, *attrs, times[0], threads);
         }
     }
     bench.finish();

@@ -1,6 +1,6 @@
 //! # nfd-bench — the bench harness and its workload generators
 //!
-//! The benches under `benches/` (B1–B14, B16–B18) regenerate the
+//! The benches under `benches/` (B1–B14, B16, B17) regenerate the
 //! performance characterization recorded in `EXPERIMENTS.md` Part B (the
 //! paper itself is theory-only, so its "evaluation" artifacts are
 //! reproduced exactly in the test suite; the benches characterize the
@@ -115,7 +115,7 @@ pub fn ladder_goal(schema: &Schema, depth: usize) -> Nfd {
 /// The wide-Σ family over [`flat_schema`]`(attrs)`: `n` deterministic
 /// two-LHS dependencies whose paths overlap heavily, so almost every
 /// pool entry shares paths with many others — the shape where all-pairs
-/// naive saturation degrades quadratically (B14, B17, B18).
+/// naive saturation degrades quadratically (B12, B14, B17).
 pub fn wide_sigma(schema: &Schema, attrs: usize, n: usize) -> Vec<Nfd> {
     // Deterministic splitmix-style attribute picks: a polynomial in `i`
     // mod `attrs` would repeat with period `attrs` and collapse under

@@ -53,7 +53,8 @@ pub fn is_redundant(schema: &Schema, sigma: &[Nfd], index: usize) -> Result<bool
     Engine::new(schema, &rest)?.implies(&sigma[index])
 }
 
-/// A minimal cover of Σ: equivalent to the input, with
+/// A minimal cover of the Σ `engine` was compiled from: equivalent to
+/// it, with
 ///
 /// 1. no extraneous LHS paths (no LHS path of any member can be dropped
 ///    without weakening it), and
@@ -61,50 +62,54 @@ pub fn is_redundant(schema: &Schema, sigma: &[Nfd], index: usize) -> Result<bool
 ///
 /// Like its classical counterpart the result depends on examination order;
 /// it is deterministic for a given input.
-pub fn minimize(schema: &Schema, sigma: &[Nfd]) -> Result<Vec<Nfd>, CoreError> {
-    let mut fds: Vec<Nfd> = sigma.to_vec();
+///
+/// Every trial Σ is compiled over `engine`'s schema, tables and policy
+/// under `engine`'s budget, so the caller's deadline or cancellation
+/// stops the search as [`CoreError::Exhausted`].
+pub fn minimize(engine: &Engine<'_>) -> Result<Vec<Nfd>, CoreError> {
+    let trial = |fds: &[Nfd]| {
+        Engine::compile(
+            engine.schema_ref().clone(),
+            engine.tables().clone(),
+            fds,
+            engine.policy().clone(),
+            engine.budget().clone(),
+        )
+    };
+    let mut fds: Vec<Nfd> = engine.sigma.clone();
     fds.sort();
     fds.dedup();
 
-    // 1. Trim extraneous LHS paths, one at a time.
-    let mut i = 0;
-    while i < fds.len() {
-        let mut changed = true;
-        while changed {
-            changed = false;
+    // 1. Trim extraneous LHS paths, one at a time. Every candidate of a
+    //    pass asks whether the CURRENT set implies it, so a pass compiles
+    //    that set once.
+    for i in 0..fds.len() {
+        'pass: while !fds[i].lhs().is_empty() {
             let lhs: Vec<Path> = fds[i].lhs().to_vec();
+            let current = trial(&fds)?;
             for drop in &lhs {
-                if fds[i].lhs().len() <= 1 && fds[i].lhs().contains(drop) && fds[i].lhs().len() == 1
-                {
-                    // Allow trimming down to the constant form only if it
-                    // still follows; handled by the same check below.
-                }
                 let reduced = Nfd::new(
                     fds[i].base.clone(),
                     lhs.iter().filter(|p| *p != drop).cloned(),
                     fds[i].rhs.clone(),
                 )?;
-                if reduced == fds[i] {
-                    continue;
-                }
-                // The reduced NFD must follow from the CURRENT set.
-                let engine = Engine::new(schema, &fds)?;
-                if engine.implies(&reduced)? {
+                if reduced != fds[i] && current.implies(&reduced)? {
                     fds[i] = reduced;
-                    changed = true;
-                    break;
+                    continue 'pass;
                 }
             }
+            break;
         }
-        i += 1;
     }
     fds.sort();
     fds.dedup();
 
-    // 2. Drop redundant members.
+    // 2. Drop redundant members: those the rest implies.
     let mut i = 0;
     while i < fds.len() {
-        if is_redundant(schema, &fds, i)? {
+        let mut rest = fds.clone();
+        let member = rest.remove(i);
+        if trial(&rest)?.implies(&member)? {
             fds.remove(i);
         } else {
             i += 1;
@@ -408,7 +413,7 @@ mod tests {
     fn minimize_removes_implied_members() {
         let schema = Schema::parse("R : {<A: int, B: int, C: int>};").unwrap();
         let sigma = parse_set(&schema, "R:[A -> B]; R:[B -> C]; R:[A -> C];").unwrap();
-        let min = minimize(&schema, &sigma).unwrap();
+        let min = minimize(&Engine::new(&schema, &sigma).unwrap()).unwrap();
         assert_eq!(min.len(), 2);
         assert!(equivalent(&schema, &min, &sigma).unwrap());
     }
@@ -418,7 +423,7 @@ mod tests {
         let schema = Schema::parse("R : {<A: int, B: int, C: int>};").unwrap();
         // A,B → C with A → B: B is extraneous.
         let sigma = parse_set(&schema, "R:[A, B -> C]; R:[A -> B];").unwrap();
-        let min = minimize(&schema, &sigma).unwrap();
+        let min = minimize(&Engine::new(&schema, &sigma).unwrap()).unwrap();
         assert!(min.contains(&Nfd::parse(&schema, "R:[A -> C]").unwrap()));
         assert!(equivalent(&schema, &min, &sigma).unwrap());
     }
@@ -426,10 +431,23 @@ mod tests {
     #[test]
     fn minimize_is_idempotent_on_course() {
         let (schema, sigma) = course();
-        let min = minimize(&schema, &sigma).unwrap();
+        let min = minimize(&Engine::new(&schema, &sigma).unwrap()).unwrap();
         assert!(equivalent(&schema, &min, &sigma).unwrap());
-        let again = minimize(&schema, &min).unwrap();
+        let again = minimize(&Engine::new(&schema, &min).unwrap()).unwrap();
         assert_eq!(min, again);
+    }
+
+    #[test]
+    fn minimize_runs_under_the_engine_budget() {
+        let (schema, sigma) = course();
+        let engine = Engine::new(&schema, &sigma).unwrap();
+        engine.budget().cancel_token().cancel();
+        match minimize(&engine) {
+            Err(CoreError::Exhausted(r)) => {
+                assert_eq!(r.kind, nfd_govern::ResourceKind::Cancelled)
+            }
+            other => panic!("a cancelled budget must stop the cover search, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! A zero-dependency scoped worker pool for batch decision procedures.
 //!
-//! The decision procedures of this workspace are CPU-bound and goal-wise
-//! independent: a batch implication query, a candidate-key level sweep, or
-//! an exhaustive differential census shards perfectly across cores. The
+//! Some decision procedures of this workspace are CPU-bound and split into
+//! independent tasks coarse enough to pay for a thread: a candidate-key
+//! level sweep, or an exhaustive differential census. (A batch of
+//! implication goals is not: each goal is one closure, so a batch runs on
+//! its caller's thread.) The
 //! registry being unreachable (no `rayon`), this crate provides the small
 //! parallel vocabulary the workspace needs on plain `std::thread::scope`:
 //!
@@ -19,8 +21,8 @@
 //! the calling thread via [`std::panic::resume_unwind`] — the pool adds
 //! no panicking sites of its own (see `tests/unwrap_guard.rs`). The pool
 //! has no stop signal of its own: every item runs, and a caller whose
-//! items can be stopped (a budgeted batch read) stops each one through
-//! that item's own budget.
+//! items can be stopped (the budgeted key search) stops each one through
+//! the budget the items share.
 
 #![warn(missing_docs)]
 

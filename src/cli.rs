@@ -109,15 +109,15 @@ pub fn run(args: &[String], out: &mut String) -> i32 {
 const USAGE: &str = "usage:
   nfdtool check    --schema FILE --deps FILE --instance FILE
   nfdtool implies  --schema FILE --deps FILE [SESSION FLAGS] NFD
-  nfdtool implies  --schema FILE --deps FILE [SESSION FLAGS] [--threads N] --goals FILE
+  nfdtool implies  --schema FILE --deps FILE [SESSION FLAGS] --goals FILE
   nfdtool prove    --schema FILE --deps FILE [SESSION FLAGS] NFD
   nfdtool closure  --schema FILE --deps FILE [SESSION FLAGS] --base PATH [--lhs P1,P2,…]
   nfdtool witness  --schema FILE --deps FILE [SESSION FLAGS] --base PATH [--lhs P1,P2,…]
-  nfdtool keys     --schema FILE --deps FILE [SESSION FLAGS] [--threads N] --relation NAME
+  nfdtool keys     --schema FILE --deps FILE [SESSION FLAGS] --relation NAME
   nfdtool analyze  --schema FILE --deps FILE [SESSION FLAGS]
   nfdtool render   --schema FILE --instance FILE
   nfdtool snapshot --schema FILE --deps FILE [SESSION FLAGS] --out FILE
-  nfdtool serve    --addr HOST:PORT [--max-resident N] [--max-inflight N] [--queue N] [--quota N] [--budget N] [--timeout-ms T] [--workers N]
+  nfdtool serve    --addr HOST:PORT [--max-resident N] [--max-inflight N] [--queue N] [--quota N] [--budget N] [--timeout-ms T]
 
   SESSION FLAGS, taken by every subcommand that compiles the --deps file:
      [--policy P] [--budget N] [--timeout-ms T] [--snapshot FILE]
@@ -126,7 +126,9 @@ const USAGE: &str = "usage:
   construction and the minimal cover assume no empty sets.
 
   --goals FILE decides every NFD of the (semicolon-separated) file against
-  one compiled session; exit 0 iff all goals are implied.
+  one compiled session, one goal after another; exit 0 iff all goals are
+  implied. keys spreads its candidate search over all available cores,
+  with the same keys as one thread.
 
   --policy P controls empty-set reasoning (Section 3.2 of the paper):
      strict            no instance contains an empty set (default; Theorem 3.1)
@@ -146,10 +148,6 @@ const USAGE: &str = "usage:
   and --timeout-ms the longest compile or query you will wait for; on
   exit 3, run again with a larger value: the compile is deterministic,
   so a budget that fits derives the same pools and verdict every time.
-
-  --threads N shards batch implication (--goals) and the candidate-key
-  search across N worker threads sharing one budget; 0 or omitted uses all
-  available parallelism. Results are identical at every thread count.
 
   --add-dep / --drop-dep mutate the dependency set after the session
   compiles (every --add-dep in flag order, then every --drop-dep; a
@@ -187,9 +185,9 @@ const USAGE: &str = "usage:
   fork the tenant's compiled session, change the fork and swap it in,
   never blocking readers. Every read answers from the resident compiled
   session, which no query re-saturates, and polls only the deadline,
-  so a metered tenant gets the answers an unmetered one does.
-  --workers N sets only how many threads each BATCH runs on (0 or
-  omitted: all available cores). Exits 0 on a clean SHUTDOWN drain.
+  so a metered tenant gets the answers an unmetered one does. A request
+  runs on its connection's thread, BATCH too, one goal after another.
+  Exits 0 on a clean SHUTDOWN drain.
 
   exit codes: 0 holds/implied · 1 fails/not implied · 2 usage or input
   error · 3 budget or deadline exhausted · 101 contained internal panic";
@@ -205,7 +203,6 @@ struct Opts {
     goals: Option<String>,
     budget: Option<String>,
     timeout_ms: Option<String>,
-    threads: Option<String>,
     addr: Option<String>,
     max_resident: Option<String>,
     max_inflight: Option<String>,
@@ -220,8 +217,6 @@ struct Opts {
     /// `--snapshot FILE`: warm-start the session from a frozen image,
     /// falling back to a fresh compile when the image is rejected.
     snapshot: Option<String>,
-    /// `--workers N`: `serve`'s `BATCH` thread count.
-    workers: Option<String>,
     /// `--out FILE`: where the `snapshot` subcommand writes its image.
     out: Option<String>,
     positional: Vec<String>,
@@ -239,7 +234,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         goals: None,
         budget: None,
         timeout_ms: None,
-        threads: None,
         addr: None,
         max_resident: None,
         max_inflight: None,
@@ -248,7 +242,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         add_dep: Vec::new(),
         drop_dep: Vec::new(),
         snapshot: None,
-        workers: None,
         out: None,
         positional: Vec::new(),
     };
@@ -271,7 +264,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--goals" => o.goals = Some(take(&mut i)?),
             "--budget" => o.budget = Some(take(&mut i)?),
             "--timeout-ms" => o.timeout_ms = Some(take(&mut i)?),
-            "--threads" => o.threads = Some(take(&mut i)?),
             "--addr" => o.addr = Some(take(&mut i)?),
             "--max-resident" => o.max_resident = Some(take(&mut i)?),
             "--max-inflight" => o.max_inflight = Some(take(&mut i)?),
@@ -280,7 +272,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--add-dep" => o.add_dep.push(take(&mut i)?),
             "--drop-dep" => o.drop_dep.push(take(&mut i)?),
             "--snapshot" => o.snapshot = Some(take(&mut i)?),
-            "--workers" => o.workers = Some(take(&mut i)?),
             "--out" => o.out = Some(take(&mut i)?),
             flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
             other => o.positional.push(other.to_string()),
@@ -416,16 +407,6 @@ fn open_session<'s>(
     Ok(session)
 }
 
-/// Parses `--threads`: `0` (the default) means all available parallelism.
-fn parse_threads(o: &Opts) -> Result<usize, String> {
-    match o.threads.as_deref() {
-        None => Ok(0),
-        Some(text) => text
-            .parse()
-            .map_err(|_| format!("--threads must be a non-negative integer, got `{text}`")),
-    }
-}
-
 fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
     let Some(cmd) = args.first() else {
         return Err("no subcommand".into());
@@ -471,9 +452,8 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
                 if goals.is_empty() {
                     return Err(format!("goals file `{path}` contains no NFDs").into());
                 }
-                let threads = parse_threads(&o)?;
                 let batch = session
-                    .implies_batch(&goals, budget, threads)
+                    .implies_batch(&goals, budget, 1)
                     .map_err(core_fail)?;
                 for (goal, slot) in goals.iter().zip(&batch.decisions) {
                     let word = match slot {
@@ -585,9 +565,10 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
             let session = open_session(&o, &schema, out)?;
             let rel_text = o.relation.as_deref().ok_or("--relation is required")?;
             let relation = nfd_model::Label::new(rel_text);
-            let threads = parse_threads(&o)?;
+            // 0: all available cores. The search's tasks are coarse, one
+            // per leading attribute (DESIGN.md §7).
             let keys = session
-                .candidate_keys_threaded(relation, 4, threads)
+                .candidate_keys_threaded(relation, 4, 0)
                 .map_err(core_fail)?;
             for k in &keys {
                 let _ = writeln!(
@@ -620,7 +601,7 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
             for s in eod {
                 let _ = writeln!(out, "  {s}");
             }
-            let min = analysis::minimize(&schema, sigma).map_err(core_fail)?;
+            let min = analysis::minimize(engine).map_err(core_fail)?;
             let _ = writeln!(
                 out,
                 "minimal cover ({} of {} kept):",
@@ -679,9 +660,6 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
             }
             if let Some(ms) = parse_u64(o.timeout_ms.as_deref(), "--timeout-ms")? {
                 registry_cfg.request_timeout_ms = ms;
-            }
-            if let Some(n) = parse_u64(o.workers.as_deref(), "--workers")? {
-                registry_cfg.workers = n as usize;
             }
             let mut server_cfg = nfd_serve::ServerConfig::default();
             if let Some(n) = parse_u64(o.max_inflight.as_deref(), "--max-inflight")? {

@@ -13,7 +13,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`govern`] | resource budgets, cancellation tokens, three-valued verdicts |
-//! | [`par`] | zero-dependency scoped worker pool for batch workloads |
+//! | [`par`] | zero-dependency scoped worker pool behind the candidate-key search |
 //! | [`model`] | types, values, schemas, instances, parsing, rendering, generation |
 //! | [`path`] | path expressions, typing, prefix/follows, navigation |
 //! | [`logic`] | Section 2.2 translation to first-order logic + evaluator |

@@ -18,9 +18,10 @@
 //!   resident compiled engine, which is never re-saturated at query
 //!   time (DESIGN.md §6). Its budget is polled for liveness only: the
 //!   request deadline, never a counter, so a metered tenant gets the
-//!   same answers as an unmetered one, whatever the `BATCH` width.
-//!   [`RegistryConfig::workers`] sets only that width: how many threads
-//!   one `BATCH` fans out to.
+//!   same answers as an unmetered one. A request runs on one thread,
+//!   its connection's: a `BATCH` is a loop of its goals' reads
+//!   ([`Session::implies_batch`]), so the server's admission gate is the
+//!   daemon's only concurrency control.
 //! * **Fork-and-swap mutation.** Write verbs (ADDDEP/DROPDEP) never
 //!   touch the serving session: under a per-tenant write gate, the
 //!   registry forks the current epoch ([`Session::fork`]: the same
@@ -96,10 +97,9 @@ pub struct RegistryConfig {
     pub build_budget: Option<u64>,
     /// Wall-clock deadline per `IMPLIES`/`BATCH` query (ms; 0 = none).
     pub request_timeout_ms: u64,
-    /// Threads one `BATCH` fans its goals out to (`0` = all available
-    /// parallelism). It sets nothing else: every read answers from the
-    /// resident engine on its connection thread, as many at once as the
-    /// server's admission gate admits.
+    /// Ignored: a `BATCH` runs its goals one after another on its
+    /// connection thread. The field stays only because nfdbench still
+    /// sets it.
     pub workers: usize,
 }
 
@@ -165,8 +165,6 @@ struct RegistryCounters {
     thaw_fallbacks: AtomicU64,
     /// Mutations that forked and atomically installed a next epoch.
     epoch_swaps: AtomicU64,
-    /// Reads being answered right now (STATS `worker_queue_depth`).
-    reads_in_flight: AtomicU64,
 }
 
 /// The key under which tenants may share one closure cache: the literal
@@ -182,10 +180,6 @@ type CacheKey = (String, String, String);
 /// to [`nfd_serve::Server::bind`].
 pub struct Registry {
     cfg: RegistryConfig,
-    /// [`RegistryConfig::workers`] resolved once (`0` = all available
-    /// parallelism, which costs a cgroup lookup to learn): the `BATCH`
-    /// width, and nothing else.
-    workers: usize,
     tenants: Mutex<Vec<Tenant>>,
     shared_caches: Mutex<HashMap<CacheKey, Arc<ClosureCache>>>,
     counters: RegistryCounters,
@@ -195,10 +189,6 @@ impl Registry {
     /// An empty registry.
     pub fn new(cfg: RegistryConfig) -> Registry {
         Registry {
-            workers: match cfg.workers {
-                0 => nfd_par::available(),
-                n => n,
-            },
             cfg,
             tenants: Mutex::new(Vec::new()),
             shared_caches: Mutex::new(HashMap::new()),
@@ -409,21 +399,13 @@ impl Registry {
             Err(response) => return response,
         };
         let budget = self.query_budget();
-        self.counters
-            .reads_in_flight
-            .fetch_add(1, Ordering::Relaxed);
         // The inner unwind boundary: a poisoned query answers ERR and
         // the tenant keeps serving, without the server counting a panic.
-        let reply = catch_unwind(AssertUnwindSafe(|| {
-            answer(&session, query, &budget, self.workers)
-        }))
-        .unwrap_or_else(|payload| Reply {
-            response: contained_panic(payload.as_ref()),
-            cost: 1,
-        });
-        self.counters
-            .reads_in_flight
-            .fetch_sub(1, Ordering::Relaxed);
+        let reply = catch_unwind(AssertUnwindSafe(|| answer(&session, query, &budget)))
+            .unwrap_or_else(|payload| Reply {
+                response: contained_panic(payload.as_ref()),
+                cost: 1,
+            });
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
         self.charge(name, reply.cost);
         reply.response
@@ -629,7 +611,7 @@ impl Handler for Registry {
         // (nfdbench requires it); tenants have no threads that could
         // die, so it is always 0.
         format!(
-            "sessions={} resident=[{}] loads={} reloads={} evicted={} evicted_lru={} queries={} quota_denials={} worker_failures=0 snapshots_written={} restores_ok={} restores_rejected={} thaw_fallbacks={} workers={} epoch_swaps={} worker_queue_depth={} closure_hits={} closure_misses={} shared_caches={} shared_cache_hits={} shared_cache_misses={} tenant_cache=[{}]",
+            "sessions={} resident=[{}] loads={} reloads={} evicted={} evicted_lru={} queries={} quota_denials={} worker_failures=0 snapshots_written={} restores_ok={} restores_rejected={} thaw_fallbacks={} epoch_swaps={} closure_hits={} closure_misses={} shared_caches={} shared_cache_hits={} shared_cache_misses={} tenant_cache=[{}]",
             resident.len(),
             resident.join(","),
             c.loads.load(Ordering::Relaxed),
@@ -642,9 +624,7 @@ impl Handler for Registry {
             c.restores_ok.load(Ordering::Relaxed),
             c.restores_rejected.load(Ordering::Relaxed),
             c.thaw_fallbacks.load(Ordering::Relaxed),
-            self.workers,
             c.epoch_swaps.load(Ordering::Relaxed),
-            c.reads_in_flight.load(Ordering::Relaxed),
             closure.0,
             closure.1,
             pool_len,
@@ -660,9 +640,9 @@ impl Handler for Registry {
     }
 }
 
-/// Answers one read on `session`'s resident engine, with `BATCH` fanned
-/// out to `workers` threads.
-fn answer(session: &Session<'_>, query: Query, budget: &Budget, workers: usize) -> Reply {
+/// Answers one read on `session`'s resident engine, on the calling
+/// thread.
+fn answer(session: &Session<'_>, query: Query, budget: &Budget) -> Reply {
     let schema = session.schema();
     match query {
         Query::Implies { goal } => {
@@ -689,7 +669,7 @@ fn answer(session: &Session<'_>, query: Query, budget: &Budget, workers: usize) 
                     cost: 1,
                 };
             }
-            match session.implies_batch(&goals, budget, workers) {
+            match session.implies_batch(&goals, budget, 1) {
                 Ok(batch) => {
                     let statuses: Vec<&str> = batch
                         .decisions
@@ -1225,67 +1205,6 @@ mod tests {
         ));
     }
 
-    /// A 4-wide registry answers every verb — reads, mutations,
-    /// reads-after-mutation — with the verdicts of the tenant's Σ.
-    #[test]
-    fn parallel_pool_matches_the_sequential_daemon() {
-        let reg = Registry::new(RegistryConfig {
-            workers: 4,
-            ..RegistryConfig::default()
-        });
-        assert_eq!(load(&reg, "t"), Response::Ok("loaded deps=2".to_string()));
-        assert_eq!(
-            reg.handle(cmd("IMPLIES t R:[A -> C]")),
-            Response::Ok("implied".to_string())
-        );
-        assert_eq!(
-            reg.handle(cmd("IMPLIES t R:[C -> A]")),
-            Response::Ok("not-implied".to_string())
-        );
-        assert_eq!(
-            reg.handle(cmd("BATCH t R:[A -> C]; R:[C -> A];")),
-            Response::Ok("implied,not-implied".to_string())
-        );
-        let keys = reg.handle(cmd("KEYS t R"));
-        assert!(
-            matches!(&keys, Response::Ok(p) if p.contains("{A}")),
-            "{keys:?}"
-        );
-        let closure = reg.handle(cmd("CLOSURE t R A"));
-        assert!(
-            matches!(&closure, Response::Ok(p) if p.contains("R:B") && p.contains("R:C")),
-            "{closure:?}"
-        );
-        // A mutation swaps the epoch under the pool; verdicts follow.
-        let resp = reg.handle(cmd("ADDDEP t R:[C -> A]"));
-        assert!(
-            matches!(&resp, Response::Ok(msg) if msg.starts_with("added relation=R")),
-            "{resp:?}"
-        );
-        assert_eq!(
-            reg.handle(cmd("IMPLIES t R:[C -> A]")),
-            Response::Ok("implied".to_string())
-        );
-        let resp = reg.handle(cmd("DROPDEP t R:[C -> A]"));
-        assert!(
-            matches!(&resp, Response::Ok(msg) if msg.starts_with("dropped relation=R")),
-            "{resp:?}"
-        );
-        assert_eq!(
-            reg.handle(cmd("IMPLIES t R:[C -> A]")),
-            Response::Ok("not-implied".to_string())
-        );
-        assert!(matches!(
-            reg.handle(cmd("DROPDEP t R:[C -> A]")),
-            Response::Err(msg) if msg.contains("not in")
-        ));
-        assert_eq!(
-            reg.handle(cmd("BATCH t R:[A -> C]; R:[C -> A];")),
-            Response::Ok("implied,not-implied".to_string())
-        );
-        reg.on_shutdown();
-    }
-
     /// Two tenants loaded from identical sources resolve to the *same*
     /// pooled closure cache and warm each other; a mutation forks the
     /// mutated tenant onto a private cache, leaving the pool entry to
@@ -1341,15 +1260,13 @@ mod tests {
         reg.on_shutdown();
     }
 
-    /// The new observability fields ride at the end of the STATS line:
-    /// worker count, epoch swaps, queue depth, and closure-cache
-    /// hit/miss broken out per tenant and for the shared pool.
+    /// The observability fields ride at the end of the STATS line: epoch
+    /// swaps and closure-cache hit/miss broken out per tenant and for the
+    /// shared pool. A request runs on its connection's thread, so no
+    /// worker count or queue depth is reported.
     #[test]
     fn stats_line_reports_parallel_and_cache_observability() {
-        let reg = Registry::new(RegistryConfig {
-            workers: 2,
-            ..RegistryConfig::default()
-        });
+        let reg = Registry::new(RegistryConfig::default());
         assert!(load(&reg, "t").is_ok());
         // CLOSURE twice: the second is a cache hit on the shared entry.
         assert!(reg.handle(cmd("CLOSURE t R A")).is_ok());
@@ -1357,9 +1274,7 @@ mod tests {
         assert!(reg.handle(cmd("ADDDEP t R:[C -> A]")).is_ok());
         let stats = reg.stats_line();
         for field in [
-            "workers=2",
             "epoch_swaps=1",
-            "worker_queue_depth=0",
             "closure_hits=",
             "closure_misses=",
             "shared_caches=1",
@@ -1368,6 +1283,12 @@ mod tests {
             "tenant_cache=[t:",
         ] {
             assert!(stats.contains(field), "missing `{field}` in: {stats}");
+        }
+        for gone in ["workers=", "worker_queue_depth="] {
+            assert!(
+                !stats.split_whitespace().any(|f| f.starts_with(gone)),
+                "`{gone}` is no longer reported: {stats}"
+            );
         }
         // A hot goal stays on the closure cache however often it is
         // read: every IMPLIES after the first is one more hit.

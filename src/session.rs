@@ -241,9 +241,9 @@ pub struct Decision {
     pub attempts: Vec<Attempt>,
     /// How many closure-cache hits the session's shared [`ClosureCache`]
     /// served while producing this decision.
-    /// Cost metadata only: hits depend on what ran before — including
-    /// sibling goals racing in a batch — so equality ignores this field,
-    /// keeping batch results bit-identical at every thread count.
+    /// Cost metadata only: hits depend on what ran before on the shared
+    /// cache — earlier goals of the same batch, other readers of the
+    /// cache — so equality ignores this field.
     pub cache_hits: u64,
     /// `Some(Tier::Indexed)` when the saturation attempt looked a closure
     /// up, `None` when it never did (reflexivity answered, or the budget
@@ -283,7 +283,7 @@ impl Decision {
 /// of a panic inside that goal's read. A goal-local failure does **not**
 /// abort the batch or disturb its siblings; the remaining goals are
 /// still decided and the session stays usable. A batch that nothing
-/// stops is therefore identical at every thread count.
+/// stops is therefore identical to a sequential `implies_with` loop.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BatchDecision {
     /// One result per input goal, in input order.
@@ -783,41 +783,35 @@ impl<'s> Session<'s> {
         })
     }
 
-    /// Decides a whole batch of goals under one shared [`Budget`],
-    /// sharded across `threads` workers (`0` = all available
-    /// parallelism).
+    /// Decides a whole batch of goals under one shared [`Budget`]: one
+    /// [`Session::implies_with`] read per goal, in input order, on the
+    /// caller's thread.
     ///
-    /// Every goal is answered exactly as [`Session::implies_with`]
-    /// answers it, from the session's resident engine, so the batch is
-    /// its goals' reads: identical at every thread count and to a
-    /// sequential `implies_with` loop. The caller's budget is the one
-    /// stop signal. No counter is charged, so a counter cap never stops
-    /// a batch; an expired deadline or a cancelled token reaches every
-    /// goal at its first liveness poll. A goal that a deadline, a
-    /// cancellation or an injected fault stops reports `Exhausted` in
-    /// its own slot, its siblings keep their own answers, and
-    /// `first_exhausted` names the first such slot. Which goals a
-    /// deadline or an external cancellation reaches is timing-dependent,
-    /// exactly as it is for sequential queries.
+    /// The batch is its goals' reads, so it is identical to a sequential
+    /// `implies_with` loop. The caller's budget is the one stop signal.
+    /// No counter is charged, so a counter cap never stops a batch; an
+    /// expired deadline or a cancelled token reaches every goal still to
+    /// run at its first liveness poll. A goal that a deadline, a
+    /// cancellation or an injected fault stops reports `Exhausted` in its
+    /// own slot, its siblings keep their own answers, and
+    /// `first_exhausted` names the first such slot.
+    ///
+    /// `threads` is ignored. A goal is one closure, microseconds and
+    /// usually a cache hit, too fine-grained to fan out (DESIGN.md §7);
+    /// the parameter stays only because nfdbench still passes it.
     pub fn implies_batch(
         &self,
         goals: &[Nfd],
         budget: &Budget,
-        threads: usize,
+        _threads: usize,
     ) -> Result<BatchDecision, CoreError> {
-        // Validate everything up front so input errors are deterministic
-        // (always the lowest offending index) regardless of scheduling.
+        // Validate everything up front, so an input error answers before
+        // any goal is read.
         for goal in goals {
             goal.validate(self.schema())?;
         }
-        // `decide` contains a panic inside one goal's read to that goal's
-        // slot. This layer contains the pool machinery (spawn,
-        // reassembly): a panic there aborts the whole batch as one
-        // `Internal` error, after every worker has been joined.
-        let decisions = catch_unwind(AssertUnwindSafe(|| {
-            nfd_par::map_indexed(goals.len(), threads, |i| self.decide(&goals[i], budget))
-        }))
-        .map_err(|p| CoreError::Internal(format!("batch pool panicked: {}", panic_message(p))))?;
+        let decisions: Vec<Result<Decision, CoreError>> =
+            goals.iter().map(|goal| self.decide(goal, budget)).collect();
         let first_exhausted = decisions
             .iter()
             .position(|d| matches!(d, Ok(d) if d.verdict.is_exhausted()));
@@ -1018,7 +1012,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_a_sequential_loop_at_every_thread_count() {
+    fn batch_matches_a_sequential_loop() {
         let (schema, sigma_text) = course();
         let sigma = parse_set(&schema, sigma_text).unwrap();
         let s = Session::new(&schema, &sigma).unwrap();
@@ -1037,22 +1031,20 @@ mod tests {
             .iter()
             .map(|g| Ok(s.implies_with(g, &budget).unwrap()))
             .collect();
-        for threads in [1, 2, 8] {
-            let batch = s.implies_batch(&goals, &budget, threads).unwrap();
-            assert_eq!(batch.decisions, sequential, "threads = {threads}");
-            assert_eq!(batch.first_exhausted, None);
-            let implied = sequential
-                .iter()
-                .filter(|d| matches!(d, Ok(d) if d.verdict == Verdict::Implied))
-                .count();
-            assert_eq!(batch.implied_count(), implied);
-            assert_eq!(batch.failed_count(), 0);
-            assert_eq!(
-                batch.decisions[0].as_ref().unwrap().verdict,
-                Verdict::Implied
-            );
-            assert!(!batch.all_implied());
-        }
+        let batch = s.implies_batch(&goals, &budget, 1).unwrap();
+        assert_eq!(batch.decisions, sequential);
+        assert_eq!(batch.first_exhausted, None);
+        let implied = sequential
+            .iter()
+            .filter(|d| matches!(d, Ok(d) if d.verdict == Verdict::Implied))
+            .count();
+        assert_eq!(batch.implied_count(), implied);
+        assert_eq!(batch.failed_count(), 0);
+        assert_eq!(
+            batch.decisions[0].as_ref().unwrap().verdict,
+            Verdict::Implied
+        );
+        assert!(!batch.all_implied());
     }
 
     #[test]
@@ -1077,10 +1069,6 @@ mod tests {
             let truth = s.implies(goal).unwrap();
             assert_eq!(d.as_ref().unwrap().verdict.as_bool(), Some(truth), "{goal}");
         }
-        for threads in [2, 8] {
-            let batch = s.implies_batch(&goals, &budget, threads).unwrap();
-            assert_eq!(batch, reference, "threads = {threads}");
-        }
     }
 
     #[test]
@@ -1088,7 +1076,7 @@ mod tests {
         let (schema, sigma_text) = course();
         let sigma = parse_set(&schema, sigma_text).unwrap();
         let s = Session::new(&schema, &sigma).unwrap();
-        let batch = s.implies_batch(&[], &Budget::standard(), 8).unwrap();
+        let batch = s.implies_batch(&[], &Budget::standard(), 1).unwrap();
         assert!(batch.decisions.is_empty());
         assert_eq!(batch.first_exhausted, None);
         assert!(batch.all_implied());

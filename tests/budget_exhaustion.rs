@@ -330,7 +330,7 @@ fn an_expired_deadline_exhausts_every_batch_goal() {
     .collect();
 
     let starved = Budget::standard().with_timeout_ms(0);
-    let batch = session.implies_batch(&goals, &starved, 4).unwrap();
+    let batch = session.implies_batch(&goals, &starved, 1).unwrap();
     assert_eq!(
         batch.first_exhausted,
         Some(0),

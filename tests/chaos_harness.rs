@@ -118,8 +118,9 @@ fn census_reaches_every_layer() {
     let _guard = serial();
     faults::reset();
 
-    // Parse → build → query → batch → closure → direct deciders: one
-    // sweep through everything a user can drive, nothing armed.
+    // Parse → build → query → batch → key search → closure → direct
+    // deciders: one sweep through everything a user can drive, nothing
+    // armed.
     let (schema, sigma) = fixture();
     let goals = parse_goals(&schema);
     let mut session = Session::new(&schema, &sigma).unwrap();
@@ -127,9 +128,12 @@ fn census_reaches_every_layer() {
     for g in &goals {
         session.implies_with(g, &budget).unwrap();
     }
-    for threads in [1usize, 4] {
-        session.implies_batch(&goals, &budget, threads).unwrap();
-    }
+    session.implies_batch(&goals, &budget, 1).unwrap();
+    // The key search is the one caller of the worker pool, so it is how
+    // the census reaches the pool sites.
+    session
+        .candidate_keys_threaded(Label::new("Course"), 4, 4)
+        .unwrap();
     session
         .closure(
             &RootedPath::parse("Course").unwrap(),
@@ -297,6 +301,11 @@ fn closure_contains_faults_and_recovers_on_a_fresh_session() {
     }
 }
 
+/// The batch's one site, `engine::implies`, under every action: each
+/// slot answers right or reports a contracted error, and disarmed, the
+/// same batch reproduces the reference. The pool sites sit under the
+/// key search, the pool's one caller: a fault there yields the same keys
+/// or a contracted error, never a wrong key or an escaped panic.
 #[test]
 fn batch_sites_degrade_gracefully() {
     let _guard = serial();
@@ -306,52 +315,118 @@ fn batch_sites_degrade_gracefully() {
     let session = Session::new(&schema, &sigma).unwrap();
     let expected = reference_verdicts(&session, &goals);
     let reference = session
-        .implies_batch(&goals, &Budget::standard(), 4)
+        .implies_batch(&goals, &Budget::standard(), 1)
         .unwrap();
 
-    let batch_sites = ["par::worker", "par::reassemble", "engine::implies"];
-    for site in batch_sites {
-        for action in ACTIONS {
-            faults::reset();
-            faults::configure(site, action);
-            let budget = Budget::standard();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                session.implies_batch(&goals, &budget, 4)
-            }));
-            let result = outcome
-                .unwrap_or_else(|_| panic!("{site} × {action:?}: panic escaped implies_batch"));
-            match result {
-                Ok(batch) => {
-                    assert_eq!(batch.decisions.len(), goals.len());
-                    for (i, slot) in batch.decisions.iter().enumerate() {
-                        match slot {
-                            Ok(d) => {
-                                if let Some(got) = d.verdict.as_bool() {
-                                    assert_eq!(
-                                        got, expected[i],
-                                        "{site} × {action:?}: flipped goal {i}"
-                                    );
-                                }
-                            }
-                            Err(e) => assert_contracted_error(site, action, e),
-                        }
+    let site = "engine::implies";
+    for action in ACTIONS {
+        faults::reset();
+        faults::configure(site, action);
+        let budget = Budget::standard();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            session.implies_batch(&goals, &budget, 1)
+        }));
+        let batch = outcome
+            .unwrap_or_else(|_| panic!("{site} × {action:?}: panic escaped implies_batch"))
+            .unwrap_or_else(|e| panic!("{site} × {action:?}: a read fault failed the batch: {e}"));
+        assert_eq!(batch.decisions.len(), goals.len());
+        for (i, slot) in batch.decisions.iter().enumerate() {
+            match slot {
+                Ok(d) => {
+                    if let Some(got) = d.verdict.as_bool() {
+                        assert_eq!(got, expected[i], "{site} × {action:?}: flipped goal {i}");
                     }
                 }
-                // The pool machinery itself may abort the whole batch
-                // (e.g. a worker-thread panic re-raised after join) —
-                // but only as a contracted error.
+                Err(e) => assert_contracted_error(site, action, e),
+            }
+        }
+
+        // The session survives: disarmed, the same batch call
+        // reproduces the reference bit for bit.
+        faults::reset();
+        let after = session
+            .implies_batch(&goals, &Budget::standard(), 1)
+            .unwrap_or_else(|e| panic!("{site} × {action:?}: batch unusable after fault: {e}"));
+        assert_eq!(after, reference, "{site} × {action:?}: batch changed");
+    }
+
+    let course = Label::new("Course");
+    let keys = session.candidate_keys(course, 4).unwrap();
+    for site in ["par::worker", "par::reassemble"] {
+        for action in ACTIONS {
+            faults::reset();
+            // A fresh session per case: completed sweeps are memoized.
+            let session = Session::new(&schema, &sigma).unwrap();
+            faults::configure(site, action);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                session.candidate_keys_threaded(course, 4, 4)
+            }));
+            let result = outcome.unwrap_or_else(|_| {
+                panic!("{site} × {action:?}: panic escaped candidate_keys_threaded")
+            });
+            assert!(
+                faults::hits(site) > 0,
+                "{site} × {action:?}: the key search never reached the pool"
+            );
+            match result {
+                Ok(found) => assert_eq!(found, keys, "{site} × {action:?}: keys changed"),
                 Err(e) => assert_contracted_error(site, action, &e),
             }
-
-            // The pool and session survive: disarmed, the same batch
-            // call reproduces the reference bit for bit.
             faults::reset();
-            let after = session
-                .implies_batch(&goals, &Budget::standard(), 4)
-                .unwrap_or_else(|e| panic!("{site} × {action:?}: batch unusable after fault: {e}"));
-            assert_eq!(after, reference, "{site} × {action:?}: batch changed");
+            assert_eq!(
+                session.candidate_keys_threaded(course, 4, 4).unwrap(),
+                keys,
+                "{site} × {action:?}: key search unusable after fault"
+            );
         }
     }
+}
+
+/// A batch is a loop on the caller's thread, so neither
+/// `Session::implies_batch`, whatever width it is given, nor the daemon's
+/// `BATCH` ever enters the worker pool; the key search, the pool's one
+/// caller, still does.
+#[test]
+fn batches_never_enter_the_worker_pool() {
+    let _guard = serial();
+    faults::reset();
+    let (schema, sigma) = fixture();
+    let goals = parse_goals(&schema);
+    let session = Session::new(&schema, &sigma).unwrap();
+    let reference = session
+        .implies_batch(&goals, &Budget::standard(), 1)
+        .unwrap();
+    for threads in [1usize, 2, 8] {
+        let batch = session
+            .implies_batch(&goals, &Budget::standard(), threads)
+            .unwrap();
+        assert_eq!(batch, reference, "threads = {threads}");
+    }
+    let reg = nfd::serve::Registry::new(nfd::serve::RegistryConfig::default());
+    let line = |text: &str| Command::parse(text).unwrap();
+    assert!(reg
+        .handle(line(&format!("LOAD t {COURSE_SCHEMA} | {COURSE_DEPS}")))
+        .is_ok());
+    assert_eq!(
+        reg.handle(line(&format!("BATCH t {}", GOALS.join("; ")))),
+        Response::Ok("implied,implied,not-implied,implied,not-implied".to_string())
+    );
+    reg.on_shutdown();
+    for site in ["par::worker", "par::reassemble"] {
+        assert_eq!(
+            faults::hits(site),
+            0,
+            "a batch entered the pool at `{site}`"
+        );
+    }
+
+    session
+        .candidate_keys_threaded(Label::new("Course"), 4, 4)
+        .unwrap();
+    for site in ["par::worker", "par::reassemble"] {
+        assert!(faults::hits(site) > 0, "the key search missed `{site}`");
+    }
+    faults::reset();
 }
 
 /// A batch is its goals' reads: a one-shot fault stops only the goal it
@@ -367,33 +442,29 @@ fn a_one_shot_fault_costs_only_its_own_batch_goal() {
     let session = Session::new(&schema, &sigma).unwrap();
     let expected = reference_verdicts(&session, &goals);
 
-    for threads in [1usize, 2, 8] {
-        faults::reset();
-        faults::configure_limited("engine::implies", 1, FaultAction::ReturnExhausted);
-        let batch = session
-            .implies_batch(&goals, &Budget::standard(), threads)
-            .unwrap();
-        faults::reset();
-        assert_eq!(batch.exhausted_count(), 1, "threads = {threads}: {batch:?}");
-        assert_eq!(batch.failed_count(), 0, "threads = {threads}");
-        let faulted = batch
-            .first_exhausted
-            .expect("the faulted goal is first_exhausted");
-        for (i, slot) in batch.decisions.iter().enumerate() {
-            let d = slot.as_ref().unwrap();
-            if i == faulted {
-                assert!(
-                    matches!(&d.verdict, Verdict::Exhausted(r) if r.kind == ResourceKind::Injected),
-                    "threads = {threads}: goal {i} is the faulted one: {:?}",
-                    d.verdict
-                );
-            } else {
-                assert_eq!(
-                    d.verdict.as_bool(),
-                    Some(expected[i]),
-                    "threads = {threads}: goal {i} lost its own answer"
-                );
-            }
+    faults::configure_limited("engine::implies", 1, FaultAction::ReturnExhausted);
+    let batch = session
+        .implies_batch(&goals, &Budget::standard(), 1)
+        .unwrap();
+    faults::reset();
+    assert_eq!(batch.exhausted_count(), 1, "{batch:?}");
+    assert_eq!(batch.failed_count(), 0);
+    // The goals run in input order, so the one-shot fault stops the first.
+    assert_eq!(batch.first_exhausted, Some(0));
+    for (i, slot) in batch.decisions.iter().enumerate() {
+        let d = slot.as_ref().unwrap();
+        if i == 0 {
+            assert!(
+                matches!(&d.verdict, Verdict::Exhausted(r) if r.kind == ResourceKind::Injected),
+                "goal 0 is the faulted one: {:?}",
+                d.verdict
+            );
+        } else {
+            assert_eq!(
+                d.verdict.as_bool(),
+                Some(expected[i]),
+                "goal {i} lost its own answer"
+            );
         }
     }
 }
@@ -419,11 +490,11 @@ fn queries_never_rebuild_the_engine() {
         .implies_with(&goals[1], &Budget::standard())
         .unwrap();
     session
-        .implies_batch(&goals, &Budget::standard(), 2)
+        .implies_batch(&goals, &Budget::standard(), 1)
         .unwrap();
     let capped = Budget::limited(1);
     session.implies_with(&goals[0], &capped).unwrap();
-    session.implies_batch(&goals, &capped, 2).unwrap();
+    session.implies_batch(&goals, &capped, 1).unwrap();
     assert_eq!(
         faults::hits("engine::build"),
         built,
@@ -512,6 +583,15 @@ fn cancellation_is_never_retried() {
 // The CLI under faults: exit codes keep their contract.
 // ---------------------------------------------------------------------
 
+/// The Course fixture as source text, one line each, as the wire takes it.
+const COURSE_SCHEMA: &str = "Course : { <cnum: string, time: int, \
+    students: {<sid: int, age: int, grade: string>}, \
+    books: {<isbn: string, title: string>}> };";
+const COURSE_DEPS: &str = "Course:[cnum -> time]; Course:[cnum -> students]; \
+    Course:[cnum -> books]; Course:[books:isbn -> books:title]; \
+    Course:students:[sid -> grade]; Course:[students:sid -> students:age]; \
+    Course:[time, students:sid -> cnum];";
+
 /// Writes the Course fixture to temp files and returns
 /// `(schema_path, deps_path, goals_path)`.
 fn cli_fixture_files() -> (std::path::PathBuf, std::path::PathBuf, std::path::PathBuf) {
@@ -520,22 +600,8 @@ fn cli_fixture_files() -> (std::path::PathBuf, std::path::PathBuf, std::path::Pa
     let schema = dir.join("course.schema");
     let deps = dir.join("course.deps");
     let goals = dir.join("course.goals");
-    std::fs::write(
-        &schema,
-        "Course : { <cnum: string, time: int,
-                     students: {<sid: int, age: int, grade: string>},
-                     books: {<isbn: string, title: string>}> };",
-    )
-    .unwrap();
-    std::fs::write(
-        &deps,
-        "Course:[cnum -> time]; Course:[cnum -> students]; Course:[cnum -> books];
-         Course:[books:isbn -> books:title];
-         Course:students:[sid -> grade];
-         Course:[students:sid -> students:age];
-         Course:[time, students:sid -> cnum];",
-    )
-    .unwrap();
+    std::fs::write(&schema, COURSE_SCHEMA).unwrap();
+    std::fs::write(&deps, COURSE_DEPS).unwrap();
     std::fs::write(&goals, GOALS.join(";\n")).unwrap();
     (schema, deps, goals)
 }
@@ -563,10 +629,19 @@ fn cli_exit_codes_keep_their_contract_under_faults() {
         schema.to_str().unwrap(),
         "--deps",
         deps.to_str().unwrap(),
-        "--threads",
-        "4",
         "--goals",
         goals.to_str().unwrap(),
+    ]);
+    // `keys` runs the key search on all available cores, so this is how
+    // the CLI reaches the worker pool.
+    let keys = cli_args(&[
+        "keys",
+        "--schema",
+        schema.to_str().unwrap(),
+        "--deps",
+        deps.to_str().unwrap(),
+        "--relation",
+        "Course",
     ]);
 
     let mut out = String::new();
@@ -575,6 +650,9 @@ fn cli_exit_codes_keep_their_contract_under_faults() {
     out.clear();
     let batch_baseline = nfd::cli::run(&batch, &mut out);
     assert_eq!(batch_baseline, 1, "one GOALS entry is not implied: {out}");
+    out.clear();
+    let keys_baseline = nfd::cli::run(&keys, &mut out);
+    assert_eq!(keys_baseline, 0, "fault-free key search: {out}");
 
     let sites = [
         "model::parse_input",
@@ -586,7 +664,11 @@ fn cli_exit_codes_keep_their_contract_under_faults() {
     ];
     for site in sites {
         for action in ACTIONS {
-            for (args, baseline) in [(&single, single_baseline), (&batch, batch_baseline)] {
+            for (args, baseline) in [
+                (&single, single_baseline),
+                (&batch, batch_baseline),
+                (&keys, keys_baseline),
+            ] {
                 faults::reset();
                 faults::configure(site, action);
                 let mut out = String::new();

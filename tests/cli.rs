@@ -478,6 +478,58 @@ fn one_budget_answers_in_one_run_and_retry_flags_are_unknown() {
 }
 
 #[test]
+fn threads_and_workers_are_unknown_flags() {
+    let f = Fixture::new("widthflags");
+    let schema = f.file("s.nfds", COURSE_SCHEMA);
+    let deps = f.file("d.nfdd", COURSE_DEPS);
+    let goals = f.file("g.goals", "Course:[cnum -> time]; Course:[cnum -> books];");
+
+    // A batch runs its goals one after another and the key search always
+    // uses every core, so neither takes a width, and the daemon has no
+    // BATCH width either. `serve` gets no --addr: a build that still
+    // took the flag would then refuse for the missing address instead of
+    // starting a daemon.
+    for (args, flag) in [
+        (
+            vec![
+                "implies",
+                "--schema",
+                &schema,
+                "--deps",
+                &deps,
+                "--goals",
+                &goals,
+                "--threads",
+                "4",
+            ],
+            "--threads",
+        ),
+        (
+            vec![
+                "keys",
+                "--schema",
+                &schema,
+                "--deps",
+                &deps,
+                "--relation",
+                "Course",
+                "--threads",
+                "2",
+            ],
+            "--threads",
+        ),
+        (vec!["serve", "--workers", "8"], "--workers"),
+    ] {
+        let (code, out) = run(&args);
+        assert_eq!(code, 2, "{args:?}: {out}");
+        assert!(
+            out.contains(&format!("unknown flag `{flag}`")),
+            "{args:?}: {out}"
+        );
+    }
+}
+
+#[test]
 fn implies_add_dep_supplies_missing_dependency() {
     let f = Fixture::new("adddep");
     let schema = f.file("s.nfds", COURSE_SCHEMA);

@@ -263,11 +263,11 @@ fn proofs_reconstruct_and_verify_on_indexed_pools() {
     assert!(proved > 50, "only {proved} goals were provable");
 }
 
-/// Session batch verdicts agree with the naive oracle at every thread
-/// count (every batch goal reads the session's closure cache — cache
-/// hits must never change a verdict).
+/// Session batch verdicts agree with the naive oracle (every batch goal
+/// reads the session's closure cache — cache hits must never change a
+/// verdict).
 #[test]
-fn session_batches_match_naive_at_every_thread_count() {
+fn session_batches_match_naive() {
     for seed in 0..12u64 {
         let schema = random_schema(seed, SchemaShape::default());
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x00c0_ffed) | 1);
@@ -280,24 +280,19 @@ fn session_batches_match_naive_at_every_thread_count() {
             .collect();
         let expected: Vec<bool> = goals.iter().map(|g| naive.implies(g).unwrap()).collect();
 
-        for threads in [1usize, 2, 8] {
-            let batch = session
-                .implies_batch(&goals, &Budget::standard(), threads)
-                .unwrap();
-            let got: Vec<bool> = batch
-                .decisions
-                .iter()
-                .map(|d| match d.as_ref().unwrap().verdict {
-                    Verdict::Implied => true,
-                    Verdict::NotImplied => false,
-                    ref v => panic!("unexpected verdict {v:?}"),
-                })
-                .collect();
-            assert_eq!(
-                expected, got,
-                "batch verdicts diverged at seed {seed}, {threads} threads"
-            );
-        }
+        let batch = session
+            .implies_batch(&goals, &Budget::standard(), 1)
+            .unwrap();
+        let got: Vec<bool> = batch
+            .decisions
+            .iter()
+            .map(|d| match d.as_ref().unwrap().verdict {
+                Verdict::Implied => true,
+                Verdict::NotImplied => false,
+                ref v => panic!("unexpected verdict {v:?}"),
+            })
+            .collect();
+        assert_eq!(expected, got, "batch verdicts diverged at seed {seed}");
     }
 }
 
@@ -560,18 +555,14 @@ fn repeated_queries_hit_the_cache_and_match_naive() {
             .filter_map(|_| random_nfd(&mut rng, &schema))
             .collect();
         let expected_batch: Vec<bool> = goals.iter().map(|g| naive.implies(g).unwrap()).collect();
-        for threads in [1usize, 2, 8] {
-            let fresh =
-                Session::with_budget(&schema, &sigma, policy.clone(), Budget::standard()).unwrap();
-            let batch = fresh
-                .implies_batch(&goals, &Budget::standard(), threads)
-                .unwrap();
-            let got: Vec<bool> = batch
-                .decisions
-                .iter()
-                .map(|d| verdict_bool(&d.as_ref().unwrap().verdict))
-                .collect();
-            assert_eq!(expected_batch, got, "batch diverged at {threads} threads");
-        }
+        let fresh =
+            Session::with_budget(&schema, &sigma, policy.clone(), Budget::standard()).unwrap();
+        let batch = fresh.implies_batch(&goals, &Budget::standard(), 1).unwrap();
+        let got: Vec<bool> = batch
+            .decisions
+            .iter()
+            .map(|d| verdict_bool(&d.as_ref().unwrap().verdict))
+            .collect();
+        assert_eq!(expected_batch, got, "batch diverged");
     }
 }

@@ -1,11 +1,14 @@
-//! Differential lockdown of the parallel batch executor.
+//! Differential lockdown of the batch read and of parallel proof
+//! extraction.
 //!
-//! `Session::implies_batch` promises results bit-identical to a
-//! sequential `implies_with` loop at every thread count — verdicts,
-//! attempt logs, exhaustion reports and proof output alike, including
-//! under tiny counter caps. These tests hold it to that promise over
-//! seeded random `(Schema, Σ, goals)` batches, so any scheduling
-//! dependence shows up as a reproducible seed.
+//! `Session::implies_batch` is its goals' reads, one after another on
+//! the caller's thread, so it promises results bit-identical to a
+//! sequential `implies_with` loop — verdicts, attempt logs and
+//! exhaustion reports alike, including under tiny counter caps. Proof
+//! extraction over the shared saturated engine must not notice a worker
+//! pool either. These tests hold both to that promise over seeded random
+//! `(Schema, Σ, goals)` batches, so any dependence shows up as a
+//! reproducible seed.
 
 mod common;
 
@@ -13,8 +16,6 @@ use common::{random_nfd, random_schema, random_sigma, SchemaShape};
 use nfd::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// A seeded random problem: schema, Σ, and a goal batch (goals are drawn
 /// from the same generator as Σ, so some are implied, some not).
@@ -44,46 +45,40 @@ fn batch_equals_sequential_loop_on_random_problems() {
                     .expect("seed {seed}")
             })
             .collect();
-        for threads in THREAD_COUNTS {
-            let batch = session
-                .implies_batch(&goals, &budget, threads)
-                .expect("batch runs");
-            assert_eq!(
-                batch.decisions, sequential,
-                "seed {seed}, threads {threads}: batch deviates from the sequential loop"
-            );
-            assert_eq!(batch.first_exhausted, None, "seed {seed}");
-        }
+        let batch = session
+            .implies_batch(&goals, &budget, 1)
+            .expect("batch runs");
+        assert_eq!(
+            batch.decisions, sequential,
+            "seed {seed}: batch deviates from the sequential loop"
+        );
+        assert_eq!(batch.first_exhausted, None, "seed {seed}");
     }
 }
 
 #[test]
-fn counter_capped_batches_agree_at_every_thread_count() {
+fn counter_capped_batches_agree_with_the_uncapped_batch() {
     // A read charges no counter, so small counter caps never stop a
     // batch: every goal is decided, and the whole BatchDecision
-    // (verdicts, attempts, the cutoff index) must not notice the thread
-    // count.
+    // (verdicts, attempts, the cutoff index) must not notice the cap.
     for seed in 0..25u64 {
         let (schema, sigma, goals) = problem(seed, 12);
         let session = Session::new(&schema, &sigma).expect("generated Σ compiles");
+        let reference = session
+            .implies_batch(&goals, &Budget::standard(), 1)
+            .expect("batch runs");
         for cap in [1u64, 8, 64, 512] {
-            let budget = Budget::limited(cap);
-            let reference = session
-                .implies_batch(&goals, &budget, 1)
+            let batch = session
+                .implies_batch(&goals, &Budget::limited(cap), 1)
                 .expect("batch runs");
             assert_eq!(
-                reference.first_exhausted, None,
+                batch.first_exhausted, None,
                 "seed {seed}, cap {cap}: a counter cap stopped the batch"
             );
-            for threads in THREAD_COUNTS {
-                let batch = session
-                    .implies_batch(&goals, &budget, threads)
-                    .expect("batch runs");
-                assert_eq!(
-                    batch, reference,
-                    "seed {seed}, cap {cap}, threads {threads}: capped batch deviates"
-                );
-            }
+            assert_eq!(
+                batch, reference,
+                "seed {seed}, cap {cap}: capped batch deviates"
+            );
         }
     }
 }
@@ -106,23 +101,21 @@ fn counter_caps_never_exhaust_or_flip_a_verdict() {
             })
             .collect();
         for cap in [1u64, 16, 256] {
-            for threads in THREAD_COUNTS {
-                let batch = session
-                    .implies_batch(&goals, &Budget::limited(cap), threads)
-                    .expect("batch runs");
+            let batch = session
+                .implies_batch(&goals, &Budget::limited(cap), 1)
+                .expect("batch runs");
+            assert_eq!(
+                batch.first_exhausted, None,
+                "seed {seed}, cap {cap}: a counter cap stopped the batch"
+            );
+            for (i, d) in batch.decisions.iter().enumerate() {
+                let d = d.as_ref().expect("no faults injected, no goal fails");
                 assert_eq!(
-                    batch.first_exhausted, None,
-                    "seed {seed}, cap {cap}, threads {threads}: a counter cap stopped the batch"
+                    d.verdict.as_bool(),
+                    truth[i],
+                    "seed {seed}, cap {cap}, goal {i}: \
+                     a capped run answered differently from ground truth"
                 );
-                for (i, d) in batch.decisions.iter().enumerate() {
-                    let d = d.as_ref().expect("no faults injected, no goal fails");
-                    assert_eq!(
-                        d.verdict.as_bool(),
-                        truth[i],
-                        "seed {seed}, cap {cap}, threads {threads}, goal {i}: \
-                         a capped run answered differently from ground truth"
-                    );
-                }
             }
         }
     }
@@ -176,11 +169,10 @@ fn batch_over_the_paper_example_is_stable() {
     let reference = session.implies_batch(&goals, &budget, 1).unwrap();
     assert_eq!(reference.implied_count(), 4);
     assert_eq!(reference.first_exhausted, None);
-    for threads in [0usize, 2, 3, 8] {
-        assert_eq!(
-            session.implies_batch(&goals, &budget, threads).unwrap(),
-            reference,
-            "threads = {threads}"
-        );
-    }
+    // The repeat answers every goal from the closure cache, which must
+    // not change a decision.
+    assert_eq!(
+        session.implies_batch(&goals, &budget, 1).unwrap(),
+        reference
+    );
 }

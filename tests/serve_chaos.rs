@@ -427,13 +427,7 @@ fn mid_swap_fault_leaves_the_old_epoch_serving() {
     let (schema_src, deps_src) = course_sources();
     let flipped = "Course:[time -> cnum]";
 
-    let (addr, server) = start(
-        RegistryConfig {
-            workers: 2,
-            ..RegistryConfig::default()
-        },
-        quick_cfg(),
-    );
+    let (addr, server) = start(RegistryConfig::default(), quick_cfg());
     let mut a = Client::connect(addr);
     let mut b = Client::connect(addr);
     assert_eq!(

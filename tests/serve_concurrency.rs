@@ -1,14 +1,14 @@
 //! Concurrency tests for the read-parallel registry (`nfdtool serve`):
 //! reads answer from the tenant's resident engine on the connection
-//! threads, and each `BATCH` fans out to `--workers N` threads.
+//! threads, each request, `BATCH` included, on its own connection's
+//! thread.
 //!
 //! Two load-bearing pins:
 //!
 //! 1. **Bit-identity under concurrency.** N clients hammering one hot
-//!    tenant, with every `BATCH` 8 wide, receive byte-for-byte the
-//!    responses one client of a `workers = 1` daemon (every `BATCH`
-//!    sequential) gets for the same requests — concurrency may reorder
-//!    *which* reader answers, never *what* is answered.
+//!    tenant receive byte-for-byte the responses one client of a
+//!    daemon of its own gets for the same requests — concurrency may
+//!    reorder *which* reader answers, never *what* is answered.
 //! 2. **Epoch atomicity under interleaved mutation.** While a writer
 //!    flips Σ back and forth with ADDDEP/DROPDEP, every concurrently
 //!    served BATCH sees either the old Σ or the new Σ in full: two
@@ -52,7 +52,7 @@ fn quick_server_cfg() -> ServerConfig {
     ServerConfig {
         idle_poll_ms: 5,
         // Enough admission slots for every concurrent client below —
-        // this suite tests the worker pool, not the shed gate.
+        // this suite tests concurrent reads, not the shed gate.
         max_inflight: 32,
         queue_depth: 64,
         ..ServerConfig::default()
@@ -83,7 +83,7 @@ impl Client {
 }
 
 /// The read-only request corpus: implied, not-implied and nested goals,
-/// plus BATCH, CLOSURE and KEYS — everything the worker pool serves.
+/// plus BATCH, CLOSURE and KEYS — every read verb.
 fn read_requests() -> Vec<String> {
     let goals = [
         "Course:[time, students:sid -> books]",
@@ -105,24 +105,18 @@ fn read_requests() -> Vec<String> {
     reqs
 }
 
-/// Pin 1: every response from the 8-wide daemon, under 8 concurrent
-/// clients, is byte-identical to the sequential daemon's answer for the
-/// same request line.
+/// Pin 1: every response under 8 concurrent clients is byte-identical
+/// to a single client's answer, from a daemon of its own, for the same
+/// request line.
 #[test]
 fn concurrent_clients_are_bit_identical_to_the_sequential_daemon() {
     let (schema_src, deps_src) = course_sources();
     let load = format!("LOAD course {schema_src} | {deps_src}");
     let requests = read_requests();
 
-    // Sequential replay first: one client, every BATCH on one thread.
+    // Sequential replay first: one client, one request at a time.
     let expected: Vec<String> = {
-        let (addr, server) = start(
-            RegistryConfig {
-                workers: 1,
-                ..RegistryConfig::default()
-            },
-            quick_server_cfg(),
-        );
+        let (addr, server) = start(RegistryConfig::default(), quick_server_cfg());
         let mut c = Client::connect(addr);
         assert!(c.ask(&load).starts_with("OK loaded"));
         let expected = requests.iter().map(|r| c.ask(r)).collect();
@@ -131,13 +125,7 @@ fn concurrent_clients_are_bit_identical_to_the_sequential_daemon() {
         expected
     };
 
-    let (addr, server) = start(
-        RegistryConfig {
-            workers: 8,
-            ..RegistryConfig::default()
-        },
-        quick_server_cfg(),
-    );
+    let (addr, server) = start(RegistryConfig::default(), quick_server_cfg());
     let mut c = Client::connect(addr);
     assert!(c.ask(&load).starts_with("OK loaded"));
 
@@ -148,14 +136,14 @@ fn concurrent_clients_are_bit_identical_to_the_sequential_daemon() {
             std::thread::spawn(move || {
                 let mut c = Client::connect(addr);
                 for round in 0..3 {
-                    // Stagger the order per client so the pool genuinely
+                    // Stagger the order per client so the daemon genuinely
                     // interleaves different verbs at once.
                     for i in 0..requests.len() {
                         let at = (i + client + round) % requests.len();
                         assert_eq!(
                             c.ask(&requests[at]),
                             expected[at],
-                            "client {client} diverged from the sequential daemon on `{}`",
+                            "client {client} diverged from the single client on `{}`",
                             requests[at]
                         );
                     }
@@ -215,13 +203,7 @@ fn interleaved_mutations_never_expose_a_half_applied_sigma() {
         "fixture drifted: the mutation no longer flips the batch verdicts"
     );
 
-    let (addr, server) = start(
-        RegistryConfig {
-            workers: 8,
-            ..RegistryConfig::default()
-        },
-        quick_server_cfg(),
-    );
+    let (addr, server) = start(RegistryConfig::default(), quick_server_cfg());
     let mut c = Client::connect(addr);
     assert!(c
         .ask(&format!("LOAD course {schema_src} | {deps_src}"))
