@@ -1,10 +1,11 @@
 //! Bench `snapshot_coldstart` (EXPERIMENTS.md §B17): warm-starting a
 //! session from an `nfd-snap` image against compiling it fresh.
 //!
-//! A snapshot stores the *outputs* of compilation — interned path
-//! tables, the saturated Σ pool with provenance, the warm closure
-//! cache — so a thaw replaces the saturation fixpoint (the superlinear
-//! part of startup) with a validated linear replay of the frozen pool.
+//! A snapshot stores the *outputs* of compilation — the source texts,
+//! interned path tables and the saturated Σ pool with provenance, never
+//! closures — so a thaw replaces the saturation fixpoint (the
+//! superlinear part of startup) with a checked linear replay of the
+//! frozen pool.
 //! This harness measures the full cold-start path a CLI warm start
 //! actually performs — read the image from disk, strictly decode it
 //! (every section CRC checked), thaw, answer one query — against the

@@ -139,8 +139,6 @@ pub struct FrozenPool {
     pub relation: Label,
     /// Pool entries in pool order.
     pub deps: Vec<FrozenDep>,
-    /// Set-of-records paths whose singleton rule has fired.
-    pub singletons: Vec<PathId>,
 }
 
 /// Compiles an empty-set policy to the `(non_empty, defined)` path sets
@@ -188,8 +186,6 @@ pub(crate) struct RelEngine {
     /// resolution candidates, LHS occurrences for resolution candidates
     /// and the counting chain kernel.
     pub(crate) index: DepIndex,
-    /// Set-of-records paths whose singleton rule has fired.
-    pub(crate) singletons_granted: Vec<PathId>,
     /// Ids declared non-empty by the policy (all ids under `Forbidden`).
     non_empty: PathSet,
     /// Ids whose every proper prefix is non-empty (all ids under
@@ -216,7 +212,6 @@ impl RelEngine {
             table,
             deps: Vec::new(),
             index,
-            singletons_granted: Vec::new(),
             non_empty,
             defined,
         })
@@ -245,9 +240,12 @@ impl RelEngine {
                 rel.add(lhs, rhs, Prov::Given(i), budget)?;
             }
         }
+        // Set-of-records paths whose singleton rule has fired: build
+        // state only, so it lives and dies with this build.
+        let mut granted = Vec::new();
         loop {
             rel.saturate(budget)?;
-            if !rel.singleton_round(budget)? {
+            if !rel.singleton_round(&mut granted, budget)? {
                 return Ok(rel);
             }
         }
@@ -528,9 +526,14 @@ impl RelEngine {
         )
     }
 
-    /// One round of singleton introduction; returns whether any new
-    /// singleton conclusion joined the pool.
-    fn singleton_round(&mut self, budget: &Budget) -> Result<bool, CoreError> {
+    /// One round of singleton introduction over the paths not yet in
+    /// `granted`; returns whether any new singleton conclusion joined the
+    /// pool.
+    fn singleton_round(
+        &mut self,
+        granted: &mut Vec<PathId>,
+        budget: &Budget,
+    ) -> Result<bool, CoreError> {
         fail_point!(
             "engine::singleton",
             Err(CoreError::Exhausted(nfd_govern::ResourceReport::injected())),
@@ -543,7 +546,7 @@ impl RelEngine {
         // the counter/ready buffers instead of reallocating from scratch.
         let mut scratch = ChainScratch::default();
         for x_id in 0..table.len() as PathId {
-            if self.singletons_granted.contains(&x_id) {
+            if granted.contains(&x_id) {
                 continue;
             }
             if !table.is_set_record(x_id) {
@@ -557,7 +560,7 @@ impl RelEngine {
             if attrs.iter().all(|&a| c.contains(a)) {
                 let lhs = PathSet::from_ids(table.words(), attrs.iter().copied());
                 self.add(lhs, x_id, Prov::Singleton { x: x_id }, budget)?;
-                self.singletons_granted.push(x_id);
+                granted.push(x_id);
                 added = true;
             }
         }
@@ -704,7 +707,6 @@ impl<'s> Engine<'s> {
                         subsumed: d.subsumed,
                     })
                     .collect(),
-                singletons: r.singletons_granted.clone(),
             })
             .collect();
         out.sort_by_key(|p| p.relation.to_string());
@@ -796,13 +798,6 @@ impl<'s> Engine<'s> {
                     )));
                 }
             }
-            if pool.singletons.iter().any(|&x| x >= table_len) {
-                return Err(CoreError::Internal(format!(
-                    "frozen pool of `{}`: singleton id out of range",
-                    rel.relation
-                )));
-            }
-            rel.singletons_granted = pool.singletons;
         }
         Ok(Engine {
             schema,

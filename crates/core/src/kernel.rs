@@ -382,10 +382,11 @@ pub struct CacheStats {
 ///
 /// Caches at or above `CACHE_SHARD_THRESHOLD` capacity are split into
 /// `CACHE_SHARDS` independently locked shards (selected by key hash),
-/// so a read-parallel pool sharing one cache does not serialize on a
-/// single mutex. Capacity, clocks and halving eviction are per shard;
-/// keys hash uniformly, so the bound still holds globally. Tiny caches
-/// stay single-sharded — splitting a handful of entries would make the
+/// so concurrent connections reading through one cache (a daemon tenant,
+/// or tenants sharing a source) do not serialize on a single mutex.
+/// Capacity, clocks and halving eviction are per shard; keys hash
+/// uniformly, so the bound still holds globally. Tiny caches stay
+/// single-sharded — splitting a handful of entries would make the
 /// per-shard LRU meaningless.
 #[derive(Debug)]
 pub struct ClosureCache {
@@ -395,7 +396,7 @@ pub struct ClosureCache {
     misses: AtomicU64,
 }
 
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct CacheInner {
     map: HashMap<(Label, PathSet), (PathSet, u64)>,
     clock: u64,
@@ -502,39 +503,22 @@ impl ClosureCache {
         evicted
     }
 
-    /// Dumps every cached closure as `(relation, key, closure)` triples,
-    /// sorted by `(relation text, key words)` so the dump — and therefore
-    /// a snapshot embedding it — is deterministic regardless of hash
-    /// order (and of shard layout). LRU stamps are not exported: recency
-    /// is an ephemeral property of the serving process, not of the
-    /// closures.
-    pub fn export(&self) -> Vec<(Label, PathSet, PathSet)> {
-        let mut out: Vec<(Label, PathSet, PathSet)> = Vec::new();
-        for shard in self.shards.iter() {
-            let inner = lock_shard(shard);
-            out.extend(
-                inner
-                    .map
-                    .iter()
-                    .map(|((r, k), (c, _))| (*r, k.clone(), c.clone())),
-            );
-        }
-        out.sort_by(|a, b| {
-            (a.0.to_string(), a.1.as_words()).cmp(&(b.0.to_string(), b.1.as_words()))
-        });
-        out
-    }
-
-    /// Bulk-inserts entries (from [`ClosureCache::export`] of a prior
-    /// process), assigning fresh monotone LRU stamps in iteration order.
-    /// Entries beyond capacity are subject to the usual halving eviction.
-    /// Soundness is the caller's obligation: the entries must come from
-    /// the same `(Σ, policy)` compilation this cache is scoped to —
-    /// snapshot thaw only imports after the full differential validation
-    /// of the compiled sections.
-    pub fn import(&self, entries: impl IntoIterator<Item = (Label, PathSet, PathSet)>) {
-        for (relation, key, closure) in entries {
-            self.insert(relation, key, closure);
+    /// An independent copy of this cache: each shard's map with its LRU
+    /// stamps and clock, the same capacity and shard layout, and fresh
+    /// hit/miss counters. What a session fork starts from — sound for the
+    /// same reason as sharing: until the copy's owner mutates Σ it holds
+    /// the very pools these closures were computed over, and a mutation
+    /// invalidates the copy alone.
+    pub fn copy(&self) -> ClosureCache {
+        ClosureCache {
+            shards: self
+                .shards
+                .iter()
+                .map(|shard| Mutex::new(lock_shard(shard).clone()))
+                .collect(),
+            shard_capacity: self.shard_capacity,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
@@ -637,7 +621,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cache_bound_export_and_invalidate() {
+    fn sharded_cache_bound_copy_and_invalidate() {
         let cache = ClosureCache::with_capacity(CACHE_SHARD_THRESHOLD);
         let r = label("R");
         let s = label("S");
@@ -651,18 +635,24 @@ mod tests {
         // Round trip through the sharded lookup path.
         cache.insert(r, set(4, &[7, 9]), set(4, &[7, 9, 11]));
         assert_eq!(cache.get(r, &set(4, &[7, 9])), Some(set(4, &[7, 9, 11])));
-        // Export is sorted regardless of shard layout.
-        let dump = cache.export();
-        let keys: Vec<_> = dump
-            .iter()
-            .map(|(rel, k, _)| (rel.to_string(), k.as_words()))
-            .collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted);
-        // Relation invalidation sweeps every shard.
+        // A copy keeps every entry of every shard, stamps included, with
+        // counters of its own.
+        let copy = cache.copy();
+        let maps = |c: &ClosureCache| -> Vec<_> {
+            c.shards
+                .iter()
+                .map(|sh| lock_shard(sh).map.clone())
+                .collect()
+        };
+        assert_eq!(maps(&copy), maps(&cache));
+        assert_eq!(copy.stats(), CacheStats::default());
+        // Relation invalidation sweeps every shard of the source and
+        // leaves the copy intact.
+        let before = maps(&copy);
         assert!(cache.invalidate_relation(r) > 0);
-        assert!(cache.export().iter().all(|(rel, _, _)| *rel != r));
+        assert!(maps(&cache).iter().flatten().all(|((rel, _), _)| *rel != r));
+        assert_eq!(maps(&copy), before);
+        assert_eq!(copy.get(r, &set(4, &[7, 9])), Some(set(4, &[7, 9, 11])));
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //! A versioned, length-prefixed, per-section CRC-checksummed binary
 //! format for the compiled artifact of an NFD session: the schema and Σ
 //! source texts, the empty-set policy, the interned per-relation path
-//! tables (prefix / extension / follower bitset matrices), the saturated
-//! dependency pools with full provenance, and optionally the warm closure
-//! cache. Thawing a snapshot skips the saturation fixpoint entirely, so a
-//! huge schema cold-starts in the time it takes to replay its pool.
+//! tables (prefix / extension / follower bitset matrices) and the
+//! saturated dependency pools with full provenance. That is exactly what
+//! a compile derives from `(schema, Σ, policy)`, so one source always
+//! freezes to the same bytes; closures are not stored, because the kernel
+//! recomputes them from the pools on a cache miss. Thawing a snapshot
+//! skips the saturation fixpoint entirely, so a huge schema cold-starts
+//! in the time it takes to replay its pool.
 //!
 //! The crate is deliberately *plain data*: [`Snapshot`] holds strings,
 //! integers and word vectors, and knows nothing about engines or path
@@ -34,7 +37,7 @@
 //!   instead of rejecting outright. Degradation is a reported event, not
 //!   a failure.
 //!
-//! ## Byte layout (format version 1)
+//! ## Byte layout (format version 2)
 //!
 //! ```text
 //! magic     8 bytes   b"NFDSNAP1"
@@ -43,9 +46,10 @@
 //! ```
 //!
 //! Sections appear in a fixed order — `SCHEMA`, `SIGMA`, `POLICY`,
-//! `TABLES`, `POOLS`, optional `CACHE`, then `END`, whose payload is the
-//! CRC-32 of every preceding byte of the file. Within payloads, integers
-//! are little-endian, strings and vectors are `u64` length-prefixed, and
+//! `TABLES`, `POOLS`, then `END`, whose payload is the CRC-32 of every
+//! preceding byte of the file. Tag 6 is retired (format 1's closure-cache
+//! section) and is never reused. Within payloads, integers are
+//! little-endian, strings and vectors are `u64` length-prefixed, and
 //! bitsets are dumped as their raw 64-bit words. See `DESIGN.md` for the
 //! field-by-field specification and the version-bump policy.
 //!
@@ -65,7 +69,7 @@ pub const MAGIC: &[u8; 8] = b"NFDSNAP1";
 /// The current format version. Bump on ANY change to the byte layout —
 /// the decoder rejects other versions with
 /// [`SnapError::UnsupportedVersion`] rather than guessing.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Hard ceiling on a single snapshot file (256 MiB). A corrupt length
 /// field can claim anything; this bounds what the decoder will even
@@ -77,7 +81,6 @@ const TAG_SIGMA: u32 = 2;
 const TAG_POLICY: u32 = 3;
 const TAG_TABLES: u32 = 4;
 const TAG_POOLS: u32 = 5;
-const TAG_CACHE: u32 = 6;
 const TAG_END: u32 = 7;
 
 /// Why a snapshot could not be written, read, or accepted. Every
@@ -222,19 +225,6 @@ pub struct PoolSnap {
     pub relation: String,
     /// Pool entries in pool order.
     pub deps: Vec<DepSnap>,
-    /// Set-of-records path ids whose singleton rule has fired.
-    pub singletons: Vec<u32>,
-}
-
-/// One warm closure-cache entry: `(relation, key words, closure words)`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CacheEntrySnap {
-    /// Relation label text.
-    pub relation: String,
-    /// The normalized LHS bitset the closure was computed for.
-    pub key: Vec<u64>,
-    /// The cached closure bitset.
-    pub closure: Vec<u64>,
 }
 
 /// A decoded snapshot: everything needed to reinstall a compiled session
@@ -254,17 +244,14 @@ pub struct Snapshot {
     pub tables: Vec<TableSnap>,
     /// Per-relation saturated pools, sorted by relation text.
     pub pools: Vec<PoolSnap>,
-    /// Warm closure-cache entries (empty when the cache was cold or
-    /// deliberately excluded).
-    pub cache: Vec<CacheEntrySnap>,
 }
 
 /// Result of a lenient decode: the best [`Snapshot`] the bytes support.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Salvaged {
     /// The recovered snapshot. When `degraded` is true its compiled
-    /// sections (`tables`, `pools`, `cache`) are empty and only the text
-    /// sections should be trusted.
+    /// sections (`tables`, `pools`) are empty and only the text sections
+    /// should be trusted.
     pub snapshot: Snapshot,
     /// True when any compiled section (or the file trailer) failed
     /// verification and was dropped: the caller must fall back to a
@@ -421,19 +408,6 @@ fn encode_pools(e: &mut Enc, pools: &[PoolSnap]) {
             encode_prov(e, &d.prov);
             e.u8(d.subsumed as u8);
         }
-        e.u64(pool.singletons.len() as u64);
-        for &s in &pool.singletons {
-            e.u32(s);
-        }
-    }
-}
-
-fn encode_cache(e: &mut Enc, cache: &[CacheEntrySnap]) {
-    e.u64(cache.len() as u64);
-    for c in cache {
-        e.str(&c.relation);
-        e.words(&c.key);
-        e.words(&c.closure);
     }
 }
 
@@ -446,8 +420,8 @@ fn push_section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
 
 /// Serializes a snapshot to its on-disk byte representation. Encoding is
 /// deterministic: the same snapshot value always yields the same bytes
-/// (section order is fixed; the facade sorts relations and cache entries
-/// before building the [`Snapshot`]).
+/// (section order is fixed; the facade sorts relations before building
+/// the [`Snapshot`]).
 pub fn encode(snap: &Snapshot) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
@@ -472,12 +446,6 @@ pub fn encode(snap: &Snapshot) -> Vec<u8> {
     e.buf.clear();
     encode_pools(&mut e, &snap.pools);
     push_section(&mut out, TAG_POOLS, &e.buf);
-
-    if !snap.cache.is_empty() {
-        e.buf.clear();
-        encode_cache(&mut e, &snap.cache);
-        push_section(&mut out, TAG_CACHE, &e.buf);
-    }
 
     let file_crc = crc32(&out);
     push_section(&mut out, TAG_END, &file_crc.to_le_bytes());
@@ -689,33 +657,9 @@ fn decode_pools(c: &mut Cur<'_>) -> Result<Vec<PoolSnap>, SnapError> {
                 subsumed,
             });
         }
-        let singles_n = c.u64("singleton count")?;
-        let singles_n = c.count(singles_n, 4, "singletons")?;
-        let mut singletons = Vec::with_capacity(singles_n);
-        for _ in 0..singles_n {
-            singletons.push(c.u32("singleton id")?);
-        }
-        pools.push(PoolSnap {
-            relation,
-            deps,
-            singletons,
-        });
+        pools.push(PoolSnap { relation, deps });
     }
     Ok(pools)
-}
-
-fn decode_cache(c: &mut Cur<'_>) -> Result<Vec<CacheEntrySnap>, SnapError> {
-    let n = c.u64("cache entry count")?;
-    let n = c.count(n, 8, "cache entries")?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(CacheEntrySnap {
-            relation: c.str("cache relation")?,
-            key: c.words("cache key")?,
-            closure: c.words("cache closure")?,
-        });
-    }
-    Ok(entries)
 }
 
 /// One framed section as sliced (and CRC-verified) out of the file.
@@ -755,7 +699,6 @@ fn section_name(tag: u32) -> &'static str {
         TAG_POLICY => "POLICY",
         TAG_TABLES => "TABLES",
         TAG_POOLS => "POOLS",
-        TAG_CACHE => "CACHE",
         TAG_END => "END",
         _ => "unknown section",
     }
@@ -822,15 +765,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapError> {
         finish_payload(&p, expect)?;
     }
 
-    let s = next_section(&mut c)?;
-    let end = if s.tag == TAG_CACHE {
-        let mut p = Cur::new(s.payload);
-        snap.cache = decode_cache(&mut p)?;
-        finish_payload(&p, TAG_CACHE)?;
-        next_section(&mut c)?
-    } else {
-        s
-    };
+    let end = next_section(&mut c)?;
     if end.tag != TAG_END {
         return Err(SnapError::Malformed(format!(
             "expected END section, found {}",
@@ -856,8 +791,8 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapError> {
 ///
 /// The header and the three text sections (SCHEMA, SIGMA, POLICY) are
 /// mandatory — if any of them is damaged the snapshot is useless and the
-/// error is returned. The compiled sections (TABLES, POOLS, CACHE) and
-/// the file trailer are best-effort: the first failure drops every
+/// error is returned. The compiled sections (TABLES, POOLS) and the file
+/// trailer are best-effort: the first failure drops every
 /// compiled section and marks the result degraded, telling the caller to
 /// fall back to a fresh compile from the embedded texts. Used by `serve`
 /// `RESTORE`, where a damaged-but-salvageable snapshot should admit the
@@ -903,12 +838,9 @@ pub fn decode_lenient(bytes: &[u8]) -> Result<Salvaged, SnapError> {
         finish_payload(&p, expect)?;
     }
     // Text sections are intact; the strict decode failed somewhere after
-    // them, so the compiled state is untrustworthy. Drop it wholesale —
-    // a half-trusted pool is exactly the hybrid state thaw must never
-    // produce.
-    snap.tables.clear();
-    snap.pools.clear();
-    snap.cache.clear();
+    // them, so the compiled state is untrustworthy and is never read: the
+    // snapshot keeps its default, empty tables and pools — a half-trusted
+    // pool is exactly the hybrid state thaw must never produce.
     Ok(Salvaged {
         snapshot: snap,
         degraded: true,
@@ -1021,12 +953,6 @@ mod tests {
                     prov: ProvSnap::Given(0),
                     subsumed: false,
                 }],
-                singletons: vec![],
-            }],
-            cache: vec![CacheEntrySnap {
-                relation: "R".to_string(),
-                key: vec![0b01],
-                closure: vec![0b11],
             }],
         }
     }
@@ -1038,14 +964,6 @@ mod tests {
         assert_eq!(decode(&bytes).unwrap(), snap);
         // Deterministic bytes.
         assert_eq!(encode(&snap), bytes);
-    }
-
-    #[test]
-    fn round_trip_without_cache_section() {
-        let mut snap = sample();
-        snap.cache.clear();
-        let bytes = encode(&snap);
-        assert_eq!(decode(&bytes).unwrap(), snap);
     }
 
     #[test]

@@ -156,19 +156,21 @@ const USAGE: &str = "usage:
   recompiling from the mutated --deps file — so queries after the flags
   see exactly the mutated Σ.
 
-  snapshot opens the session and writes it — interned path tables,
-  the saturated Σ pool with full provenance, the empty-set policy and
-  the warm closure cache — to --out as a length-prefixed, per-section
-  CRC-checksummed binary image, atomically (temp file, flush, rename).
-  Every session subcommand accepts --snapshot FILE to warm-start from
-  such an image: any valid image matching the --schema/--deps/--policy
-  on the command line thaws, whatever its size, skipping the saturation
-  fixpoint, while a corrupt, truncated or mismatched one is rejected
-  with a typed reason and the tool transparently compiles fresh.
-  Degraded startup is a logged event, never a failure and never a wrong
-  answer; --add-dep / --drop-dep mutations apply after the thaw exactly
-  as after a compile, so snapshot --snapshot OLD --out NEW re-freezes
-  OLD with the mutations applied.
+  snapshot opens the session and writes what its compile derived —
+  the schema and Σ texts, the empty-set policy, interned path tables and
+  the saturated Σ pools with full provenance — to --out as a
+  length-prefixed, per-section CRC-checksummed binary image (format 2),
+  atomically (temp file, flush, rename). One source always writes the
+  same bytes. Every session subcommand accepts --snapshot FILE to
+  warm-start from such an image: any valid image matching the
+  --schema/--deps/--policy on the command line thaws, whatever its
+  size, skipping the saturation fixpoint, while a corrupt, truncated,
+  mismatched or older-format one is rejected with a typed reason and
+  the tool transparently compiles fresh. Degraded startup is a logged
+  event, not a failure; the checksums catch damage, not a deliberately
+  forged pool. --add-dep / --drop-dep mutations apply after the thaw
+  exactly as after a compile, so snapshot --snapshot OLD --out NEW
+  re-freezes OLD with the mutations applied.
 
   serve runs the crash-contained multi-tenant registry daemon: named
   schemas stay resident as compiled sessions behind a line protocol
@@ -629,10 +631,9 @@ fn dispatch(args: &[String], out: &mut String) -> Result<i32, CliFail> {
                 .map_err(|e| CliFail::Usage(format!("cannot write snapshot `{out_path}`: {e}")))?;
             let _ = writeln!(
                 out,
-                "snapshot: wrote {} bytes to `{out_path}` ({} pools, {} cached closures)",
+                "snapshot: wrote {} bytes to `{out_path}` ({} pools)",
                 bytes.len(),
-                image.pools.len(),
-                image.cache.len()
+                image.pools.len()
             );
             Ok(0)
         }

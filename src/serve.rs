@@ -167,14 +167,24 @@ struct RegistryCounters {
     epoch_swaps: AtomicU64,
 }
 
-/// The key under which tenants may share one closure cache: the literal
-/// `(schema source, Σ source, policy)` triple. Keying on full text (not
-/// a hash of it) makes accidental cross-schema sharing impossible; the
-/// pool map hashes the strings internally anyway. Sound because the
-/// daemon compiles every tenant under one fixed build budget and engine
-/// builds are deterministic — same key, same saturated pool, same
-/// closures (see DESIGN.md §"Read-parallel registry").
+/// The key under which tenants may share one closure cache: the
+/// canonical `(schema, Σ, policy)` source, rendered as a snapshot image
+/// embeds it, so a `LOAD` and a `RESTORE` of one source share a cache
+/// whatever the wire text's spacing. Keying on full text (not a hash of
+/// it) makes accidental cross-schema sharing impossible; the pool map
+/// hashes the strings internally anyway. Sound because the daemon
+/// compiles every tenant under one fixed build budget and engine builds
+/// are deterministic — same key, same saturated pool, same closures
+/// (see DESIGN.md §11, "Read-parallel registry").
 type CacheKey = (String, String, String);
+
+fn cache_key(schema: &Schema, sigma: &[Nfd], policy: &EmptySetPolicy) -> CacheKey {
+    (
+        schema.to_string(),
+        crate::snapshot::render_sigma(sigma),
+        format!("{policy:?}"),
+    )
+}
 
 /// The multi-tenant session registry; implement [`Handler`] and hand it
 /// to [`nfd_serve::Server::bind`].
@@ -269,12 +279,6 @@ impl Registry {
     }
 
     fn load(&self, name: String, schema: String, deps: String) -> Response {
-        let key: CacheKey = (
-            schema.clone(),
-            deps.clone(),
-            format!("{:?}", EmptySetPolicy::Forbidden),
-        );
-        let cache = self.shared_cache_for(key);
         let schema = match Schema::parse(&schema) {
             Ok(schema) => Arc::new(schema),
             Err(e) => return Response::Err(format!("schema: {e}")),
@@ -283,6 +287,7 @@ impl Registry {
             Ok(sigma) => sigma,
             Err(e) => return Response::Err(format!("deps: {e}")),
         };
+        let cache = self.shared_cache_for(cache_key(&schema, &sigma, &EmptySetPolicy::Forbidden));
         match Session::open(
             SchemaRef::Shared(schema),
             &sigma,
@@ -324,12 +329,6 @@ impl Registry {
             Ok(policy) => policy,
             Err(e) => return reject(format!("restore: policy: {e}")),
         };
-        let key: CacheKey = (
-            snap.schema_text.clone(),
-            snap.sigma_text.clone(),
-            format!("{policy:?}"),
-        );
-        let cache = self.shared_cache_for(key);
         let schema = match Schema::parse(&snap.schema_text) {
             Ok(schema) => Arc::new(schema),
             Err(e) => return reject(format!("restore: schema: {e}")),
@@ -338,6 +337,7 @@ impl Registry {
             Ok(sigma) => sigma,
             Err(e) => return reject(format!("restore: deps: {e}")),
         };
+        let cache = self.shared_cache_for(cache_key(&schema, &sigma, &policy));
         let image = (!salvaged.degraded).then_some(snap);
         match Session::open(
             SchemaRef::Shared(schema),
@@ -1257,6 +1257,32 @@ mod tests {
             reg.handle(cmd("IMPLIES b R:[C -> A]")),
             Response::Ok("implied".to_string())
         );
+        reg.on_shutdown();
+    }
+
+    /// A `LOAD` and a `RESTORE` of one source share one pooled cache:
+    /// both key it on the canonical rendered source, so spacing in the
+    /// wire text does not split it.
+    #[test]
+    fn load_and_restore_of_one_source_share_one_cache() {
+        let file = TempSnap::new("share");
+        let path = file.as_str();
+        let reg = Registry::new(RegistryConfig::default());
+        assert!(load(&reg, "a").is_ok());
+        assert!(reg.handle(cmd(&format!("SNAPSHOT a {path}"))).is_ok());
+        assert_eq!(
+            reg.handle(cmd(&format!("RESTORE b {path}"))),
+            Response::Ok("restored deps=2 (thawed)".to_string())
+        );
+        assert!(reg.handle(cmd("CLOSURE a R A")).is_ok());
+        assert!(reg.handle(cmd("CLOSURE b R A")).is_ok());
+        let stats = reg.stats_line();
+        for field in ["shared_caches=1", "closure_hits=1", "closure_misses=1"] {
+            assert!(
+                stats.split_whitespace().any(|f| f == field),
+                "missing `{field}` in: {stats}"
+            );
+        }
         reg.on_shutdown();
     }
 

@@ -394,23 +394,21 @@ impl<'s> Session<'s> {
     /// session `'static`, the form `nfdtool serve` keeps resident behind
     /// an `Arc`; a [`SchemaRef::Borrowed`] one ties it to the caller.
     ///
-    /// With `snapshot` it thaws under exactly the validation of
+    /// With `snapshot` it thaws under exactly the checks of
     /// [`Session::thaw`], and compiles `sigma` fresh if the thaw is
     /// rejected, returning the rejection as the second value; without
-    /// one it compiles as [`Session::with_budget`] does. Thawed and
-    /// compiled sessions are bit-identical, so the image changes only
-    /// what opening costs, never an answer.
+    /// one it compiles as [`Session::with_budget`] does. A thaw of an
+    /// image written by [`Session::freeze`] gives the session a compile
+    /// gives, so the image changes what opening costs, not an answer.
     ///
     /// `cache` may be shared with other sessions compiled from the same
     /// `(schema, Σ, policy)` under the same build budget: engine builds
     /// are deterministic, so every such session saturates the identical
     /// pool and computes the identical closures, and a hit only skips
     /// work another session already did bit for bit (see the soundness
-    /// note on [`nfd_core::ClosureCache`]). A thaw imports the snapshot's
-    /// validated cache entries into it, which is sound because they were
-    /// computed over the same `(schema, Σ, policy)` the thaw verifies
-    /// against; a rejected thaw imports nothing. A session whose Σ is
-    /// mutated afterwards must not share its cache.
+    /// note on [`nfd_core::ClosureCache`]). Opening never writes to it,
+    /// thawed or compiled. A session whose Σ is mutated afterwards must
+    /// not share its cache.
     pub fn open(
         schema: SchemaRef<'s>,
         sigma: &[Nfd],
@@ -516,30 +514,28 @@ impl<'s> Session<'s> {
 
     /// A copy of this session for a writer to mutate while readers keep
     /// using this one — what a [`Session::freeze`] / [`Session::thaw`]
-    /// round trip returns, without replaying anything: the same Σ and
-    /// policy, the very same saturated pools (shared, see
-    /// [`Engine::fork`]), a private closure cache seeded with this one's
-    /// entries and an empty keys memo.
+    /// round trip returns, without replaying anything and with the
+    /// closures kept: the same Σ and policy, the very same saturated
+    /// pools (shared, see [`Engine::fork`]), a private copy of this one's
+    /// closure cache ([`ClosureCache::copy`]) and an empty keys memo.
     ///
     /// `add_deps`/`remove_deps` on the fork rebuild the touched relation
     /// into a new pool and invalidate only the fork's own caches, so
     /// this session keeps answering from its own Σ, bit for bit.
     pub fn fork(&self) -> Session<'s> {
-        let cache = Arc::new(ClosureCache::with_capacity(DEFAULT_CLOSURE_CACHE_CAPACITY));
-        cache.import(self.cache.export());
-        Session::around(self.engine.fork(), cache)
+        Session::around(self.engine.fork(), Arc::new(self.cache.copy()))
     }
 
     /// Freezes this session's compiled state into a portable
     /// [`nfd_snap::Snapshot`]: schema and Σ source texts, the empty-set
-    /// policy, the interned path-table matrices, the saturated pools
-    /// with provenance, and the current contents of the warm closure
-    /// cache. Pure export — the session is untouched, and the snapshot
-    /// is deterministic for a given compiled state (cache contents
-    /// excepted, which depend on query history). Encode with
+    /// policy, the interned path-table matrices and the saturated pools
+    /// with provenance — what a compile derives from `(schema, Σ,
+    /// policy)`, and nothing the session was asked. Pure export: the
+    /// session is untouched, and one source always freezes to the same
+    /// snapshot, whatever was queried before. Encode with
     /// [`nfd_snap::encode`] and persist with [`nfd_snap::write_atomic`].
     pub fn freeze(&self) -> nfd_snap::Snapshot {
-        crate::snapshot::freeze_parts(self.schema(), &self.engine, &self.cache)
+        crate::snapshot::freeze_parts(self.schema(), &self.engine)
     }
 
     /// Rebuilds a session from a [`Session::freeze`] snapshot, skipping
@@ -550,13 +546,16 @@ impl<'s> Session<'s> {
     /// them or thawing fails with a typed
     /// [`nfd_snap::SnapError::Mismatch`] — the schema/Σ/policy texts are compared
     /// against the embedded ones, the path tables are recompiled and
-    /// required to be bit-identical to the embedded matrices, the pools
-    /// replay through the engine's own validated `add` path, and cache
-    /// entries are range-checked before import. A rejected thaw leaves
+    /// required to be bit-identical to the embedded matrices, and the
+    /// pools replay through the engine's own `add` path, which checks ids
+    /// and premise indices and re-derives subsumption flags and `need_x`
+    /// gates. Each entry's derivation is taken on trust: the CRCs catch
+    /// accidental damage, not a forged entry. A rejected thaw leaves
     /// nothing behind: [`Session::open`] falls back to a fresh compile
     /// and hands the rejection back as an event to report, not a
-    /// failure. Thawed sessions are bit-identical to freshly compiled
-    /// ones (proved by `tests/snapshot_differential.rs`).
+    /// failure. A thaw of an image [`Session::freeze`] wrote is
+    /// bit-identical to a fresh compile, down to its cold closure cache
+    /// (proved by `tests/snapshot_differential.rs`).
     ///
     /// The [`TierPreference`] is ignored; the parameter stays only for the
     /// benchmark, which still passes it.
@@ -608,7 +607,6 @@ impl<'s> Session<'s> {
             .map_err(|e| SnapError::Mismatch(format!("schema does not compile: {e}")))?;
         crate::snapshot::verify_tables(&tables, &snapshot.tables)?;
         let pools = crate::snapshot::frozen_pools(snapshot, &schema)?;
-        let imports = crate::snapshot::cache_entries(snapshot, &schema, &tables)?;
         let engine = catch_unwind(AssertUnwindSafe(|| {
             Engine::replay(schema, tables, sigma, policy, budget, pools)
         }))
@@ -616,7 +614,6 @@ impl<'s> Session<'s> {
             SnapError::Mismatch(format!("snapshot replay panicked: {}", panic_message(p)))
         })?
         .map_err(|e| SnapError::Mismatch(format!("snapshot replay rejected: {e}")))?;
-        cache.import(imports);
         Ok(Session::around(engine, cache))
     }
 

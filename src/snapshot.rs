@@ -3,10 +3,11 @@
 //!
 //! The `nfd-snap` crate owns the bytes (format, checksums, atomic I/O)
 //! and deliberately knows nothing about engines; this module owns the
-//! meaning. Freezing dumps the compiled state — schema and Σ source
-//! texts, the empty-set policy, every relation's interned path-table
-//! matrices, the saturated pools with provenance, and the warm closure
-//! cache. Thawing is *verified reinstallation*:
+//! meaning. Freezing dumps what a compile derives from `(schema, Σ,
+//! policy)` — schema and Σ source texts, the empty-set policy, every
+//! relation's interned path-table matrices and the saturated pools with
+//! provenance — so one source always freezes to the same image. Thawing
+//! is *checked reinstallation*:
 //!
 //! 1. the embedded schema/Σ/policy texts must equal the caller's
 //!    (rendered through the same `Display` impls they were frozen with);
@@ -14,25 +15,22 @@
 //!    bit-identical to the embedded matrices — any skew (a schema edit,
 //!    an interning change) is a typed [`SnapError::Mismatch`];
 //! 3. the pools replay through the engine's own `add` path
-//!    ([`nfd_core::engine::Engine::replay`]), which re-derives
-//!    subsumption flags and policy gates and rejects any entry the
-//!    original build would have rejected;
-//! 4. cache entries are range-checked against the tables before import.
+//!    ([`nfd_core::engine::Engine::replay`]), which checks ids and
+//!    premise indices, re-derives subsumption flags and `need_x` gates,
+//!    and rejects any entry `add` would reject.
 //!
-//! A snapshot can therefore never produce a session that answers
-//! differently from a fresh compile — the differential suite
-//! (`tests/snapshot_differential.rs`) proves bit-identity, and the
-//! corruption sweep (`tests/snapshot_corruption.rs`) proves damaged
-//! bytes are rejected, never misread.
+//! Each entry's derivation is taken on trust: the CRCs catch accidental
+//! damage (`tests/snapshot_corruption.rs`), but an image rewritten with a
+//! forged entry and valid CRCs thaws and answers from it. An image that
+//! [`crate::session::Session::freeze`] wrote thaws bit-identical to a fresh
+//! compile (`tests/snapshot_differential.rs`).
 
 use nfd_core::engine::{Engine, FrozenDep, FrozenPool, Prov};
-use nfd_core::{ClosureCache, EmptySetPolicy, Nfd};
+use nfd_core::{EmptySetPolicy, Nfd};
 use nfd_model::{Label, Schema};
 use nfd_path::table::{PathId, PathSet, PathTable, SchemaTables};
 use nfd_path::RootedPath;
-use nfd_snap::{
-    CacheEntrySnap, DepSnap, PolicySnap, PoolSnap, ProvSnap, SnapError, Snapshot, TableSnap,
-};
+use nfd_snap::{DepSnap, PolicySnap, PoolSnap, ProvSnap, SnapError, Snapshot, TableSnap};
 use std::collections::HashMap;
 
 /// Renders Σ in the canonical snapshot form: one `Display`-rendered NFD
@@ -179,11 +177,10 @@ fn prov_from_snap(snap: &ProvSnap) -> Prov {
     }
 }
 
-/// Freezes a compiled engine (plus its warm closure cache) into the
-/// portable snapshot form. Pure export — deterministic for a given
-/// compiled state, and the relation/cache orderings are sorted so the
-/// encoded bytes are reproducible.
-pub(crate) fn freeze_parts(schema: &Schema, engine: &Engine<'_>, cache: &ClosureCache) -> Snapshot {
+/// Freezes a compiled engine into the portable snapshot form. Pure
+/// export — deterministic for a given compiled state, and the relation
+/// orderings are sorted so the encoded bytes are reproducible.
+pub(crate) fn freeze_parts(schema: &Schema, engine: &Engine<'_>) -> Snapshot {
     let pools = engine
         .export_pools()
         .into_iter()
@@ -199,16 +196,6 @@ pub(crate) fn freeze_parts(schema: &Schema, engine: &Engine<'_>, cache: &Closure
                     subsumed: d.subsumed,
                 })
                 .collect(),
-            singletons: p.singletons.clone(),
-        })
-        .collect();
-    let cache_entries = cache
-        .export()
-        .into_iter()
-        .map(|(relation, key, closure)| CacheEntrySnap {
-            relation: relation.to_string(),
-            key: key.as_words().to_vec(),
-            closure: closure.as_words().to_vec(),
         })
         .collect();
     Snapshot {
@@ -217,16 +204,7 @@ pub(crate) fn freeze_parts(schema: &Schema, engine: &Engine<'_>, cache: &Closure
         policy: policy_snap(engine.policy()),
         tables: tables_snap(engine.tables()),
         pools,
-        cache: cache_entries,
     }
-}
-
-/// A `relation text → Label` index over the schema's relations.
-fn label_index(schema: &Schema) -> HashMap<String, Label> {
-    schema
-        .relation_names()
-        .map(|l| (l.to_string(), l))
-        .collect()
 }
 
 /// Converts the snapshot's pools back to the engine's frozen form,
@@ -237,7 +215,10 @@ pub(crate) fn frozen_pools(
     snapshot: &Snapshot,
     schema: &Schema,
 ) -> Result<Vec<FrozenPool>, SnapError> {
-    let labels = label_index(schema);
+    let labels: HashMap<String, Label> = schema
+        .relation_names()
+        .map(|l| (l.to_string(), l))
+        .collect();
     let mut out = Vec::with_capacity(snapshot.pools.len());
     for pool in &snapshot.pools {
         let relation = *labels.get(&pool.relation).ok_or_else(|| {
@@ -258,53 +239,7 @@ pub(crate) fn frozen_pools(
                     subsumed: d.subsumed,
                 })
                 .collect(),
-            singletons: pool.singletons.clone(),
         });
-    }
-    Ok(out)
-}
-
-/// Converts and range-checks the snapshot's closure-cache entries for
-/// import into a live cache. Every entry must name a known relation and
-/// carry bitsets of the relation's exact word width with ids inside the
-/// table — anything else is a typed mismatch, not a tolerated oddity.
-pub(crate) fn cache_entries(
-    snapshot: &Snapshot,
-    schema: &Schema,
-    tables: &SchemaTables,
-) -> Result<Vec<(Label, PathSet, PathSet)>, SnapError> {
-    let labels = label_index(schema);
-    let mut out = Vec::with_capacity(snapshot.cache.len());
-    for entry in &snapshot.cache {
-        let relation = *labels.get(&entry.relation).ok_or_else(|| {
-            SnapError::Mismatch(format!(
-                "snapshot cache entry names unknown relation `{}`",
-                entry.relation
-            ))
-        })?;
-        let table = tables.get(relation).ok_or_else(|| {
-            SnapError::Mismatch(format!(
-                "no compiled table for relation `{}`",
-                entry.relation
-            ))
-        })?;
-        let len = table.len() as PathId;
-        let words = table.words();
-        if entry.key.len() != words || entry.closure.len() != words {
-            return Err(SnapError::Mismatch(format!(
-                "cache entry for `{}` has the wrong bitset width",
-                entry.relation
-            )));
-        }
-        let key = PathSet::from_words(entry.key.clone());
-        let closure = PathSet::from_words(entry.closure.clone());
-        if key.iter().any(|id| id >= len) || closure.iter().any(|id| id >= len) {
-            return Err(SnapError::Mismatch(format!(
-                "cache entry for `{}` has path ids outside the table",
-                entry.relation
-            )));
-        }
-        out.push((relation, key, closure));
     }
     Ok(out)
 }

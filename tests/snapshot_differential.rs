@@ -1,8 +1,9 @@
 //! Thaw-vs-fresh differential census: a session thawed from a snapshot
 //! must be *bit-identical* to one compiled fresh — same saturated pools,
 //! same verdicts, same derivation chains, same closures, same candidate
-//! keys, same verified proofs — across the empty-set policies and batch
-//! parallelism at 1/2/8 threads.
+//! keys (searched at 1/2/8 threads), same verified proofs — across the
+//! empty-set policies. And an image depends only on its source: what a
+//! session was asked before the freeze never reaches the bytes.
 //!
 //! This is the headline correctness proof for `nfd-snap`: warm starts
 //! are a pure performance optimization with zero observable semantics.
@@ -78,8 +79,8 @@ fn thawed_sessions_are_bit_identical_to_fresh_compiles() {
         let tag = format!("policy={policy_name}");
         let fresh =
             Session::with_budget(&schema, &sigma, policy.clone(), Budget::standard()).unwrap();
-        // Warm the closure cache before freezing so the snapshot
-        // carries non-trivial cache entries too.
+        // Warm the closure cache before freezing: the thaw must match
+        // the warm session although the image carries no closures.
         let base = RootedPath::parse("Course").unwrap();
         let lhs = vec![nfd_path::Path::parse("cnum").unwrap()];
         let fresh_closure = fresh.closure(&base, &lhs).unwrap();
@@ -135,6 +136,36 @@ fn thawed_sessions_are_bit_identical_to_fresh_compiles() {
         );
         fresh.verify(&thawed_proof).unwrap();
         thawed.verify(&fresh_proof).unwrap();
+    }
+}
+
+/// One source, one image: a session that has answered reads freezes to
+/// the very bytes a fresh compile of the same source does, and so does
+/// its thaw, under every policy.
+#[test]
+fn an_image_depends_only_on_its_source() {
+    let schema = Schema::parse(SCHEMA).unwrap();
+    let sigma = parse_set(&schema, SIGMA).unwrap();
+    for (policy_name, policy) in policies() {
+        let image = |session: &Session| nfd::snap::encode(&session.freeze());
+        let fresh =
+            Session::with_budget(&schema, &sigma, policy.clone(), Budget::standard()).unwrap();
+        let pristine = image(&fresh);
+        let asked =
+            Session::with_budget(&schema, &sigma, policy.clone(), Budget::standard()).unwrap();
+        asked.implies_text("Course:[cnum -> students:age]").unwrap();
+        asked
+            .closure(
+                &RootedPath::parse("Course").unwrap(),
+                &[nfd_path::Path::parse("cnum").unwrap()],
+            )
+            .unwrap();
+        assert!(!asked.closure_cache().is_empty(), "policy={policy_name}");
+        // `assert!`, not `assert_eq!`: a mismatch would print two images.
+        assert!(image(&asked) == pristine, "queried: policy={policy_name}");
+        let thawed = thaw_round_trip(&asked, &schema, &sigma, &policy);
+        assert!(thawed.closure_cache().is_empty(), "policy={policy_name}");
+        assert!(image(&thawed) == pristine, "thawed: policy={policy_name}");
     }
 }
 
