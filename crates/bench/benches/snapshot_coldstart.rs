@@ -1,11 +1,11 @@
 //! Bench `snapshot_coldstart` (EXPERIMENTS.md §B17): warm-starting a
 //! session from an `nfd-snap` image against compiling it fresh.
 //!
-//! A snapshot stores the *outputs* of compilation — the source texts,
-//! interned path tables and the saturated Σ pool with provenance, never
-//! closures — so a thaw replaces the saturation fixpoint (the
-//! superlinear part of startup) with a checked linear replay of the
-//! frozen pool.
+//! A snapshot stores the *derivations* of compilation — the source
+//! texts, each relation's path list and each pool entry's provenance and
+//! subsumption flag, never conclusions or closures — so a thaw replaces
+//! the saturation search (the superlinear part of startup) with one
+//! linear pass that re-applies each recorded rule.
 //! This harness measures the full cold-start path a CLI warm start
 //! actually performs — read the image from disk, strictly decode it
 //! (every section CRC checked), thaw, answer one query — against the
@@ -14,13 +14,13 @@
 //!
 //! * `wide_sigma_coldstart` — the headline shape: one relation with a
 //!   wide overlapping Σ (the B14 family) where saturation dominates
-//!   startup and the thaw's linear replay wins.
+//!   startup and the thaw's linear re-derivation wins.
 //! * `multi_wide_coldstart` — 8 isomorphic wide-Σ relations: the
 //!   schema-registry restart shape (`nfdtool serve` RESTORE).
 //! * `course_coldstart` — the honest row: the paper's 7-NFD Course
 //!   schema, where there is almost no saturation to skip and the CRC
-//!   sweep + validated replay is pure overhead, so fresh compilation
-//!   wins or ties and the record says so.
+//!   sweep + re-derivation is pure overhead, so fresh compilation wins
+//!   or ties and the record says so.
 //!
 //! The `image_bytes` trailer records each image's size.
 
@@ -77,7 +77,7 @@ fn main() {
     let mut sizes: Vec<String> = Vec::new();
 
     // Headline: one relation, wide overlapping Σ — saturation dominates
-    // the fresh compile, the thaw replays its output linearly.
+    // the fresh compile, the thaw re-applies its rules linearly.
     const ATTRS: usize = 24;
     for &n in bench.sizes(&[16], &[64, 128]) {
         let schema = flat_schema(ATTRS);
@@ -118,8 +118,8 @@ fn main() {
     }
 
     // Honest row: the paper's Course schema — Σ of seven NFDs leaves
-    // almost no saturation to skip, so the checksum sweep and validated
-    // replay are pure overhead here.
+    // almost no saturation to skip, so the checksum sweep and the
+    // re-derivation are pure overhead here.
     let (schema, sigma) = course();
     let goal = Nfd::parse(&schema, "Course:[time, students:sid -> books]").unwrap();
     let path = dir.join("course.snap");

@@ -115,17 +115,13 @@ pub struct CDep {
 }
 
 /// One pool dependency as exported by [`Engine::export_pools`] — the
-/// portable form of a [`CDep`]. `need_x` is deliberately absent: it is a
-/// pure function of `(lhs, rhs, policy)` and is recomputed on thaw, so a
-/// snapshot can never smuggle in an inconsistent gate.
+/// portable form of a [`CDep`], as its derivation only. The LHS, RHS
+/// and `need_x` gate are deliberately absent: [`Engine::replay`]
+/// re-applies the rule `prov` names to recover them, so a snapshot can
+/// never smuggle in a conclusion the rules do not license.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FrozenDep {
-    /// LHS path ids.
-    pub lhs: PathSet,
-    /// RHS path id.
-    pub rhs: PathId,
-    /// How the dependency was derived (validated for well-foundedness on
-    /// thaw).
+    /// How the dependency was derived: the rule and its premises.
     pub prov: Prov,
     /// Subsumption flag at export time — thaw replays the pool and
     /// requires the replayed flags to match exactly.
@@ -387,87 +383,161 @@ impl RelEngine {
 
     /// Prefix-weakening and full-locality conclusions of `deps[i]`.
     fn unary_conclusions(&mut self, i: usize, budget: &Budget) -> Result<(), CoreError> {
-        let table = Arc::clone(&self.table);
         let (lhs, rhs) = (self.deps[i].lhs.clone(), self.deps[i].rhs);
-
-        // prefix: shorten any LHS path x1:A to x1 (x1 not a prefix of the
-        // RHS; under empty sets, x1 must be non-empty and reachable).
         for pid in lhs.iter() {
-            let Some(x1) = table.parent(pid) else {
-                continue; // single-label path: parent is the empty path
-            };
-            if table.is_prefix(x1, rhs) {
-                continue;
-            }
-            if !(self.non_empty.contains(x1) && self.defined.contains(x1)) {
-                continue;
-            }
-            let mut new_lhs = lhs.clone();
-            new_lhs.remove(pid);
-            new_lhs.insert(x1);
-            self.add(
-                new_lhs,
-                rhs,
-                Prov::Prefix {
+            if let Some(new_lhs) = self.prefix(&lhs, rhs, pid) {
+                let prov = Prov::Prefix {
                     dep: i,
                     shortened: pid,
-                },
-                budget,
-            )?;
-        }
-
-        // full-locality: for each proper prefix x of the RHS, keep only the
-        // x-prefixed LHS paths plus x itself; the dismissed paths must pass
-        // the locality gate (follow the RHS or be defined) under empty sets.
-        for x_id in table.ancestors(rhs) {
-            let mut kept = lhs.clone();
-            kept.intersect_with(table.extensions_of(x_id));
-            let mut dismissed = lhs.clone();
-            dismissed.difference_with(&kept);
-            dismissed.remove(x_id);
-            dismissed.difference_with(table.followers_of(rhs));
-            dismissed.difference_with(&self.defined);
-            if !dismissed.is_empty() {
-                continue;
+                };
+                self.add(new_lhs, rhs, prov, budget)?;
             }
-            kept.insert(x_id);
-            self.add(kept, rhs, Prov::FullLocality { dep: i, x: x_id }, budget)?;
+        }
+        for x in self.table.ancestors(rhs) {
+            if let Some(kept) = self.full_locality(&lhs, rhs, x) {
+                self.add(kept, rhs, Prov::FullLocality { dep: i, x }, budget)?;
+            }
         }
         Ok(())
     }
 
-    /// Resolution: if `deps[supplier].rhs ∈ deps[target].lhs`, replace it
-    /// by `deps[supplier].lhs`.
+    /// Resolution of `deps[target]` with `deps[supplier]`.
     fn resolve_pair(
         &mut self,
         target: usize,
         supplier: usize,
         budget: &Budget,
     ) -> Result<(), CoreError> {
+        if !self.resolves(target, supplier) {
+            return Ok(());
+        }
+        let prov = Prov::Resolve {
+            target,
+            supplier,
+            on: self.deps[supplier].rhs,
+        };
+        let lhs = self.resolvent(target, supplier);
+        self.add(lhs, self.deps[target].rhs, prov, budget)?;
+        Ok(())
+    }
+
+    // The rules, one function each: saturation, `Engine::replay` and
+    // `Engine::check_invariants` all derive through them. Each yields the
+    // conclusion's LHS, or `None` when a side condition or gate fails.
+
+    /// Prefix: `pid` = `x1:A` in the LHS shortens to `x1` when `x1` is no
+    /// prefix of the RHS (under empty sets, `x1` non-empty and defined).
+    fn prefix(&self, lhs: &PathSet, rhs: PathId, pid: PathId) -> Option<PathSet> {
+        if !lhs.contains(pid) {
+            return None;
+        }
+        let x1 = self.table.parent(pid)?; // single-label: parent is empty
+        if self.table.is_prefix(x1, rhs)
+            || !(self.non_empty.contains(x1) && self.defined.contains(x1))
+        {
+            return None;
+        }
+        let mut new_lhs = lhs.clone();
+        new_lhs.remove(pid);
+        new_lhs.insert(x1);
+        Some(new_lhs)
+    }
+
+    /// Full-locality at a proper prefix `x` of the RHS: keep the
+    /// `x`-prefixed LHS paths plus `x`; every dismissed path must follow
+    /// the RHS or be defined.
+    fn full_locality(&self, lhs: &PathSet, rhs: PathId, x: PathId) -> Option<PathSet> {
+        if !self.table.is_proper_prefix(x, rhs) {
+            return None;
+        }
+        let mut kept = lhs.clone();
+        kept.intersect_with(self.table.extensions_of(x));
+        let mut dismissed = lhs.clone();
+        dismissed.difference_with(&kept);
+        dismissed.remove(x);
+        dismissed.difference_with(self.table.followers_of(rhs));
+        dismissed.difference_with(&self.defined);
+        if !dismissed.is_empty() {
+            return None;
+        }
+        kept.insert(x);
+        Some(kept)
+    }
+
+    /// Resolution's side conditions: the supplier's RHS is in the
+    /// target's LHS and passes the modified-transitivity gate. Split from
+    /// [`RelEngine::resolvent`] so the pair loop's test stays as cheap as
+    /// the inline one it replaced (an `Option`-returning rule was not).
+    #[inline(always)]
+    fn resolves(&self, target: usize, supplier: usize) -> bool {
         let on = self.deps[supplier].rhs;
-        if !self.deps[target].lhs.contains(on) {
-            return Ok(());
+        self.deps[target].lhs.contains(on)
+            && (self.table.follows(on, self.deps[target].rhs) || self.defined.contains(on))
+    }
+
+    /// Resolution's conclusion: the target's LHS with the supplier's RHS
+    /// replaced by its LHS (the RHS is the target's).
+    #[inline(always)]
+    fn resolvent(&self, target: usize, supplier: usize) -> PathSet {
+        let mut lhs = self.deps[target].lhs.clone();
+        lhs.remove(self.deps[supplier].rhs);
+        lhs.union_with(&self.deps[supplier].lhs);
+        lhs
+    }
+
+    /// Singleton at set-of-records path `x`: when `{x}` chains over the
+    /// entries below `below` to every attribute `x:Aᵢ`, `x:A1,…,x:An → x`.
+    fn singleton(&self, x: PathId, below: usize, scratch: &mut ChainScratch) -> Option<PathSet> {
+        if x as usize >= self.table.len() || !self.table.is_set_record(x) {
+            return None;
         }
-        let t_rhs = self.deps[target].rhs;
-        // Modified transitivity gate on the discharged path (it is the
-        // intermediate value not present in the final LHS).
-        if !(self.table.follows(on, t_rhs) || self.defined.contains(on)) {
-            return Ok(());
+        let attrs = self.table.children(x);
+        if attrs.is_empty() {
+            return None;
         }
-        let mut new_lhs = self.deps[target].lhs.clone();
-        new_lhs.remove(on);
-        new_lhs.union_with(&self.deps[supplier].lhs);
-        self.add(
-            new_lhs,
-            t_rhs,
+        let c = self.chain_bounded_scratch(&[x], None, below, scratch);
+        attrs
+            .iter()
+            .all(|&a| c.contains(a))
+            .then(|| PathSet::from_ids(self.table.words(), attrs.iter().copied()))
+    }
+
+    /// The `(lhs, rhs)` that `prov` derives from Σ (`simple`, in simple
+    /// form) and the entries below `below`, through the rule functions
+    /// above; `None` when a premise is missing or not below `below`, a
+    /// path id is not the rule's, or a side condition or gate fails.
+    pub(crate) fn rederive(
+        &self,
+        prov: &Prov,
+        simple: &[Nfd],
+        below: usize,
+        scratch: &mut ChainScratch,
+    ) -> Option<(PathSet, PathId)> {
+        let premise = |j: usize| self.deps[..below].get(j);
+        match *prov {
+            Prov::Given(k) => {
+                let s = simple.get(k).filter(|s| s.base.relation == self.relation)?;
+                Some((self.intern_lhs(s.lhs()).ok()?, self.path_id(&s.rhs).ok()?))
+            }
+            Prov::Prefix { dep, shortened } => {
+                let d = premise(dep)?;
+                Some((self.prefix(&d.lhs, d.rhs, shortened)?, d.rhs))
+            }
+            Prov::FullLocality { dep, x } => {
+                let d = premise(dep)?;
+                Some((self.full_locality(&d.lhs, d.rhs, x)?, d.rhs))
+            }
             Prov::Resolve {
                 target,
                 supplier,
                 on,
-            },
-            budget,
-        )?;
-        Ok(())
+            } => {
+                let (t, s) = (premise(target)?, premise(supplier)?);
+                (s.rhs == on && self.resolves(target, supplier))
+                    .then(|| (self.resolvent(target, supplier), t.rhs))
+            }
+            Prov::Singleton { x } => Some((self.singleton(x, below, scratch)?, x)),
+        }
     }
 
     /// Query-level chaining: the closure `C(X)` of a set of path ids under
@@ -539,28 +609,18 @@ impl RelEngine {
             Err(CoreError::Exhausted(nfd_govern::ResourceReport::injected())),
             budget.cancel_token()
         );
-        let table = Arc::clone(&self.table);
         let mut added = false;
         budget.check_live().map_err(CoreError::Exhausted)?;
         // One scratch for the whole round: every candidate's chain reuses
         // the counter/ready buffers instead of reallocating from scratch.
         let mut scratch = ChainScratch::default();
-        for x_id in 0..table.len() as PathId {
-            if granted.contains(&x_id) {
+        for x in 0..self.table.len() as PathId {
+            if granted.contains(&x) {
                 continue;
             }
-            if !table.is_set_record(x_id) {
-                continue;
-            }
-            let attrs = table.children(x_id);
-            if attrs.is_empty() {
-                continue;
-            }
-            let c = self.chain_scratch(&[x_id], &mut scratch);
-            if attrs.iter().all(|&a| c.contains(a)) {
-                let lhs = PathSet::from_ids(table.words(), attrs.iter().copied());
-                self.add(lhs, x_id, Prov::Singleton { x: x_id }, budget)?;
-                granted.push(x_id);
+            if let Some(lhs) = self.singleton(x, self.deps.len(), &mut scratch) {
+                self.add(lhs, x, Prov::Singleton { x }, budget)?;
+                granted.push(x);
                 added = true;
             }
         }
@@ -701,8 +761,6 @@ impl<'s> Engine<'s> {
                     .deps
                     .iter()
                     .map(|d| FrozenDep {
-                        lhs: d.lhs.clone(),
-                        rhs: d.rhs,
                         prov: d.prov.clone(),
                         subsumed: d.subsumed,
                     })
@@ -714,22 +772,23 @@ impl<'s> Engine<'s> {
     }
 
     /// The one thaw entry: rebuilds an engine from pools exported by
-    /// [`Engine::export_pools`], skipping the saturation fixpoint — the
-    /// thaw path of compiled-session snapshots.
+    /// [`Engine::export_pools`] without the saturation search.
     ///
-    /// This is a *validated replay*, not a blind install: every frozen
-    /// entry is pushed through the same `RelEngine::add` a fresh build
-    /// uses, in pool order. `add` is deterministic and its subsumption
-    /// bookkeeping depends only on the entries accepted so far, so an
-    /// honest export replays to a bit-identical pool (same entries, same
-    /// occurrence indices, same subsumption flags, same recomputed
-    /// `need_x` gates). Any deviation — an entry `add` rejects, a
-    /// replayed subsumption flag differing from the frozen one, an
-    /// out-of-range id or premise index — is a typed
-    /// [`CoreError::Internal`], and the caller falls back to a fresh
-    /// compile. The budget is charged exactly as a fresh build's pool
-    /// growth would be, so thawing under a tighter budget reports
-    /// honest exhaustion.
+    /// Each frozen entry, in pool order, is re-derived by the rule its
+    /// provenance names from Σ and the entries before it, under the live
+    /// tables and policy gates (`RelEngine::rederive`, saturation's own
+    /// rule functions), and pushed through the `RelEngine::add` a build
+    /// uses. So a replayed pool holds only rule applications: frozen
+    /// pools can make the engine answer less than a compile, never more
+    /// (completeness is on trust). An honest export replays bit-identical
+    /// — entries, indices, flags and `need_x` gates — because `add` is
+    /// deterministic. A provenance that does not re-derive, an entry
+    /// `add` rejects, a replayed subsumption flag differing from the
+    /// frozen one, or an unknown or repeated relation is a typed
+    /// [`CoreError::Internal`]; the caller falls back to a fresh compile.
+    /// The budget is charged as a fresh build's pool growth is, so a
+    /// tight budget reports honest exhaustion. Σ is normalized but not
+    /// validated: the caller has matched it against the image.
     pub fn replay(
         schema: SchemaRef<'s>,
         tables: SchemaTables,
@@ -738,10 +797,12 @@ impl<'s> Engine<'s> {
         budget: Budget,
         pools: Vec<FrozenPool>,
     ) -> Result<Engine<'s>, CoreError> {
+        let simple: Vec<Nfd> = sigma.iter().map(simple::to_simple).collect();
         let mut rels = HashMap::new();
         for name in schema.relation_names() {
             rels.insert(name, RelEngine::new(name, &tables, &policy)?);
         }
+        let mut scratch = ChainScratch::default();
         for pool in pools {
             let rel = rels.get_mut(&pool.relation).ok_or_else(|| {
                 CoreError::Internal(format!(
@@ -756,45 +817,24 @@ impl<'s> Engine<'s> {
                 )));
             }
             let relation = rel.relation;
-            let table_len = rel.table.len() as PathId;
-            let words = rel.table.words();
-            let expected_flags: Vec<bool> = pool.deps.iter().map(|d| d.subsumed).collect();
-            for (i, fd) in pool.deps.into_iter().enumerate() {
-                let ctx = move |what: &str| {
+            for (i, fd) in pool.deps.iter().enumerate() {
+                let ctx = |what: &str| {
                     CoreError::Internal(format!("frozen pool of `{relation}`, entry {i}: {what}"))
                 };
-                if fd.lhs.as_words().len() != words {
-                    return Err(ctx("LHS bitset width does not match the path table"));
-                }
-                if fd.rhs >= table_len || fd.lhs.iter().any(|p| p >= table_len) {
-                    return Err(ctx("path id out of range for the relation"));
-                }
-                let well_founded = match &fd.prov {
-                    Prov::Given(k) => *k < sigma.len(),
-                    Prov::Prefix { dep, shortened } => *dep < i && *shortened < table_len,
-                    Prov::FullLocality { dep, x } => *dep < i && *x < table_len,
-                    Prov::Resolve {
-                        target,
-                        supplier,
-                        on,
-                    } => *target < i && *supplier < i && *on < table_len,
-                    Prov::Singleton { x } => *x < table_len,
-                };
-                if !well_founded {
-                    return Err(ctx("provenance is not well-founded"));
-                }
-                if !rel.add(fd.lhs, fd.rhs, fd.prov, &budget)? {
+                let (lhs, rhs) = rel
+                    .rederive(&fd.prov, &simple, i, &mut scratch)
+                    .ok_or_else(|| ctx("its provenance does not re-derive"))?;
+                if !rel.add(lhs, rhs, fd.prov.clone(), &budget)? {
                     return Err(ctx(
                         "replay rejected the entry (reflexive, duplicate, or subsumed)",
                     ));
                 }
             }
-            for (i, expected) in expected_flags.iter().enumerate() {
-                if rel.deps[i].subsumed != *expected {
+            for (i, fd) in pool.deps.iter().enumerate() {
+                if rel.deps[i].subsumed != fd.subsumed {
                     return Err(CoreError::Internal(format!(
-                        "frozen pool of `{}`, entry {i}: replayed subsumption flag \
-                         disagrees with the snapshot",
-                        rel.relation
+                        "frozen pool of `{relation}`, entry {i}: replayed subsumption flag \
+                         disagrees with the snapshot"
                     )));
                 }
             }
@@ -1088,13 +1128,17 @@ impl<'s> Engine<'s> {
     /// 2. the *active* (non-subsumed) entries form an antichain per RHS
     ///    (no active entry's LHS contains another active entry's LHS with
     ///    the same RHS);
-    /// 3. provenance is well-founded: every premise index is smaller than
-    ///    the entry's own index;
-    /// 4. every `Given` provenance points into Σ;
-    /// 5. the live subsumption buckets hold exactly the non-subsumed
+    /// 3. every entry re-derives from its provenance: the rule it names,
+    ///    applied to Σ and the entries below it through the rule
+    ///    functions saturation and [`Engine::replay`] use, gives exactly
+    ///    its LHS and RHS (so premise indices are well-founded and every
+    ///    `Given` points into Σ at this relation);
+    /// 4. the live subsumption buckets hold exactly the non-subsumed
     ///    entries, each once, in the bucket of its own RHS and with its
     ///    own LHS words — no subsumed entry sits in any bucket.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let simple: Vec<Nfd> = self.sigma.iter().map(simple::to_simple).collect();
+        let mut scratch = ChainScratch::default();
         for rel in self.rels.values() {
             for (i, d) in rel.deps.iter().enumerate() {
                 if d.lhs.contains(d.rhs) {
@@ -1103,28 +1147,13 @@ impl<'s> Engine<'s> {
                         rel.relation
                     ));
                 }
-                let premise_indices: Vec<usize> = match &d.prov {
-                    Prov::Given(k) => {
-                        if *k >= self.sigma.len() {
-                            return Err(format!(
-                                "relation {}: entry {i} cites Σ[{k}] out of range",
-                                rel.relation
-                            ));
-                        }
-                        vec![]
-                    }
-                    Prov::Prefix { dep, .. } | Prov::FullLocality { dep, .. } => vec![*dep],
-                    Prov::Resolve {
-                        target, supplier, ..
-                    } => vec![*target, *supplier],
-                    Prov::Singleton { .. } => vec![],
-                };
-                for p in premise_indices {
-                    if p >= i {
+                match rel.rederive(&d.prov, &simple, i, &mut scratch) {
+                    Some((lhs, rhs)) if lhs == d.lhs && rhs == d.rhs => {}
+                    _ => {
                         return Err(format!(
-                            "relation {}: entry {i} cites premise {p} (not well-founded)",
-                            rel.relation
-                        ));
+                            "relation {}: entry {i}'s provenance {:?} does not re-derive it",
+                            rel.relation, d.prov
+                        ))
                     }
                 }
             }
@@ -1498,6 +1527,36 @@ mod tests {
         rel.index.evict_live_supersets(rhs, &lhs, |_| {});
         let err = evicted.check_invariants().unwrap_err();
         assert!(err.contains("live buckets"), "{err}");
+    }
+
+    /// A `Resolve` entry pointed at another well-founded supplier keeps
+    /// every premise index below its own, yet its rule no longer yields
+    /// its conclusion, and the census says so.
+    #[test]
+    fn check_invariants_catches_a_provenance_that_does_not_rederive() {
+        let (schema, sigma) = worked_example();
+        let engine = Engine::new(&schema, &sigma).unwrap();
+        engine.check_invariants().unwrap();
+        let relation = Label::new("R");
+        let deps = &engine.rels[&relation].deps;
+        let (i, j) = deps
+            .iter()
+            .enumerate()
+            .find_map(|(i, d)| match d.prov {
+                Prov::Resolve { supplier, on, .. } => (0..i)
+                    .find(|&j| j != supplier && deps[j].rhs != on)
+                    .map(|j| (i, j)),
+                _ => None,
+            })
+            .expect("the worked example resolves");
+
+        let mut forged = engine.fork();
+        let rel = Arc::make_mut(forged.rels.get_mut(&relation).unwrap());
+        if let Prov::Resolve { supplier, .. } = &mut rel.deps[i].prov {
+            *supplier = j;
+        }
+        let err = forged.check_invariants().unwrap_err();
+        assert!(err.contains("does not re-derive"), "{err}");
     }
 
     /// Engines built over shared pre-compiled tables answer exactly like

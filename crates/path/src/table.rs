@@ -144,20 +144,10 @@ impl PathSet {
         self.iter().collect()
     }
 
-    /// The raw 64-bit words backing the set — the serialization surface
-    /// used by compiled-session snapshots. Word `w` bit `b` is id
-    /// `w * 64 + b`.
+    /// The raw 64-bit words backing the set — what the pool indices
+    /// store and compare row by row. Word `w` bit `b` is id `w * 64 + b`.
     pub fn as_words(&self) -> &[u64] {
         &self.bits
-    }
-
-    /// Rebuilds a set from raw words previously obtained via
-    /// [`PathSet::as_words`]. The caller is responsible for validating the
-    /// width and id range against the owning table (snapshot thaw does).
-    pub fn from_words(words: Vec<u64>) -> PathSet {
-        PathSet {
-            bits: words.into_boxed_slice(),
-        }
     }
 }
 

@@ -2,20 +2,22 @@
 //!
 //! A versioned, length-prefixed, per-section CRC-checksummed binary
 //! format for the compiled artifact of an NFD session: the schema and Σ
-//! source texts, the empty-set policy, the interned per-relation path
-//! tables (prefix / extension / follower bitset matrices) and the
-//! saturated dependency pools with full provenance. That is exactly what
-//! a compile derives from `(schema, Σ, policy)`, so one source always
-//! freezes to the same bytes; closures are not stored, because the kernel
-//! recomputes them from the pools on a cache miss. Thawing a snapshot
-//! skips the saturation fixpoint entirely, so a huge schema cold-starts
-//! in the time it takes to replay its pool.
+//! source texts, the empty-set policy, and per relation its rendered path
+//! list and its saturated pool. A pool entry is stored as its derivation
+//! (the rule and premises that produced it, a [`ProvSnap`]) and its
+//! subsumption flag, never as its conclusion: the `nfd` facade's thaw
+//! applies each rule again. That is exactly what a compile derives from
+//! `(schema, Σ, policy)`, so one source always freezes to the same bytes.
+//! Closures and the path tables' matrices are not stored, because the
+//! kernel and the schema recompute them. Thawing a snapshot skips the
+//! saturation search, so a huge schema cold-starts in the time it takes
+//! to re-apply its pool's rules.
 //!
-//! The crate is deliberately *plain data*: [`Snapshot`] holds strings,
-//! integers and word vectors, and knows nothing about engines or path
-//! tables. The `nfd` facade converts between this representation and the
-//! live compiled structures (and proves bit-identity both ways in its
-//! differential suite); this crate owns only the bytes.
+//! The crate is deliberately *plain data*: [`Snapshot`] holds strings and
+//! integers, and knows nothing about engines or path tables. The `nfd`
+//! facade converts between this representation and the live compiled
+//! structures (and proves bit-identity both ways in its differential
+//! suite); this crate owns only the bytes.
 //!
 //! ## Durability contract
 //!
@@ -32,12 +34,12 @@
 //!   from them.
 //! * **Salvage is explicit.** [`decode_lenient`] recovers what it can:
 //!   if the text sections (schema, Σ, policy) are individually CRC-valid
-//!   it returns them even when the compiled sections are damaged, marking
+//!   it returns them even when the compiled section is damaged, marking
 //!   the result *degraded* so the caller can fall back to a fresh compile
 //!   instead of rejecting outright. Degradation is a reported event, not
 //!   a failure.
 //!
-//! ## Byte layout (format version 2)
+//! ## Byte layout (format version 3)
 //!
 //! ```text
 //! magic     8 bytes   b"NFDSNAP1"
@@ -46,12 +48,12 @@
 //! ```
 //!
 //! Sections appear in a fixed order — `SCHEMA`, `SIGMA`, `POLICY`,
-//! `TABLES`, `POOLS`, then `END`, whose payload is the CRC-32 of every
-//! preceding byte of the file. Tag 6 is retired (format 1's closure-cache
-//! section) and is never reused. Within payloads, integers are
-//! little-endian, strings and vectors are `u64` length-prefixed, and
-//! bitsets are dumped as their raw 64-bit words. See `DESIGN.md` for the
-//! field-by-field specification and the version-bump policy.
+//! `POOLS`, then `END`, whose payload is the CRC-32 of every preceding
+//! byte of the file. Tags 4 (format 2's path-table matrices) and 6
+//! (format 1's closure cache) are retired and are never reused. Within
+//! payloads, integers are little-endian and strings and vectors are
+//! `u64` length-prefixed. See `DESIGN.md` for the field-by-field
+//! specification and the version-bump policy.
 //!
 //! Failpoint sites `snap::write`, `snap::rename`, `snap::read` and
 //! `snap::verify` let the chaos harness inject torn writes and partial
@@ -69,7 +71,7 @@ pub const MAGIC: &[u8; 8] = b"NFDSNAP1";
 /// The current format version. Bump on ANY change to the byte layout —
 /// the decoder rejects other versions with
 /// [`SnapError::UnsupportedVersion`] rather than guessing.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Hard ceiling on a single snapshot file (256 MiB). A corrupt length
 /// field can claim anything; this bounds what the decoder will even
@@ -79,7 +81,6 @@ pub const MAX_SNAPSHOT_BYTES: u64 = 256 * 1024 * 1024;
 const TAG_SCHEMA: u32 = 1;
 const TAG_SIGMA: u32 = 2;
 const TAG_POLICY: u32 = 3;
-const TAG_TABLES: u32 = 4;
 const TAG_POOLS: u32 = 5;
 const TAG_END: u32 = 7;
 
@@ -102,7 +103,8 @@ pub enum SnapError {
     /// discriminant, an over-long length field, trailing garbage.
     Malformed(String),
     /// The snapshot decoded cleanly but does not match the world it is
-    /// being thawed into (schema text, Σ, policy, or matrix skew).
+    /// being thawed into (schema text, Σ, policy, a path list), or an
+    /// entry's derivation does not re-apply.
     Mismatch(String),
     /// The path names a device, FIFO, directory or other non-regular
     /// file, which is never read as a snapshot.
@@ -147,29 +149,6 @@ pub enum PolicySnap {
     Annotated(Vec<String>),
 }
 
-/// One relation's interned path table: the id space and the compiled
-/// prefix / extension / follower matrices, dumped verbatim so a thaw can
-/// verify the rebuilt tables are bit-identical before trusting the pools.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TableSnap {
-    /// Relation label text.
-    pub relation: String,
-    /// Bitset width in 64-bit words.
-    pub words: u64,
-    /// Rendered paths in id order (id `i` = `paths[i]`).
-    pub paths: Vec<String>,
-    /// Parent id per path; `u32::MAX` encodes "no parent".
-    pub parents: Vec<u32>,
-    /// Set-of-records flag per path.
-    pub set_record: Vec<bool>,
-    /// Row `i`: the raw words of `prefixes_of(i)`.
-    pub prefixes: Vec<Vec<u64>>,
-    /// Row `i`: the raw words of `extensions_of(i)`.
-    pub extensions: Vec<Vec<u64>>,
-    /// Row `i`: the raw words of `followers_of(i)`.
-    pub followers: Vec<Vec<u64>>,
-}
-
 /// Provenance of one pool dependency, mirroring the engine's `Prov`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProvSnap {
@@ -205,13 +184,10 @@ pub enum ProvSnap {
     },
 }
 
-/// One compiled dependency of a frozen pool.
+/// One dependency of a frozen pool, as its derivation: a thaw re-applies
+/// the rule to recover the LHS and RHS.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DepSnap {
-    /// LHS bitset as raw words.
-    pub lhs: Vec<u64>,
-    /// RHS path id.
-    pub rhs: u32,
     /// How the dependency was derived.
     pub prov: ProvSnap,
     /// Subsumption flag at freeze time.
@@ -223,6 +199,9 @@ pub struct DepSnap {
 pub struct PoolSnap {
     /// Relation label text.
     pub relation: String,
+    /// The relation's rendered paths in id order (id `i` = `paths[i]`):
+    /// the id space the provenance's path ids index.
+    pub paths: Vec<String>,
     /// Pool entries in pool order.
     pub deps: Vec<DepSnap>,
 }
@@ -240,8 +219,6 @@ pub struct Snapshot {
     pub sigma_text: String,
     /// The empty-set policy the pools were saturated under.
     pub policy: PolicySnap,
-    /// Per-relation path-table dumps, sorted by relation text.
-    pub tables: Vec<TableSnap>,
     /// Per-relation saturated pools, sorted by relation text.
     pub pools: Vec<PoolSnap>,
 }
@@ -249,11 +226,10 @@ pub struct Snapshot {
 /// Result of a lenient decode: the best [`Snapshot`] the bytes support.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Salvaged {
-    /// The recovered snapshot. When `degraded` is true its compiled
-    /// sections (`tables`, `pools`) are empty and only the text sections
-    /// should be trusted.
+    /// The recovered snapshot. When `degraded` is true its `pools` are
+    /// empty and only the text sections should be trusted.
     pub snapshot: Snapshot,
-    /// True when any compiled section (or the file trailer) failed
+    /// True when the compiled section (or the file trailer) failed
     /// verification and was dropped: the caller must fall back to a
     /// fresh compile from the embedded texts.
     pub degraded: bool,
@@ -317,12 +293,6 @@ impl Enc {
         self.u64(s.len() as u64);
         self.buf.extend_from_slice(s.as_bytes());
     }
-    fn words(&mut self, w: &[u64]) {
-        self.u64(w.len() as u64);
-        for &x in w {
-            self.u64(x);
-        }
-    }
 }
 
 fn encode_policy(e: &mut Enc, p: &PolicySnap) {
@@ -333,32 +303,6 @@ fn encode_policy(e: &mut Enc, p: &PolicySnap) {
             e.u64(paths.len() as u64);
             for p in paths {
                 e.str(p);
-            }
-        }
-    }
-}
-
-fn encode_tables(e: &mut Enc, tables: &[TableSnap]) {
-    e.u64(tables.len() as u64);
-    for t in tables {
-        e.str(&t.relation);
-        e.u64(t.words);
-        e.u64(t.paths.len() as u64);
-        for p in &t.paths {
-            e.str(p);
-        }
-        e.u64(t.parents.len() as u64);
-        for &p in &t.parents {
-            e.u32(p);
-        }
-        e.u64(t.set_record.len() as u64);
-        for &b in &t.set_record {
-            e.u8(b as u8);
-        }
-        for matrix in [&t.prefixes, &t.extensions, &t.followers] {
-            e.u64(matrix.len() as u64);
-            for row in matrix {
-                e.words(row);
             }
         }
     }
@@ -401,10 +345,12 @@ fn encode_pools(e: &mut Enc, pools: &[PoolSnap]) {
     e.u64(pools.len() as u64);
     for pool in pools {
         e.str(&pool.relation);
+        e.u64(pool.paths.len() as u64);
+        for p in &pool.paths {
+            e.str(p);
+        }
         e.u64(pool.deps.len() as u64);
         for d in &pool.deps {
-            e.words(&d.lhs);
-            e.u32(d.rhs);
             encode_prov(e, &d.prov);
             e.u8(d.subsumed as u8);
         }
@@ -438,10 +384,6 @@ pub fn encode(snap: &Snapshot) -> Vec<u8> {
     e.buf.clear();
     encode_policy(&mut e, &snap.policy);
     push_section(&mut out, TAG_POLICY, &e.buf);
-
-    e.buf.clear();
-    encode_tables(&mut e, &snap.tables);
-    push_section(&mut out, TAG_TABLES, &e.buf);
 
     e.buf.clear();
     encode_pools(&mut e, &snap.pools);
@@ -517,16 +459,6 @@ impl<'a> Cur<'a> {
         String::from_utf8(raw.to_vec())
             .map_err(|_| SnapError::Malformed(format!("{what} is not UTF-8")))
     }
-
-    fn words(&mut self, what: &str) -> Result<Vec<u64>, SnapError> {
-        let n = self.u64(what)?;
-        let n = self.count(n, 8, what)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64(what)?);
-        }
-        Ok(out)
-    }
 }
 
 fn decode_policy(c: &mut Cur<'_>) -> Result<PolicySnap, SnapError> {
@@ -543,66 +475,6 @@ fn decode_policy(c: &mut Cur<'_>) -> Result<PolicySnap, SnapError> {
         }
         t => Err(SnapError::Malformed(format!("unknown policy tag {t}"))),
     }
-}
-
-fn decode_tables(c: &mut Cur<'_>) -> Result<Vec<TableSnap>, SnapError> {
-    let n = c.u64("table count")?;
-    let n = c.count(n, 8, "tables")?;
-    let mut tables = Vec::with_capacity(n);
-    for _ in 0..n {
-        let relation = c.str("table relation")?;
-        let words = c.u64("table words")?;
-        let paths_n = c.u64("table path count")?;
-        let paths_n = c.count(paths_n, 8, "table paths")?;
-        let mut paths = Vec::with_capacity(paths_n);
-        for _ in 0..paths_n {
-            paths.push(c.str("table path")?);
-        }
-        let parents_n = c.u64("table parent count")?;
-        let parents_n = c.count(parents_n, 4, "table parents")?;
-        let mut parents = Vec::with_capacity(parents_n);
-        for _ in 0..parents_n {
-            parents.push(c.u32("table parent")?);
-        }
-        let sr_n = c.u64("table set-record count")?;
-        let sr_n = c.count(sr_n, 1, "table set-record flags")?;
-        let mut set_record = Vec::with_capacity(sr_n);
-        for _ in 0..sr_n {
-            set_record.push(match c.u8("table set-record flag")? {
-                0 => false,
-                1 => true,
-                b => {
-                    return Err(SnapError::Malformed(format!(
-                        "set-record flag byte {b} is not a bool"
-                    )))
-                }
-            });
-        }
-        let mut matrices: Vec<Vec<Vec<u64>>> = Vec::with_capacity(3);
-        for name in ["prefix matrix", "extension matrix", "follower matrix"] {
-            let rows = c.u64(name)?;
-            let rows = c.count(rows, 8, name)?;
-            let mut matrix = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                matrix.push(c.words(name)?);
-            }
-            matrices.push(matrix);
-        }
-        let followers = matrices.pop().unwrap_or_default();
-        let extensions = matrices.pop().unwrap_or_default();
-        let prefixes = matrices.pop().unwrap_or_default();
-        tables.push(TableSnap {
-            relation,
-            words,
-            paths,
-            parents,
-            set_record,
-            prefixes,
-            extensions,
-            followers,
-        });
-    }
-    Ok(tables)
 }
 
 fn decode_prov(c: &mut Cur<'_>) -> Result<ProvSnap, SnapError> {
@@ -634,12 +506,17 @@ fn decode_pools(c: &mut Cur<'_>) -> Result<Vec<PoolSnap>, SnapError> {
     let mut pools = Vec::with_capacity(n);
     for _ in 0..n {
         let relation = c.str("pool relation")?;
+        let paths_n = c.u64("pool path count")?;
+        let paths_n = c.count(paths_n, 8, "pool paths")?;
+        let mut paths = Vec::with_capacity(paths_n);
+        for _ in 0..paths_n {
+            paths.push(c.str("pool path")?);
+        }
         let deps_n = c.u64("pool dep count")?;
-        let deps_n = c.count(deps_n, 14, "pool deps")?;
+        // The shortest entry is a singleton: tag, path id, flag.
+        let deps_n = c.count(deps_n, 6, "pool deps")?;
         let mut deps = Vec::with_capacity(deps_n);
         for _ in 0..deps_n {
-            let lhs = c.words("dep lhs")?;
-            let rhs = c.u32("dep rhs")?;
             let prov = decode_prov(c)?;
             let subsumed = match c.u8("dep subsumed flag")? {
                 0 => false,
@@ -650,14 +527,13 @@ fn decode_pools(c: &mut Cur<'_>) -> Result<Vec<PoolSnap>, SnapError> {
                     )))
                 }
             };
-            deps.push(DepSnap {
-                lhs,
-                rhs,
-                prov,
-                subsumed,
-            });
+            deps.push(DepSnap { prov, subsumed });
         }
-        pools.push(PoolSnap { relation, deps });
+        pools.push(PoolSnap {
+            relation,
+            paths,
+            deps,
+        });
     }
     Ok(pools)
 }
@@ -697,7 +573,6 @@ fn section_name(tag: u32) -> &'static str {
         TAG_SCHEMA => "SCHEMA",
         TAG_SIGMA => "SIGMA",
         TAG_POLICY => "POLICY",
-        TAG_TABLES => "TABLES",
         TAG_POOLS => "POOLS",
         TAG_END => "END",
         _ => "unknown section",
@@ -744,7 +619,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapError> {
     decode_header(&mut c)?;
 
     let mut snap = Snapshot::default();
-    let order = [TAG_SCHEMA, TAG_SIGMA, TAG_POLICY, TAG_TABLES, TAG_POOLS];
+    let order = [TAG_SCHEMA, TAG_SIGMA, TAG_POLICY, TAG_POOLS];
     for &expect in &order {
         let s = next_section(&mut c)?;
         if s.tag != expect {
@@ -759,7 +634,6 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapError> {
             TAG_SCHEMA => snap.schema_text = p.str("schema text")?,
             TAG_SIGMA => snap.sigma_text = p.str("sigma text")?,
             TAG_POLICY => snap.policy = decode_policy(&mut p)?,
-            TAG_TABLES => snap.tables = decode_tables(&mut p)?,
             _ => snap.pools = decode_pools(&mut p)?,
         }
         finish_payload(&p, expect)?;
@@ -791,9 +665,9 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapError> {
 ///
 /// The header and the three text sections (SCHEMA, SIGMA, POLICY) are
 /// mandatory — if any of them is damaged the snapshot is useless and the
-/// error is returned. The compiled sections (TABLES, POOLS) and the file
-/// trailer are best-effort: the first failure drops every
-/// compiled section and marks the result degraded, telling the caller to
+/// error is returned. The compiled section (POOLS) and the file trailer
+/// are best-effort: a failure in either drops the pools and marks the
+/// result degraded, telling the caller to
 /// fall back to a fresh compile from the embedded texts. Used by `serve`
 /// `RESTORE`, where a damaged-but-salvageable snapshot should admit the
 /// tenant cold rather than reject it.
@@ -839,8 +713,8 @@ pub fn decode_lenient(bytes: &[u8]) -> Result<Salvaged, SnapError> {
     }
     // Text sections are intact; the strict decode failed somewhere after
     // them, so the compiled state is untrustworthy and is never read: the
-    // snapshot keeps its default, empty tables and pools — a half-trusted
-    // pool is exactly the hybrid state thaw must never produce.
+    // snapshot keeps its default, empty pools — a half-trusted pool is
+    // exactly the hybrid state thaw must never produce.
     Ok(Salvaged {
         snapshot: snap,
         degraded: true,
@@ -935,21 +809,10 @@ mod tests {
             schema_text: "R : {<A: int, B: int>};\n".to_string(),
             sigma_text: "R:[A -> B];".to_string(),
             policy: PolicySnap::Annotated(vec!["R:B".to_string()]),
-            tables: vec![TableSnap {
-                relation: "R".to_string(),
-                words: 1,
-                paths: vec!["A".to_string(), "B".to_string()],
-                parents: vec![u32::MAX, u32::MAX],
-                set_record: vec![false, false],
-                prefixes: vec![vec![0b01], vec![0b10]],
-                extensions: vec![vec![0], vec![0]],
-                followers: vec![vec![0b01], vec![0b10]],
-            }],
             pools: vec![PoolSnap {
                 relation: "R".to_string(),
+                paths: vec!["A".to_string(), "B".to_string()],
                 deps: vec![DepSnap {
-                    lhs: vec![0b01],
-                    rhs: 1,
                     prov: ProvSnap::Given(0),
                     subsumed: false,
                 }],
@@ -1000,12 +863,12 @@ mod tests {
         let snap = sample();
         let bytes = encode(&snap);
         // Find the POOLS payload and flip a byte inside it.
-        let tables_payload_start = bytes
+        let pools_section_start = bytes
             .windows(4)
             .position(|w| w == TAG_POOLS.to_le_bytes())
             .unwrap();
         let mut bad = bytes.clone();
-        bad[tables_payload_start + 12 + 4] ^= 0xFF; // inside the POOLS payload
+        bad[pools_section_start + 12 + 4] ^= 0xFF; // inside the POOLS payload
         assert!(decode(&bad).is_err());
         let salvaged = decode_lenient(&bad).expect("text sections intact");
         assert!(salvaged.degraded);
@@ -1013,7 +876,6 @@ mod tests {
         assert_eq!(salvaged.snapshot.sigma_text, snap.sigma_text);
         assert_eq!(salvaged.snapshot.policy, snap.policy);
         assert!(salvaged.snapshot.pools.is_empty());
-        assert!(salvaged.snapshot.tables.is_empty());
     }
 
     #[test]
@@ -1058,10 +920,10 @@ mod tests {
         // Craft a payload whose count field claims u64::MAX entries; the
         // decoder must reject it before sizing anything from it.
         let mut bytes = encode(&sample());
-        // Find the TABLES section payload and smash its leading count.
+        // Find the POOLS section payload and smash its leading count.
         let pos = bytes
             .windows(4)
-            .position(|w| w == TAG_TABLES.to_le_bytes())
+            .position(|w| w == TAG_POOLS.to_le_bytes())
             .unwrap();
         for b in &mut bytes[pos + 12..pos + 20] {
             *b = 0xFF;

@@ -157,18 +157,20 @@ const USAGE: &str = "usage:
   see exactly the mutated Σ.
 
   snapshot opens the session and writes what its compile derived —
-  the schema and Σ texts, the empty-set policy, interned path tables and
-  the saturated Σ pools with full provenance — to --out as a
-  length-prefixed, per-section CRC-checksummed binary image (format 2),
-  atomically (temp file, flush, rename). One source always writes the
-  same bytes. Every session subcommand accepts --snapshot FILE to
-  warm-start from such an image: any valid image matching the
-  --schema/--deps/--policy on the command line thaws, whatever its
-  size, skipping the saturation fixpoint, while a corrupt, truncated,
-  mismatched or older-format one is rejected with a typed reason and
-  the tool transparently compiles fresh. Degraded startup is a logged
-  event, not a failure; the checksums catch damage, not a deliberately
-  forged pool. --add-dep / --drop-dep mutations apply after the thaw
+  the schema and Σ texts, the empty-set policy, and per relation its
+  path list and its saturated Σ pool as derivations (each entry's rule
+  and premises) — to --out as a length-prefixed, per-section
+  CRC-checksummed binary image (format 3), atomically (temp file,
+  flush, rename). One source always writes the same bytes. Every
+  session subcommand accepts --snapshot FILE to warm-start from such
+  an image: any valid image matching the --schema/--deps/--policy on
+  the command line thaws, whatever its size, re-applying each recorded
+  rule instead of searching, while a corrupt, truncated, mismatched or
+  older-format one is rejected with a typed reason and the tool
+  transparently compiles fresh. Degraded startup is a logged event,
+  not a failure. The checksums catch damage; a thaw re-derives every
+  entry, so a forged pool is rejected or answers at most what a
+  compile does. --add-dep / --drop-dep mutations apply after the thaw
   exactly as after a compile, so snapshot --snapshot OLD --out NEW
   re-freezes OLD with the mutations applied.
 

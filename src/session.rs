@@ -399,7 +399,8 @@ impl<'s> Session<'s> {
     /// rejected, returning the rejection as the second value; without
     /// one it compiles as [`Session::with_budget`] does. A thaw of an
     /// image written by [`Session::freeze`] gives the session a compile
-    /// gives, so the image changes what opening costs, not an answer.
+    /// gives, so the image changes what opening costs, not an answer;
+    /// any other image that thaws answers at most what a compile does.
     ///
     /// `cache` may be shared with other sessions compiled from the same
     /// `(schema, Σ, policy)` under the same build budget: engine builds
@@ -528,9 +529,10 @@ impl<'s> Session<'s> {
 
     /// Freezes this session's compiled state into a portable
     /// [`nfd_snap::Snapshot`]: schema and Σ source texts, the empty-set
-    /// policy, the interned path-table matrices and the saturated pools
-    /// with provenance — what a compile derives from `(schema, Σ,
-    /// policy)`, and nothing the session was asked. Pure export: the
+    /// policy, and per relation its rendered path list and its saturated
+    /// pool as derivations (each entry's provenance and subsumption flag)
+    /// — what a compile derives from `(schema, Σ, policy)`, and nothing
+    /// the session was asked. Pure export: the
     /// session is untouched, and one source always freezes to the same
     /// snapshot, whatever was queried before. Encode with
     /// [`nfd_snap::encode`] and persist with [`nfd_snap::write_atomic`].
@@ -544,18 +546,21 @@ impl<'s> Session<'s> {
     /// The caller supplies the live `(schema, sigma, policy, budget)`
     /// exactly as for [`Session::with_budget`]; the snapshot must match
     /// them or thawing fails with a typed
-    /// [`nfd_snap::SnapError::Mismatch`] — the schema/Σ/policy texts are compared
-    /// against the embedded ones, the path tables are recompiled and
-    /// required to be bit-identical to the embedded matrices, and the
-    /// pools replay through the engine's own `add` path, which checks ids
-    /// and premise indices and re-derives subsumption flags and `need_x`
-    /// gates. Each entry's derivation is taken on trust: the CRCs catch
-    /// accidental damage, not a forged entry. A rejected thaw leaves
-    /// nothing behind: [`Session::open`] falls back to a fresh compile
-    /// and hands the rejection back as an event to report, not a
-    /// failure. A thaw of an image [`Session::freeze`] wrote is
-    /// bit-identical to a fresh compile, down to its cold closure cache
-    /// (proved by `tests/snapshot_differential.rs`).
+    /// [`nfd_snap::SnapError::Mismatch`]. The schema/Σ/policy texts are
+    /// compared against the embedded ones; the image must hold one pool
+    /// per relation, listing the live path table's paths; and every
+    /// entry is re-derived by the rule its provenance names, from Σ and
+    /// the entries before it under the live tables and policy gates
+    /// ([`Engine::replay`]), with each replayed subsumption flag equal to
+    /// the stored one. So a thawed session holds only rule applications
+    /// and never answers "implied" where Σ does not imply the goal.
+    /// Completeness is taken on trust: an image whose pool was truncated
+    /// and re-checksummed thaws and answers less than a compile. A
+    /// rejected thaw leaves nothing behind: [`Session::open`] falls back
+    /// to a fresh compile and hands the rejection back as an event to
+    /// report, not a failure. A thaw of an image [`Session::freeze`]
+    /// wrote is bit-identical to a fresh compile, down to its cold
+    /// closure cache (proved by `tests/snapshot_differential.rs`).
     ///
     /// The [`TierPreference`] is ignored; the parameter stays only for the
     /// benchmark, which still passes it.
@@ -605,8 +610,7 @@ impl<'s> Session<'s> {
         }
         let tables = SchemaTables::new(&schema)
             .map_err(|e| SnapError::Mismatch(format!("schema does not compile: {e}")))?;
-        crate::snapshot::verify_tables(&tables, &snapshot.tables)?;
-        let pools = crate::snapshot::frozen_pools(snapshot, &schema)?;
+        let pools = crate::snapshot::frozen_pools(snapshot, &tables)?;
         let engine = catch_unwind(AssertUnwindSafe(|| {
             Engine::replay(schema, tables, sigma, policy, budget, pools)
         }))

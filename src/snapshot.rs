@@ -4,34 +4,39 @@
 //! The `nfd-snap` crate owns the bytes (format, checksums, atomic I/O)
 //! and deliberately knows nothing about engines; this module owns the
 //! meaning. Freezing dumps what a compile derives from `(schema, Σ,
-//! policy)` — schema and Σ source texts, the empty-set policy, every
-//! relation's interned path-table matrices and the saturated pools with
-//! provenance — so one source always freezes to the same image. Thawing
-//! is *checked reinstallation*:
+//! policy)` — schema and Σ source texts, the empty-set policy, and per
+//! relation its rendered path list and its saturated pool as
+//! derivations (each entry's provenance and subsumption flag) — so one
+//! source always freezes to the same image. Thawing is *re-derivation*:
 //!
 //! 1. the embedded schema/Σ/policy texts must equal the caller's
 //!    (rendered through the same `Display` impls they were frozen with);
-//! 2. the path tables are recompiled from the schema and required to be
-//!    bit-identical to the embedded matrices — any skew (a schema edit,
-//!    an interning change) is a typed [`SnapError::Mismatch`];
-//! 3. the pools replay through the engine's own `add` path
-//!    ([`nfd_core::engine::Engine::replay`]), which checks ids and
-//!    premise indices, re-derives subsumption flags and `need_x` gates,
-//!    and rejects any entry `add` would reject.
+//! 2. the image must hold exactly one pool per relation of the live
+//!    schema, each listing the live path table's paths in id order —
+//!    the id space its provenance cites — so a schema edit or a process
+//!    that interned labels in another order is a typed
+//!    [`SnapError::Mismatch`];
+//! 3. every entry is re-derived, in pool order, by the rule its
+//!    provenance names, from Σ and the entries before it, under the live
+//!    tables and policy gates, and pushed through the engine's own `add`
+//!    path ([`nfd_core::engine::Engine::replay`]); each replayed
+//!    subsumption flag must equal the stored one.
 //!
-//! Each entry's derivation is taken on trust: the CRCs catch accidental
-//! damage (`tests/snapshot_corruption.rs`), but an image rewritten with a
-//! forged entry and valid CRCs thaws and answers from it. An image that
-//! [`crate::session::Session::freeze`] wrote thaws bit-identical to a fresh
-//! compile (`tests/snapshot_differential.rs`).
+//! So a thawed pool holds only rule applications: a forged image can
+//! make a session answer less than a compile, never more
+//! (`tests/snapshot_corruption.rs` forges every provenance of three
+//! sources). Completeness is taken on trust — an image whose pool was
+//! truncated and re-checksummed thaws and answers "not implied" where a
+//! compile says "implied". An image that
+//! [`crate::session::Session::freeze`] wrote thaws bit-identical to a
+//! fresh compile (`tests/snapshot_differential.rs`).
 
 use nfd_core::engine::{Engine, FrozenDep, FrozenPool, Prov};
 use nfd_core::{EmptySetPolicy, Nfd};
-use nfd_model::{Label, Schema};
-use nfd_path::table::{PathId, PathSet, PathTable, SchemaTables};
+use nfd_model::Schema;
+use nfd_path::table::{PathTable, SchemaTables};
 use nfd_path::RootedPath;
-use nfd_snap::{DepSnap, PolicySnap, PoolSnap, ProvSnap, SnapError, Snapshot, TableSnap};
-use std::collections::HashMap;
+use nfd_snap::{DepSnap, PolicySnap, PoolSnap, ProvSnap, SnapError, Snapshot};
 
 /// Renders Σ in the canonical snapshot form: one `Display`-rendered NFD
 /// per line, each terminated by `;`. Round-trips through
@@ -73,60 +78,10 @@ pub fn policy_from_snap(snap: &PolicySnap) -> Result<EmptySetPolicy, SnapError> 
     }
 }
 
-/// `None` encoded as `u32::MAX` in [`TableSnap::parents`].
-const NO_PARENT: u32 = u32::MAX;
-
-/// Dumps one relation's compiled path table verbatim.
-fn table_snap(table: &PathTable) -> TableSnap {
-    let n = table.len() as PathId;
-    TableSnap {
-        relation: table.relation().to_string(),
-        words: table.words() as u64,
-        paths: table.paths().iter().map(|p| p.to_string()).collect(),
-        parents: (0..n)
-            .map(|id| table.parent(id).unwrap_or(NO_PARENT))
-            .collect(),
-        set_record: (0..n).map(|id| table.is_set_record(id)).collect(),
-        prefixes: (0..n)
-            .map(|id| table.prefixes_of(id).as_words().to_vec())
-            .collect(),
-        extensions: (0..n)
-            .map(|id| table.extensions_of(id).as_words().to_vec())
-            .collect(),
-        followers: (0..n)
-            .map(|id| table.followers_of(id).as_words().to_vec())
-            .collect(),
-    }
-}
-
-/// Dumps every table, sorted by relation text (deterministic bytes).
-fn tables_snap(tables: &SchemaTables) -> Vec<TableSnap> {
-    let mut out: Vec<TableSnap> = tables.iter().map(|(_, t)| table_snap(t)).collect();
-    out.sort_by(|a, b| a.relation.cmp(&b.relation));
-    out
-}
-
-/// Verifies that freshly compiled tables are bit-identical to the
-/// embedded dumps — the skew check that catches schema edits and
-/// interning changes between freeze and thaw.
-pub(crate) fn verify_tables(tables: &SchemaTables, snaps: &[TableSnap]) -> Result<(), SnapError> {
-    let fresh = tables_snap(tables);
-    if fresh.len() != snaps.len() {
-        return Err(SnapError::Mismatch(format!(
-            "snapshot has {} path table(s), the schema compiles to {}",
-            snaps.len(),
-            fresh.len()
-        )));
-    }
-    for (f, s) in fresh.iter().zip(snaps) {
-        if f != s {
-            return Err(SnapError::Mismatch(format!(
-                "path table of relation `{}` differs from the snapshot's",
-                s.relation
-            )));
-        }
-    }
-    Ok(())
+/// A relation's paths in id order, rendered: the id space of its pool's
+/// provenance.
+fn rendered_paths(table: &PathTable) -> Vec<String> {
+    table.paths().iter().map(|p| p.to_string()).collect()
 }
 
 fn prov_snap(prov: &Prov) -> ProvSnap {
@@ -186,12 +141,15 @@ pub(crate) fn freeze_parts(schema: &Schema, engine: &Engine<'_>) -> Snapshot {
         .into_iter()
         .map(|p| PoolSnap {
             relation: p.relation.to_string(),
+            paths: engine
+                .tables()
+                .get(p.relation)
+                .map(|t| rendered_paths(t))
+                .unwrap_or_default(),
             deps: p
                 .deps
                 .iter()
                 .map(|d| DepSnap {
-                    lhs: d.lhs.as_words().to_vec(),
-                    rhs: d.rhs,
                     prov: prov_snap(&d.prov),
                     subsumed: d.subsumed,
                 })
@@ -202,39 +160,50 @@ pub(crate) fn freeze_parts(schema: &Schema, engine: &Engine<'_>) -> Snapshot {
         schema_text: schema.to_string(),
         sigma_text: render_sigma(&engine.sigma),
         policy: policy_snap(engine.policy()),
-        tables: tables_snap(engine.tables()),
         pools,
     }
 }
 
-/// Converts the snapshot's pools back to the engine's frozen form,
-/// resolving relation names and rebuilding the LHS bitsets. Id-range and
-/// width validation happens inside `Engine::replay`; this layer
-/// rejects unknown relations.
+/// Converts the snapshot's pools back to the engine's frozen form for
+/// the live `tables`. The image must hold exactly one pool per relation,
+/// and each pool's path list must equal the live table's rendering, or
+/// the thaw is a typed [`SnapError::Mismatch`]; whether each entry
+/// re-derives is `Engine::replay`'s to check.
 pub(crate) fn frozen_pools(
     snapshot: &Snapshot,
-    schema: &Schema,
+    tables: &SchemaTables,
 ) -> Result<Vec<FrozenPool>, SnapError> {
-    let labels: HashMap<String, Label> = schema
-        .relation_names()
-        .map(|l| (l.to_string(), l))
-        .collect();
-    let mut out = Vec::with_capacity(snapshot.pools.len());
+    if snapshot.pools.len() != tables.len() {
+        return Err(SnapError::Mismatch(format!(
+            "snapshot has {} pool(s), the schema has {} relation(s)",
+            snapshot.pools.len(),
+            tables.len()
+        )));
+    }
+    let mut out: Vec<FrozenPool> = Vec::with_capacity(snapshot.pools.len());
     for pool in &snapshot.pools {
-        let relation = *labels.get(&pool.relation).ok_or_else(|| {
+        let mismatch = |what: &str| {
             SnapError::Mismatch(format!(
-                "snapshot pool names relation `{}` which the schema does not define",
+                "snapshot pool of relation `{}` {what}",
                 pool.relation
             ))
-        })?;
+        };
+        let (relation, table) = tables
+            .iter()
+            .find(|(label, _)| label.as_str() == pool.relation)
+            .ok_or_else(|| mismatch("names no relation of the schema"))?;
+        if out.iter().any(|p| p.relation == relation) {
+            return Err(mismatch("appears twice"));
+        }
+        if pool.paths != rendered_paths(table) {
+            return Err(mismatch("lists other paths than the schema's"));
+        }
         out.push(FrozenPool {
             relation,
             deps: pool
                 .deps
                 .iter()
                 .map(|d| FrozenDep {
-                    lhs: PathSet::from_words(d.lhs.clone()),
-                    rhs: d.rhs,
                     prov: prov_from_snap(&d.prov),
                     subsumed: d.subsumed,
                 })
@@ -277,15 +246,15 @@ mod tests {
     }
 
     #[test]
-    fn table_verification_catches_schema_skew() {
+    fn path_list_check_catches_schema_skew() {
         let schema = Schema::parse("R : {<A: int, B: int>};").unwrap();
         let other = Schema::parse("R : {<A: int, B: int, C: int>};").unwrap();
-        let tables = SchemaTables::new(&schema).unwrap();
-        let snaps = tables_snap(&tables);
-        assert!(verify_tables(&tables, &snaps).is_ok());
+        let engine = Engine::new(&schema, &[]).unwrap();
+        let image = freeze_parts(&schema, &engine);
+        assert!(frozen_pools(&image, engine.tables()).is_ok());
         let other_tables = SchemaTables::new(&other).unwrap();
         assert!(matches!(
-            verify_tables(&other_tables, &snaps),
+            frozen_pools(&image, &other_tables),
             Err(SnapError::Mismatch(_))
         ));
     }

@@ -887,33 +887,37 @@ fn snapshot_rejection_degrades_to_a_fresh_compile() {
     assert!(out.contains("rejected"), "{out}");
     assert!(out.contains("implied"), "{out}");
 
-    // An image of an older format (version field 1, right after the
-    // magic) is refused by version before anything else is read.
-    let old = f.dir.join("v1.snap").to_string_lossy().into_owned();
-    let (code, out) = run(&[
-        "snapshot", "--schema", &schema, "--deps", &deps, "--out", &old,
-    ]);
-    assert_eq!(code, 0, "{out}");
-    let mut bytes = std::fs::read(&old).unwrap();
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    std::fs::write(&old, &bytes).unwrap();
-    let (code, out) = run(&[
-        "implies",
-        "--schema",
-        &schema,
-        "--deps",
-        &deps,
-        "--snapshot",
-        &old,
-        goal,
-    ]);
-    assert_eq!(code, 0, "{out}");
-    assert!(
-        out.contains("rejected: unsupported snapshot format version 1"),
-        "{out}"
-    );
-    assert!(out.contains("compiling fresh"), "{out}");
-    assert!(out.contains("implied"), "{out}");
+    // An image of an older format (the version field, right after the
+    // magic) is refused by version before anything else is read: format 1
+    // (with a closure cache) and format 2 (with stored conclusions and
+    // path-table matrices) alike.
+    for version in [1u32, 2] {
+        let old = f.dir.join(format!("v{version}.snap"));
+        let old = old.to_string_lossy().into_owned();
+        let (code, out) = run(&[
+            "snapshot", "--schema", &schema, "--deps", &deps, "--out", &old,
+        ]);
+        assert_eq!(code, 0, "{out}");
+        let mut bytes = std::fs::read(&old).unwrap();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&old, &bytes).unwrap();
+        let (code, out) = run(&[
+            "implies",
+            "--schema",
+            &schema,
+            "--deps",
+            &deps,
+            "--snapshot",
+            &old,
+            goal,
+        ]);
+        assert_eq!(code, 0, "{out}");
+        let refused =
+            format!("rejected: unsupported snapshot format version {version} (expected 3)");
+        assert!(out.contains(&refused), "{out}");
+        assert!(out.contains("compiling fresh"), "{out}");
+        assert!(out.contains("implied"), "{out}");
+    }
 
     // A stale image — frozen from a *different* Σ — is a typed mismatch,
     // never a silently wrong warm start.

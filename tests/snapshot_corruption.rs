@@ -13,6 +13,12 @@
 //!
 //! The lenient decoder is swept too: a salvage either fails typed or
 //! recovers source sections that parse back to the original schema/Σ.
+//!
+//! A CRC only catches accidental damage, so the forgery sweep rewrites
+//! the one thing an image stores per pool entry, its derivation, and
+//! re-checksums: every provenance a thaw could be handed for every entry
+//! of three sources. A thaw re-derives each entry, so a forgery is either
+//! rejected or thaws to a session that answers no more than a compile.
 
 use nfd::prelude::*;
 use nfd::snap;
@@ -190,4 +196,220 @@ fn version_skew_is_a_typed_rejection() {
         snap::decode(&alien),
         Err(snap::SnapError::BadMagic)
     ));
+}
+
+/// One source of the forgery sweep: a schema and Σ text.
+struct Source {
+    name: &'static str,
+    schema: &'static str,
+    sigma: &'static str,
+}
+
+const FORGERY_SOURCES: &[Source] = &[
+    // The README quickstart.
+    Source {
+        name: "Course",
+        schema: "Course : { <cnum: string, time: int,
+            students: {<sid: int, age: int, grade: string>},
+            books: {<isbn: string, title: string>}> };",
+        sigma: "Course:[cnum -> time]; Course:[cnum -> students]; Course:[cnum -> books];
+            Course:[books:isbn -> books:title];
+            Course:students:[sid -> grade];
+            Course:[students:sid -> students:age];
+            Course:[time, students:sid -> cnum];",
+    },
+    // examples/acedb_singletons.rs: the singleton rule fires on `name`.
+    Source {
+        name: "Genes",
+        schema: "Genes : { <gid: int, name: {<text: string>}, aliases: {<text2: string>},
+            papers: {<pmid: int, year: int>}> };",
+        sigma: "Genes:[gid -> name:text]; Genes:[gid -> papers]; Genes:papers:[pmid -> year];",
+    },
+    // A three-level ladder: prefix, full-locality, resolution and
+    // singleton entries at every depth.
+    Source {
+        name: "ladder",
+        schema: "R : {<k0: int, v0: int, s0: {<k1: int, v1: int,
+            s1: {<k2: int, v2: int>}>}>};",
+        sigma: "R:[k0 -> v0]; R:[k0 -> s0]; R:s0:[k1 -> v1]; R:s0:[k1 -> s1];
+            R:s0:s1:[k2 -> v2]; R:[s0:k1, k0 -> s0:s1:k2];",
+    },
+];
+
+/// Every provenance the sweep substitutes for entry `e` of a pool whose
+/// entries have RHS ids `rhs`, over `paths` path ids and a Σ of `sigma`
+/// NFDs: each `Given`, each `Singleton`, `Prefix` and `FullLocality`
+/// over every path id (one past the end included) and every premise up
+/// to the entry itself, `Resolve` for every (target, supplier) pair, and
+/// the entry's own `Resolve` with each field varied over its range.
+fn forgeries(
+    own: &snap::ProvSnap,
+    e: u64,
+    rhs: &[u32],
+    paths: u32,
+    sigma: u64,
+) -> Vec<snap::ProvSnap> {
+    use snap::ProvSnap as P;
+    let mut out: Vec<P> = (0..=sigma).map(P::Given).collect();
+    for x in 0..=paths {
+        out.push(P::Singleton { x });
+        for dep in 0..=e {
+            out.push(P::Prefix { dep, shortened: x });
+            out.push(P::FullLocality { dep, x });
+        }
+    }
+    for target in 0..=e {
+        for supplier in 0..=e {
+            let on = rhs[supplier as usize];
+            out.push(P::Resolve {
+                target,
+                supplier,
+                on,
+            });
+        }
+    }
+    if let P::Resolve {
+        target,
+        supplier,
+        on,
+    } = *own
+    {
+        for v in 0..=e {
+            out.push(P::Resolve {
+                target: v,
+                supplier,
+                on,
+            });
+            out.push(P::Resolve {
+                target,
+                supplier: v,
+                on,
+            });
+        }
+        for v in 0..=paths {
+            out.push(P::Resolve {
+                target,
+                supplier,
+                on: v,
+            });
+        }
+    }
+    out.retain(|p| p != own);
+    out
+}
+
+/// Replaces each pool entry's provenance with every forgery in turn,
+/// re-encodes the image and thaws it. A thaw must either reject the
+/// image as a mismatch or give a session that answers no more than a
+/// compile: every closure of a one- or two-path LHS within the
+/// compile's, and a verified proof for every implied one-path goal.
+/// Returns how many forgeries were tried and how many thawed.
+fn sweep_forged_derivations(source: &Source) -> (usize, usize) {
+    let schema = Schema::parse(source.schema).unwrap();
+    let sigma = parse_set(&schema, source.sigma).unwrap();
+    let compiled = Session::new(&schema, &sigma).unwrap();
+    let image = compiled.freeze();
+    let dump = compiled.engine().pool_dump();
+    let thaw = |image: &snap::Snapshot| {
+        let bytes = snap::encode(image);
+        let decoded = snap::decode(&bytes).expect("a re-encoded image decodes");
+        Session::thaw(
+            &schema,
+            &sigma,
+            EmptySetPolicy::Forbidden,
+            Budget::standard(),
+            nfd_core::TierPreference::Auto,
+            &decoded,
+        )
+    };
+
+    // Every relation's one- and two-path LHSs with the compile's closure,
+    // and every one-path goal.
+    let mut lhss = Vec::new();
+    let mut goals = Vec::new();
+    for (relation, _) in &dump {
+        let table = compiled
+            .engine()
+            .tables()
+            .get(Label::new(relation))
+            .unwrap();
+        let base = RootedPath::parse(relation).unwrap();
+        let paths = table.paths();
+        for (i, a) in paths.iter().enumerate() {
+            for b in &paths[i..] {
+                let lhs = if a == b {
+                    vec![a.clone()]
+                } else {
+                    vec![a.clone(), b.clone()]
+                };
+                let closure = compiled.closure(&base, &lhs).unwrap();
+                lhss.push((base.clone(), lhs, closure));
+            }
+            for b in paths {
+                goals.push(Nfd::parse(&schema, &format!("{relation}:[{a} -> {b}]")).unwrap());
+            }
+        }
+    }
+
+    let (mut tried, mut thawed) = (0, 0);
+    for (p, (relation, entries)) in dump.iter().enumerate() {
+        let paths = compiled
+            .engine()
+            .tables()
+            .get(Label::new(relation))
+            .unwrap()
+            .len() as u32;
+        let rhs: Vec<u32> = entries.iter().map(|d| d.rhs).collect();
+        for (e, own) in image.pools[p].deps.iter().enumerate() {
+            for forged in forgeries(&own.prov, e as u64, &rhs, paths, sigma.len() as u64) {
+                tried += 1;
+                let what = format!("{}: {relation} entry {e} as {forged:?}", source.name);
+                let mut bad = image.clone();
+                bad.pools[p].deps[e].prov = forged;
+                let session = match thaw(&bad) {
+                    Err(snap::SnapError::Mismatch(_)) => continue,
+                    Err(other) => panic!("{what}: rejected untyped: {other:?}"),
+                    Ok(session) => session,
+                };
+                thawed += 1;
+                for (base, lhs, closure) in &lhss {
+                    let got = session.closure(base, lhs).unwrap();
+                    assert!(
+                        got.iter().all(|q| closure.contains(q)),
+                        "{what}: closure of {base}:{lhs:?} grew to {got:?}"
+                    );
+                }
+                for goal in &goals {
+                    if session.implies(goal).unwrap() {
+                        let pf = session.prove(goal).unwrap().expect("implied goals prove");
+                        session
+                            .verify(&pf)
+                            .unwrap_or_else(|e| panic!("{what}: proof of {goal} fails: {e}"));
+                    }
+                }
+            }
+        }
+    }
+
+    let mut poolless = image.clone();
+    poolless.pools.clear();
+    assert!(
+        matches!(thaw(&poolless), Err(snap::SnapError::Mismatch(_))),
+        "{}: an image without pools must be rejected",
+        source.name
+    );
+    (tried, thawed)
+}
+
+#[test]
+fn a_forged_derivation_never_adds_an_answer() {
+    for source in FORGERY_SOURCES {
+        let (tried, thawed) = sweep_forged_derivations(source);
+        println!("{}: {tried} forgeries, {thawed} thawed", source.name);
+        assert!(
+            tried > thawed,
+            "{}: some forgery must be rejected",
+            source.name
+        );
+    }
 }
